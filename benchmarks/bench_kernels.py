@@ -21,10 +21,6 @@ fails):
   with the parity suite (tests/engine/test_compact_parity.py) as the
   bit-for-bit correctness side of the same claim.
 
-The numba fast path is reported (available/enabled), never required:
-the container has no numba, and kernels degrade to pure numpy with
-identical results (tools/ci.sh gates the byte-parity).
-
 Run:  PYTHONPATH=src python benchmarks/bench_kernels.py
 """
 
@@ -147,8 +143,6 @@ def main() -> int:
         "compact_ok": compact_ok,
         "registry_size": len(registry.names()),
         "kernels": kernels.kernel_names(),
-        "numba_available": kernels.numba_available(),
-        "numba_enabled": kernels.numba_enabled(),
         "max_rounds": DEFAULT_MAX_ROUNDS,
         "gates": gates,
         "passed": all(g["passed"] for g in gates.values()),

@@ -10,9 +10,8 @@ up in a test that runs single-process.
 ``fork-global-write`` flags every function that declares ``global X``
 and then binds ``X``. The legitimate patterns in this codebase — the
 idempotent lazy-load latches (``registry._ensure_loaded``), the
-import-probe cache (``kernels.backend``), the context-scoped engine
-default (``engine.base.use_engine``) and the per-process observability
-runtime — each carry a waiver stating *why* the write is fork-safe
+context-scoped engine default (``engine.base.use_engine``) and the
+per-process observability runtime — each carry a waiver stating *why* the write is fork-safe
 (idempotent, recomputable, or process-local by design). A new
 unwaivered site is exactly what the campaign-service PRs need to see in
 review before it ships.

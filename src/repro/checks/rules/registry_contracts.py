@@ -12,11 +12,14 @@ rules make the contracts mechanical:
   omission must be a visible decision (``invariants=()`` with a waiver),
   never an accident.
 * ``reg-kernel-module`` — the lazy kernel registry
-  (``kernels/__init__._KERNEL_MODULES``) and the ``register_kernel``
-  calls in the kernel modules describe the same mapping: every
-  registering module is reachable, every mapped name is actually
-  registered by the module it routes to. A kernel outside the map is
-  dead code the vector engine will never dispatch.
+  (``kernels/__init__._KERNEL_MODULES``) and the registrations in the
+  kernel modules describe the same mapping: every registering module is
+  reachable, every mapped name is actually registered by the module it
+  routes to. A registration is a ``register_kernel("name", ...)`` call
+  or a ``register_program(Program())`` call, whose name is the
+  program class's ``name = "..."`` attribute. A kernel or program
+  outside the map is dead code neither the vector engine nor the
+  sharded runtime will ever dispatch.
 * ``reg-compact-parity`` — when any spec declares ``compact_ok=True``,
   the compact-parity suite (``tests/engine/test_compact_parity.py``)
   must exist and derive its case list from the live registry (it
@@ -103,22 +106,49 @@ def _kernel_modules_map(init_file) -> Tuple[Dict[str, str], int]:
     return {}, 1
 
 
+def _program_names(file) -> Dict[str, str]:
+    """Class name -> the literal ``name = "..."`` class attribute, for
+    every class in ``file`` that declares one."""
+    out: Dict[str, str] = {}
+    for node in ast.walk(file.tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if (
+                isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "name" for t in stmt.targets)
+                and isinstance(stmt.value, ast.Constant)
+                and isinstance(stmt.value.value, str)
+            ):
+                out[node.name] = stmt.value.value
+    return out
+
+
 def _registered_kernels(file) -> List[Tuple[str, int]]:
     """(kernel name, line) for every ``register_kernel("name", ...)``
-    call with a literal first argument in ``file``."""
+    call with a literal first argument, and every
+    ``register_program(Cls())`` call on a class of ``file`` with a
+    literal ``name``."""
+    programs = _program_names(file)
     out: List[Tuple[str, int]] = []
     for node in ast.walk(file.tree):
-        if not isinstance(node, ast.Call):
+        if not isinstance(node, ast.Call) or not node.args:
             continue
         func = node.func
-        name = func.id if isinstance(func, ast.Name) else (
+        called = func.id if isinstance(func, ast.Name) else (
             func.attr if isinstance(func, ast.Attribute) else None
         )
-        if name != "register_kernel" or not node.args:
-            continue
         first = node.args[0]
-        if isinstance(first, ast.Constant) and isinstance(first.value, str):
-            out.append((first.value, node.lineno))
+        if called == "register_kernel":
+            if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                out.append((first.value, node.lineno))
+        elif called == "register_program":
+            if (
+                isinstance(first, ast.Call)
+                and isinstance(first.func, ast.Name)
+                and first.func.id in programs
+            ):
+                out.append((programs[first.func.id], node.lineno))
     return out
 
 
@@ -127,9 +157,9 @@ class KernelModuleRegistered(ProjectChecker):
     rule = CheckRule(
         name="reg-kernel-module",
         family="registry",
-        summary="register_kernel calls and the lazy _KERNEL_MODULES map "
-        "in kernels/__init__.py describe the same mapping (no dead or "
-        "unreachable kernels)",
+        summary="register_kernel/register_program calls and the lazy "
+        "_KERNEL_MODULES map in kernels/__init__.py describe the same "
+        "mapping (no dead or unreachable kernels or programs)",
     )
 
     def check(self, project) -> Iterator[Tuple[str, int, str]]:

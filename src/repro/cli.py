@@ -8,9 +8,10 @@ Subcommands:
   algorithm with its family, kind, color bound and parameters
   (compact-capable algorithms carry a ``[compact]`` marker).
 * ``kernels`` — the whole-round CSR kernel layer: which per-node
-  algorithms have a registered kernel, whether the optional numba fast
-  path is live (``REPRO_NUMBA``), and which registry algorithms consume
-  ``CompactGraph`` natively vs. through the conversion fallback.
+  algorithms have a registered kernel, which of those are shard programs
+  (and so run sharded under ``run --shards``), and which registry
+  algorithms consume ``CompactGraph`` natively vs. through the
+  conversion fallback.
 * ``run`` — run any registered algorithm on a graph file or a named
   workload; ``--seeds`` + ``--jobs`` fan a seed batch across processes,
   ``--engine`` picks the execution engine.
@@ -139,15 +140,14 @@ def cmd_algorithms(args: argparse.Namespace) -> int:
 
 def cmd_kernels(args: argparse.Namespace) -> int:
     """The kernel layer's introspection surface: which per-node algorithms
-    have a whole-round CSR kernel, whether the numba fast path is live,
-    and which registry algorithms consume CompactGraph natively."""
+    have a whole-round CSR kernel, which kernels are shard programs, and
+    which registry algorithms consume CompactGraph natively."""
     from repro import kernels
 
     compact_specs = [spec for spec in registry.specs() if spec.compact_ok]
     payload = {
         "kernels": kernels.kernel_names(),
-        "numba_available": kernels.numba_available(),
-        "numba_enabled": kernels.numba_enabled(),
+        "sharded": kernels.program_names(),
         "compact_ok": sorted(spec.name for spec in compact_specs),
         "compact_fallback": sorted(
             spec.name for spec in registry.specs() if not spec.compact_ok
@@ -159,12 +159,8 @@ def cmd_kernels(args: argparse.Namespace) -> int:
         return 0
     print("whole-round CSR kernels (VectorEngine, CompactGraph input):")
     for name in payload["kernels"]:
-        print(f"  {name}")
-    state = "enabled" if payload["numba_enabled"] else (
-        "available but disabled" if payload["numba_available"] else "absent"
-    )
-    print(f"numba fast path (REPRO_NUMBA): {state}; pure-numpy results are")
-    print("identical either way (tools/ci.sh gates byte-parity).")
+        mode = "sharded" if name in payload["sharded"] else "falls back"
+        print(f"  {name}  [--shards: {mode}]")
     print(
         f"compact-capable algorithms ({len(payload['compact_ok'])}"
         f"/{len(registry.names())}): {', '.join(payload['compact_ok'])}"
@@ -1200,7 +1196,7 @@ def build_parser() -> argparse.ArgumentParser:
     kernels = sub.add_parser(
         "kernels",
         help="the whole-round CSR kernel layer: registered kernels, "
-        "numba fast-path state, compact-capable algorithms",
+        "which run sharded, compact-capable algorithms",
     )
     kernels.add_argument("--json", action="store_true")
     kernels.set_defaults(func=cmd_kernels)

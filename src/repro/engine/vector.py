@@ -137,11 +137,7 @@ class VectorEngine(Engine):
                     # kernel modules), so they are usable as counter labels.
                     obs.incr("kernel.fallback", kernel=algo_name, reason=str(exc))
                 else:
-                    obs.incr(
-                        "kernel.dispatch",
-                        kernel=algo_name,
-                        backend="numba" if kernels.numba_enabled() else "numpy",
-                    )
+                    obs.incr("kernel.dispatch", kernel=algo_name)
                     obs.incr("engine.runs", engine=self.name)
                     obs.incr("engine.rounds", result.rounds, engine=self.name)
                     obs.incr("engine.messages", result.messages, engine=self.name)

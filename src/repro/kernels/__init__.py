@@ -21,44 +21,51 @@ Contract (the reason kernels may exist at all):
 * **Decline, don't approximate.** A kernel that cannot reproduce the
   per-node semantics for a given input (exotic extras, inputs that would
   raise mid-run in node order, palettes outside its vectorized range)
-  raises :class:`KernelUnsupported`; the engine silently falls back to
-  the per-node path, which remains the semantic authority.
+  raises :class:`KernelUnsupported`; the engine falls back to the
+  per-node path, which remains the semantic authority, and discloses the
+  decline through the ``kernel.fallback`` counter.
 * **Engines opt in.** Only :class:`~repro.engine.vector.VectorEngine`
   consults this registry (and only for crash-free, untraced,
   bandwidth-untracked runs). The reference engine never does — it *is*
   the baseline kernels are measured against.
 
+Round procedures that are bulk-synchronous vertex programs (Linial's
+cover-free reduction, the defective refinement, the H-partition peel)
+have exactly one array implementation: a
+:class:`~repro.kernels.program.ShardProgram`. :func:`register_program`
+registers it once, which makes it both this engine's kernel — the
+program run over the whole graph as a single shard — and the sharded
+runtime's program (:func:`get_program`). The remaining kernels
+(Cole–Vishkin, the reductions) register plain whole-run functions with
+:func:`register_kernel`.
+
 Kernels are registered per :class:`~repro.local.algorithm.NodeAlgorithm`
 ``name`` and resolved lazily (:func:`get_kernel` imports the backing
 module on first use), so importing :mod:`repro.kernels` stays cheap and
 free of circular imports with the substrate modules.
-
-The optional numba fast path lives behind the ``REPRO_NUMBA`` feature
-flag (see :mod:`repro.kernels.backend`): when numba is absent or the flag
-is off, every kernel runs its pure-numpy implementation — same results,
-graceful degradation, no hard dependency.
 """
 
 from __future__ import annotations
 
 import importlib
-from typing import Any, Callable, Dict, Optional
-
-from repro.kernels.backend import numba_available, numba_enabled
+from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
     "KernelUnsupported",
     "get_kernel",
+    "get_program",
     "kernel_names",
+    "program_names",
     "register_kernel",
-    "numba_available",
-    "numba_enabled",
+    "register_program",
 ]
 
 
 class KernelUnsupported(Exception):
-    """A kernel declined this input; the caller must fall back to the
-    per-node scheduler. Never escapes the engine layer."""
+    """A kernel or shard program declined this input; the caller must
+    fall back to the per-node scheduler. The message is a stable short
+    string, usable as a counter label. Never escapes the engine or shard
+    layer."""
 
 
 #: algorithm name -> module that registers its kernel on import.
@@ -74,6 +81,9 @@ _KERNEL_MODULES: Dict[str, str] = {
 #: algorithm name -> kernel(graph, extras, max_rounds) -> RunResult.
 _KERNELS: Dict[str, Callable[..., Any]] = {}
 
+#: algorithm name -> ShardProgram (each also registered in _KERNELS).
+_PROGRAMS: Dict[str, Any] = {}
+
 
 def register_kernel(name: str, kernel: Callable[..., Any]) -> Callable[..., Any]:
     """Register ``kernel`` as the whole-run executor for algorithm
@@ -82,25 +92,47 @@ def register_kernel(name: str, kernel: Callable[..., Any]) -> Callable[..., Any]
     return kernel
 
 
-def get_kernel(name: Optional[str]) -> Optional[Callable[..., Any]]:
-    """The kernel registered for algorithm ``name``, or None.
+def register_program(program: Any) -> Any:
+    """Register a :class:`~repro.kernels.program.ShardProgram` under its
+    ``name``: as the sharded runtime's program, and — run over the whole
+    graph as one shard — as the kernel for the same algorithm."""
+    _PROGRAMS[program.name] = program
+    register_kernel(program.name, program.run)
+    return program
 
-    Lazily imports the backing module the first time a name is asked for,
-    so kernel registration never burdens interpreter startup.
-    """
+
+def _lookup(table: Dict[str, Any], name: Any) -> Any:
+    """``table[name]`` or None, importing the module that registers
+    ``name`` the first time it is asked for — so registration never
+    burdens interpreter startup."""
     if not isinstance(name, str):
         return None
-    kernel = _KERNELS.get(name)
-    if kernel is None and name in _KERNEL_MODULES:
+    if name not in table and name in _KERNEL_MODULES:
         importlib.import_module(_KERNEL_MODULES[name])
-        kernel = _KERNELS.get(name)
-    return kernel
+    return table.get(name)
 
 
-def kernel_names() -> list:
+def get_kernel(name: Optional[str]) -> Optional[Callable[..., Any]]:
+    """The kernel registered for algorithm ``name``, or None."""
+    return _lookup(_KERNELS, name)
+
+
+def get_program(name: Optional[str]) -> Optional[Any]:
+    """The shard program registered for algorithm ``name``, or None — the
+    sharded runtime then discloses a ``no-program`` fallback."""
+    return _lookup(_PROGRAMS, name)
+
+
+def kernel_names() -> List[str]:
     """Sorted names of all algorithms with a registered kernel (forces
     the lazy imports — this is the introspection surface, not the hot
     path)."""
     for module in sorted(set(_KERNEL_MODULES.values())):
         importlib.import_module(module)
     return sorted(_KERNELS)
+
+
+def program_names() -> List[str]:
+    """Sorted names of the kernels that are shard programs."""
+    kernel_names()
+    return sorted(_PROGRAMS)

@@ -5,8 +5,7 @@ earlier pick — so these are *sweep* kernels, not round kernels: the win
 comes from (a) computing the repr sweep order vectorized instead of
 sorting a million Python objects, and (b) running the first-fit loop
 over flat CSR arrays with a stamp-array palette instead of per-node
-Python sets. With numba active (``REPRO_NUMBA``) the sweep loop JITs to
-machine code; without it the same loop runs over plain Python lists.
+Python sets; the loop itself runs over plain Python lists.
 
 Both sweeps reproduce the baseline implementations in
 :mod:`repro.baselines.greedy` bit-for-bit: same order (ids sorted by
@@ -18,36 +17,20 @@ from __future__ import annotations
 
 # repro-check: file ok pure-kernel-node-loop — greedy first-fit is inherently
 # sequential (each pick depends on every earlier pick); the sweep loops here
-# are the algorithm, JIT-compiled via numba when available, not accidental
-# per-node dispatch
+# are the algorithm, not accidental per-node dispatch
 
 from typing import Any, Dict, Tuple
 
 import numpy as np
 
-from repro.kernels.backend import maybe_jit, numba_enabled
 from repro.kernels.segments import repr_rank_order
 
 
-def _vertex_sweep_py(indptr, indices, order, limit: int):
+def _vertex_sweep(indptr, indices, order, limit: int):
     n = len(indptr) - 1
     colors = [-1] * n
     stamp = [-1] * (limit + 2)
     for v in order:
-        for j in range(indptr[v], indptr[v + 1]):
-            c = colors[indices[j]]
-            if c >= 0:
-                stamp[c] = v
-        c = 0
-        while stamp[c] == v:
-            c += 1
-        colors[v] = c
-    return colors
-
-
-def _vertex_sweep_arrays(indptr, indices, order, colors, stamp):
-    for k in range(order.size):
-        v = order[k]
         for j in range(indptr[v], indptr[v + 1]):
             c = colors[indices[j]]
             if c >= 0:
@@ -65,20 +48,9 @@ def greedy_vertex_compact(graph: Any) -> Dict[int, int]:
     n = graph.n
     order = repr_rank_order(n)
     limit = graph.max_degree + 1
-    if numba_enabled():  # pragma: no cover - depends on the environment
-        sweep = maybe_jit(_vertex_sweep_arrays)
-        colors = sweep(
-            graph.indptr,
-            graph.indices.astype(np.int64, copy=False),
-            order,
-            np.full(n, -1, dtype=np.int64),
-            np.full(limit + 2, -1, dtype=np.int64),
-        )
-        colors = colors.tolist()
-    else:
-        colors = _vertex_sweep_py(
-            graph.indptr.tolist(), graph.indices.tolist(), order.tolist(), limit
-        )
+    colors = _vertex_sweep(
+        graph.indptr.tolist(), graph.indices.tolist(), order.tolist(), limit
+    )
     order_list = order.tolist()
     return dict(zip(order_list, (colors[v] for v in order_list)))
 

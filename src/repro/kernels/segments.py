@@ -28,12 +28,13 @@ from repro.kernels import KernelUnsupported
 
 
 def edge_endpoints(graph: Any) -> Tuple[np.ndarray, np.ndarray]:
-    """All ``2m`` directed edges as ``(src, dst)`` int64 arrays, in CSR
-    row order (the order the engines drain outboxes in)."""
-    src = np.repeat(
-        np.arange(graph.n, dtype=np.int64), np.diff(graph.indptr)
-    )
-    dst = graph.indices.astype(np.int64, copy=False)
+    """All directed edges of the CSR rows as ``(src, dst)`` int64 arrays,
+    in row order (the order the engines drain outboxes in). On a graph
+    these are all ``2m`` edges; on a shard, the owned rows' edges, whose
+    destinations may be halo local ids."""
+    indptr = np.asarray(graph.indptr)
+    src = np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+    dst = np.asarray(graph.indices).astype(np.int64, copy=False)
     return src, dst
 
 

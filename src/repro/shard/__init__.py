@@ -3,23 +3,19 @@
 The LOCAL model's synchronous rounds make cross-shard communication a
 natural bulk-synchronous exchange: partition the node ids into
 contiguous ranges, give every shard its own CSR slice plus a
-halo/boundary sideband, run the whole-round kernels (PR 6) locally per
+halo/boundary sideband, run the algorithm's round program locally per
 shard, and merge neighbor state across shards once per round through a
-coordinator. The result is bit-identical to the unsharded engines —
-every program in :mod:`repro.shard.programs` reproduces the exact
-per-node semantics — while each worker only ever touches its own
-memory-mapped slice, so peak per-process RSS is bounded by the shard
-size, not the graph size.
+coordinator. The result is bit-identical to the unsharded engines — the
+programs (:mod:`repro.kernels.program`) are the same array code the
+vector engine runs over the whole graph as a single shard — while each
+worker only ever touches its own memory-mapped slice, so peak
+per-process RSS is bounded by the shard size, not the graph size.
 
 Layering:
 
 * :mod:`repro.shard.partition` — the contiguous id-range partitioner,
   the ``.csrs`` shard file format (strictly size-validated at open, like
   ``.csrg``), the bundle manifest, and :class:`ShardBundle`.
-* :mod:`repro.shard.programs` — per-algorithm round programs: the
-  coordinator half (planning, global reductions, closed-form round and
-  message accounting) and the worker half (one numpy pass per round over
-  the local CSR arrays, reusing the PR 6 kernel helpers).
 * :mod:`repro.shard.runtime` — the BSP coordinator, the persistent
   per-shard worker pool (processes or inline), checkpoint/resume, and
   the :func:`sharding` scope that
@@ -32,17 +28,16 @@ the normal engine path; every such fallthrough is disclosed through the
 sharded execution it did not get.
 """
 
+from repro.kernels import get_program, program_names
 from repro.shard.partition import (
     ShardBundle,
     load_shard,
     partition,
 )
-from repro.shard.programs import ShardFallback, get_program, program_names
 from repro.shard.runtime import ShardingScope, sharding
 
 __all__ = [
     "ShardBundle",
-    "ShardFallback",
     "ShardingScope",
     "get_program",
     "load_shard",

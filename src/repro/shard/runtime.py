@@ -18,8 +18,7 @@ mid-exchange resumes from the last completed round — the resumed result
 is byte-identical because programs are deterministic functions of
 (plan, state). ``REPRO_SHARD_CRASH_AFTER_ROUND=<r>`` makes the
 coordinator SIGKILL itself right after committing round ``r``'s
-checkpoint; the resume test drives exactly that path, mirroring the
-``REPRO_NUMBA``-style env knobs used elsewhere.
+checkpoint; the resume test drives exactly that path.
 
 A scope never hijacks runs it cannot reproduce: anything without a
 registered program, on a graph other than the partitioned parent, or
@@ -44,10 +43,10 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import InvalidParameterError
+from repro.kernels import KernelUnsupported, get_program
 from repro.local.network import RunResult
 from repro.shard import context as _context
 from repro.shard.partition import Shard, ShardBundle
-from repro.shard.programs import ShardFallback, get_program
 
 _CRASH_ENV = "REPRO_SHARD_CRASH_AFTER_ROUND"
 _META_NAME = "meta.json"
@@ -385,7 +384,7 @@ class ShardingScope:
             plan, short = program.plan(
                 self.bundle.manifest, dict(extras or {}), max_rounds
             )
-        except ShardFallback as exc:
+        except KernelUnsupported as exc:
             obs.incr("shard.fallback", reason=str(exc), algorithm=name)
             return None
         from repro.engine.base import note_engine_run

@@ -177,6 +177,46 @@ def test_reg_kernel_module_fires_on_unmapped_and_unregistered(make_project):
     assert len(hits) == 2
 
 
+_PROGRAM_MODULE = """\
+from repro.kernels import register_program
+from repro.kernels.program import ShardProgram
+
+
+class PeelProgram(ShardProgram):
+    name = "peel"
+
+
+register_program(PeelProgram())
+"""
+
+
+def test_reg_kernel_module_fires_on_unreachable_program(make_project):
+    root = make_project(
+        {
+            "kernels/__init__.py": """\
+            _KERNEL_MODULES = {"mapped": "repro.kernels.mod_a"}
+            """,
+            "kernels/mod_a.py": "register_kernel(\"mapped\", None)\n",
+            "kernels/mod_p.py": _PROGRAM_MODULE,
+        }
+    )
+    hits = _hits(run_checks(root), "reg-kernel-module")
+    # the program's single registration is what the lazy loader must reach
+    assert hits == [("src/repro/kernels/mod_p.py", 9)]
+
+
+def test_reg_kernel_module_mapped_program_passes(make_project):
+    root = make_project(
+        {
+            "kernels/__init__.py": """\
+            _KERNEL_MODULES = {"peel": "repro.kernels.mod_p"}
+            """,
+            "kernels/mod_p.py": _PROGRAM_MODULE,
+        }
+    )
+    assert _hits(run_checks(root), "reg-kernel-module") == []
+
+
 def test_reg_kernel_module_clean_mapping_passes(make_project):
     root = make_project(
         {

@@ -116,7 +116,12 @@ class TestKernelsCommand:
         assert "linial" in payload["kernels"]
         assert len(payload["compact_ok"]) == 21
         assert payload["compact_fallback"] == []
-        assert isinstance(payload["numba_enabled"], bool)
+        assert payload["sharded"] == [
+            "defective-refinement",
+            "h-partition",
+            "linial",
+        ]
+        assert set(payload["sharded"]) <= set(payload["kernels"])
 
     def test_algorithms_shows_compact_marker(self, capsys):
         assert main(["algorithms"]) == 0

@@ -193,13 +193,11 @@ print("run from saved .csrg byte-identical to in-memory")
 EOF
 echo "graph smoke: csrg build/info/convert/run agree with in-memory"
 
-echo "== kernel smoke: CSR kernel path == reference path, numba flag inert =="
-# One seeded xl cell through the engine layer three ways: the vector
-# engine's whole-round kernel path with the numba fast path requested
-# (REPRO_NUMBA=1; numba is absent in CI, so this exercises the graceful
-# degradation) and denied (REPRO_NUMBA=0), plus the reference engine's
-# per-node path. All three dumps must be byte-identical — outputs,
-# rounds, and the per-round message profile.
+echo "== kernel smoke: CSR kernel path == reference path =="
+# One seeded xl cell through the engine layer two ways: the vector
+# engine's whole-round kernel path and the reference engine's per-node
+# path. Both dumps must be byte-identical — outputs, rounds, and the
+# per-round message profile.
 cat > "$SMOKE_DIR/kernel_probe.py" <<'EOF'
 import json, sys
 from repro import workloads
@@ -222,12 +220,10 @@ payload = {
 with open(out, "w") as handle:
     json.dump(payload, handle, sort_keys=True)
 EOF
-REPRO_NUMBA=0 python "$SMOKE_DIR/kernel_probe.py" vector "$SMOKE_DIR/kernel_numpy.json"
-REPRO_NUMBA=1 python "$SMOKE_DIR/kernel_probe.py" vector "$SMOKE_DIR/kernel_flag.json"
+python "$SMOKE_DIR/kernel_probe.py" vector "$SMOKE_DIR/kernel_vector.json"
 python "$SMOKE_DIR/kernel_probe.py" reference "$SMOKE_DIR/kernel_ref.json"
-cmp "$SMOKE_DIR/kernel_numpy.json" "$SMOKE_DIR/kernel_flag.json"
-cmp "$SMOKE_DIR/kernel_numpy.json" "$SMOKE_DIR/kernel_ref.json"
-echo "kernel smoke: kernel run byte-identical to reference, with and without REPRO_NUMBA"
+cmp "$SMOKE_DIR/kernel_vector.json" "$SMOKE_DIR/kernel_ref.json"
+echo "kernel smoke: kernel run byte-identical to reference"
 
 echo "== obs smoke: traced campaign -> schema-valid JSONL, stats reports, traced == untraced =="
 # A small multi-worker campaign with --trace: every worker appends
