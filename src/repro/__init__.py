@@ -48,8 +48,8 @@ _LAZY_EXPORTS = {
     "cd_hyperedge_coloring": "repro.core",
     "edge_color_bounded_arboricity": "repro.core",
     "edge_color_delta_plus_o_delta": "repro.core",
-    "verify_edge_coloring": "repro.analysis",
-    "verify_vertex_coloring": "repro.analysis",
+    "verify_edge_coloring": "repro.verify",
+    "verify_vertex_coloring": "repro.verify",
     "ColoringOracle": "repro.substrates",
     "line_graph_with_cover": "repro.graphs",
     "CompactGraph": "repro.graphcore",

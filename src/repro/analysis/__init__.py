@@ -10,7 +10,7 @@ from repro.analysis.figures import (
 from repro.analysis.metrics import ExperimentRecord, records_to_markdown
 from repro.analysis.stats import PowerLawFit, fit_power_law, geometric_mean
 from repro.analysis.tables import run_section5, run_table1, run_table2
-from repro.analysis.verify import (
+from repro.verify.checkers import (
     count_colors,
     max_star_size,
     verify_clique_decomposition,

@@ -1,32 +1,26 @@
-"""Experiment campaigns: persist reproduction runs, diff them, and fan
-high-throughput grids across a process pool.
+"""Cell campaigns: fan (algorithm x workload x seed) grids across a
+process pool and persist every cell's row.
 
-Two layers:
+Every cell is one ``(algorithm x workload x seed)`` triple resolved
+through :mod:`repro.registry` and :mod:`repro.workloads`, executed under
+a per-cell engine choice (see :mod:`repro.engine`) and streamed across
+``--jobs`` worker processes. Results are structured JSON rows —
+wall-clock, colors, rounds, messages, verdicts — that the store, the
+report and the tables consume uniformly::
 
-* The *record* campaign (original): the full experiment grid (Tables 1-2,
-  Section 5, Figures) serialized to JSON with enough metadata to re-run it
-  bit-for-bit, plus a regression comparator::
+    python -m repro campaign cells --engine vector --jobs 8 --out cells.json
 
-      python -m repro campaign run --out baseline.json
-      ... hack on the library ...
-      python -m repro campaign check --baseline baseline.json
+The executor is a *windowed* ``as_completed`` stream: at most a bounded
+number of payloads/futures exist at any moment (a 100k-cell grid never
+materializes in memory), every resolved cell is handed to the attached
+:class:`~repro.store.RunCache` the instant its future completes (so a
+SIGKILL loses at most the in-flight window), transient failures are
+retried per cell, and a ``BrokenProcessPool`` costs only the in-flight
+cells — the pool is rebuilt and the campaign resumes.
 
-* The *cell* campaign (:class:`CampaignRunner`): every cell is one
-  ``(algorithm x workload x seed)`` triple resolved through
-  :mod:`repro.registry`, executed under a per-cell engine choice (see
-  :mod:`repro.engine`) and streamed across ``--jobs`` worker processes.
-  Results are structured JSON rows — wall-clock, colors, rounds, messages
-  — that tables and plots consume uniformly::
-
-      python -m repro campaign cells --engine vector --jobs 8 --out cells.json
-
-  The executor is a *windowed* ``as_completed`` stream: at most a bounded
-  number of payloads/futures exist at any moment (a 100k-cell grid never
-  materializes in memory), every resolved cell is handed to the attached
-  :class:`~repro.store.RunCache` the instant its future completes (so a
-  SIGKILL loses at most the in-flight window), transient failures are
-  retried per cell, and a ``BrokenProcessPool`` costs only the in-flight
-  cells — the pool is rebuilt and the campaign resumes.
+The paper's tables are not a campaign: their one persisted snapshot is
+the generated block of ``EXPERIMENTS.md`` (see
+:mod:`repro.analysis.experiments`).
 """
 
 from __future__ import annotations
@@ -34,7 +28,6 @@ from __future__ import annotations
 import json
 import platform
 import time
-from collections.abc import MutableMapping
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -52,177 +45,19 @@ from typing import (
     Union,
 )
 
-import networkx as nx
-
 from repro import workloads as _workloads
-from repro.analysis.metrics import ExperimentRecord
 from repro.errors import InvalidParameterError
 from repro.store.cache import RunCache
 
 PathLike = Union[str, Path]
 
-CAMPAIGN_FORMAT = 1
 CELL_CAMPAIGN_FORMAT = 2
-
-
-def default_grid() -> List[ExperimentRecord]:
-    """The standard grid: a compact version of every table reproduction."""
-    from repro.analysis.tables import run_section5, run_table1, run_table2
-
-    records: List[ExperimentRecord] = []
-    records.extend(run_table1(deltas=(8, 16), x_values=(1, 2), n=48))
-    records.extend(
-        run_table2(
-            configs=({"diversity": 2, "delta": 8}, {"diversity": 3, "delta": 6}),
-            x_values=(1, 2),
-        )
-    )
-    records.extend(run_section5(arboricities=(2,), include_recursive=False))
-    return records
-
-
-def _record_key(record: ExperimentRecord) -> str:
-    params = ",".join(f"{k}={v}" for k, v in sorted(record.params.items()))
-    return f"{record.experiment}|{record.workload}|{params}"
-
-
-def save_campaign(records: Sequence[ExperimentRecord], path: PathLike) -> None:
-    payload = {
-        "format": CAMPAIGN_FORMAT,
-        "library_version": _library_version(),
-        "python": platform.python_version(),
-        "records": [r.as_dict() for r in records],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-
-
-def load_campaign(path: PathLike) -> List[Dict[str, Any]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != CAMPAIGN_FORMAT:
-        raise InvalidParameterError(
-            f"{path}: unsupported campaign format {payload.get('format')!r}"
-        )
-    return payload["records"]
 
 
 def _library_version() -> str:
     import repro
 
     return repro.__version__
-
-
-def _key_from_dict(row: Dict[str, Any]) -> str:
-    params = ",".join(
-        f"{k[len('param_'):]}={v}" for k, v in sorted(row.items()) if k.startswith("param_")
-    )
-    return f"{row['experiment']}|{row['workload']}|{params}"
-
-
-@dataclass
-class Regression:
-    key: str
-    field: str
-    baseline: Any
-    current: Any
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.key}: {self.field} {self.baseline!r} -> {self.current!r}"
-
-
-def compare_campaigns(
-    baseline: Sequence[Dict[str, Any]],
-    current: Sequence[ExperimentRecord],
-    color_slack: int = 0,
-    round_slack: float = 0.25,
-) -> List[Regression]:
-    """Flag rows of ``current`` that regressed against ``baseline``.
-
-    Regressions: a row disappearing, a bound violation appearing, colors
-    exceeding the baseline by more than ``color_slack``, or measured rounds
-    exceeding the baseline by more than a ``round_slack`` fraction.
-    """
-    baseline_by_key = {_key_from_dict(row): row for row in baseline}
-    regressions: List[Regression] = []
-    for record in current:
-        key = _record_key(record)
-        old = baseline_by_key.get(key)
-        if old is None:
-            regressions.append(Regression(key, "missing-from-baseline", None, "present"))
-            continue
-        if old.get("within_bound") and record.within_bound is False:
-            regressions.append(
-                Regression(key, "within_bound", old["within_bound"], record.within_bound)
-            )
-        old_colors = old.get("colors_used")
-        if old_colors is not None and record.colors_used > old_colors + color_slack:
-            regressions.append(
-                Regression(key, "colors_used", old_colors, record.colors_used)
-            )
-        old_rounds = old.get("rounds_actual")
-        if (
-            old_rounds
-            and record.rounds_actual is not None
-            and record.rounds_actual > old_rounds * (1 + round_slack)
-        ):
-            regressions.append(
-                Regression(key, "rounds_actual", old_rounds, record.rounds_actual)
-            )
-    return regressions
-
-
-# --------------------------------------------------------------------------
-# Cell campaigns: (algorithm x workload x seed) through the registries
-# --------------------------------------------------------------------------
-
-class _WorkloadTable(MutableMapping):
-    """Legacy view of the workload registry.
-
-    Preserves the original PR-1 contract: values are callables taking
-    ``(seed=..., **params)``, assignment registers a factory, ``pop``
-    unregisters. All operations are live views onto
-    :mod:`repro.workloads` — there is exactly one registry.
-    """
-
-    def __getitem__(self, name: str) -> Callable[..., nx.Graph]:
-        try:
-            _workloads.get(name)
-        except InvalidParameterError:
-            raise KeyError(name) from None
-        return lambda seed=0, **params: _workloads.build(name, params, seed=seed)
-
-    def __setitem__(self, name: str, factory: Callable[..., nx.Graph]) -> None:
-        _workloads.register_factory(name, factory, replace=True)
-
-    def __delitem__(self, name: str) -> None:
-        del _workloads.registry._REGISTRY[name]
-
-    def __iter__(self):
-        return iter(_workloads.names())
-
-    def __len__(self) -> int:
-        return len(_workloads.names())
-
-
-#: The live workload table — a legacy view over :mod:`repro.workloads`
-#: (use that module directly in new code).
-WORKLOADS: MutableMapping = _WorkloadTable()
-
-
-def register_workload(name: str, factory: Callable[..., nx.Graph]) -> None:
-    """Legacy registration shim: wrap ``factory`` into a
-    :class:`~repro.workloads.WorkloadSpec` (replacing any existing name)."""
-    _workloads.register_factory(name, factory, replace=True)
-
-
-def workload_names() -> List[str]:
-    return _workloads.names()
-
-
-def build_workload(name: str, params: Mapping[str, Any], seed: int = 0) -> nx.Graph:
-    """Instantiate workload ``name`` with ``params`` and ``seed``."""
-    return _workloads.build(name, params, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -320,7 +155,7 @@ def _execute_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
                     engine=payload["engine"],
                 ).key())
             with obs.span("campaign.build", workload=payload["workload"]):
-                graph = build_workload(
+                graph = _workloads.build(
                     payload["workload"], payload["workload_params"],
                     seed=payload["seed"],
                 )

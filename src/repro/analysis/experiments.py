@@ -1,17 +1,30 @@
-"""Regenerate EXPERIMENTS.md: paper-vs-measured for every table and figure.
+"""Regenerate the paper tables in EXPERIMENTS.md: paper-vs-measured for
+every table and figure.
 
-``python -m repro.analysis.experiments [output-path]`` runs the full harness
-(Tables 1-2, Section 5, Figures 1-3) and writes the markdown report.
+``python -m repro experiments EXPERIMENTS.md`` runs the full harness
+(Tables 1-2, Section 5, Figures 1-3, scaling fits, baselines, ablations,
+the workload catalogue) and rewrites only the text between
+:data:`BEGIN_MARKER` and :data:`END_MARKER`; the prose around them is
+hand-written and survives byte for byte. A target without both markers
+is an error and is left untouched. Without a path the block is printed.
+
+The generated block is the one persisted snapshot of the paper tables:
+``tests/test_experiments_fresh.py`` regenerates it and requires it to
+equal the committed block exactly.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import List
+from pathlib import Path
+from typing import List, Optional, Tuple
 
 from repro.analysis.figures import all_figures
 from repro.analysis.metrics import ExperimentRecord, records_to_markdown
 from repro.analysis.tables import run_section5, run_table1, run_table2
+
+BEGIN_MARKER = "<!-- BEGIN GENERATED: python -m repro experiments EXPERIMENTS.md -->"
+END_MARKER = "<!-- END GENERATED -->"
 
 _TABLE_COLUMNS = [
     "experiment",
@@ -46,18 +59,9 @@ def _section(title: str, intro: str, records: List[ExperimentRecord], columns) -
 
 
 def generate_report() -> str:
+    """The generated block: every section from Table 1 through the
+    workload catalogue."""
     parts = [
-        "# EXPERIMENTS — paper vs. measured",
-        "",
-        "Generated by `python -m repro.analysis.experiments`. Every row is an",
-        "actual run of the reproduced algorithm on the LOCAL simulator;",
-        "`colors_bound` is the paper's stated palette for those parameters,",
-        "`rounds_actual` is the simulator's measured round count with our",
-        "executable oracle, and `rounds_modeled` charges the [17] oracle bound",
-        "the paper's running times are stated in (see DESIGN.md).",
-        "",
-    ]
-    parts.append(
         _section(
             "Table 1 — (2^(x+1) Δ)-edge-coloring of general graphs",
             "Measured colors stay within the paper's palette for every x; the"
@@ -65,26 +69,22 @@ def generate_report() -> str:
             " the previous [7]+[17] bound.",
             run_table1(),
             _TABLE_COLUMNS,
-        )
-    )
-    parts.append(
+        ),
         _section(
             "Table 2 — (D^(x+1) S)-vertex-coloring, bounded diversity",
             "Line graphs (D=2) and hypergraph line graphs (D=3,4).",
             run_table2(),
             _TABLE_COLUMNS,
-        )
-    )
-    parts.append(
+        ),
         _section(
             "Section 5 — (Δ + o(Δ))-edge-coloring, bounded arboricity",
             "Baseline colors are the centralized Misra–Gries (Δ+1) reference;"
             " notes carry the greedy (2Δ-1) count.",
             run_section5(),
             _S5_COLUMNS,
-        )
-    )
-    parts.append("## Figures 1–3 — connector constructions\n")
+        ),
+        "## Figures 1–3 — connector constructions\n",
+    ]
     for report in all_figures():
         parts.append(f"* **{report.name}** — {report.description}")
         parts.append(f"  * {report.summary()}")
@@ -93,8 +93,28 @@ def generate_report() -> str:
     parts.append(_baseline_section())
     parts.append(_ablation_section())
     parts.append(_workloads_section())
-    parts.append(_store_section())
     return "\n".join(parts)
+
+
+def _split(text: str) -> Tuple[str, str]:
+    """``text`` up to and including :data:`BEGIN_MARKER`, and from
+    :data:`END_MARKER` on; raises ``ValueError`` unless both are present
+    in that order."""
+    start = text.find(BEGIN_MARKER)
+    end = text.find(END_MARKER, max(start, 0))
+    if start < 0 or end < 0:
+        raise ValueError(
+            f"no generated block: the file needs a {BEGIN_MARKER!r} line "
+            f"followed by a {END_MARKER!r} line"
+        )
+    return text[: start + len(BEGIN_MARKER)], text[end:]
+
+
+def splice(text: str, block: str) -> str:
+    """``text`` with the generated block between the markers replaced by
+    ``block``; everything outside the markers is kept byte for byte."""
+    head, tail = _split(text)
+    return f"{head}\n\n{block}\n{tail}"
 
 
 def _workloads_section() -> str:
@@ -127,54 +147,6 @@ def _workloads_section() -> str:
     return "\n".join(lines)
 
 
-def _store_section() -> str:
-    """How cached re-runs work — static workflow documentation kept in the
-    generator so regeneration preserves it."""
-    return "\n".join(
-        [
-            "## Cached campaigns — the experiment store",
-            "",
-            "Campaign cells are content-addressed: the run key hashes the",
-            "algorithm, its parameters, the resolved workload instance, the",
-            "seed, the engine and the code version. Unseeded (deterministic-",
-            "topology) workloads normalize the seed to 0, so `--seeds 0,1,2`",
-            "over a torus is one computation under one key, not three.",
-            "",
-            "Execution is a *streaming* windowed `as_completed` fan-out: at",
-            "most a bounded number of payloads/futures are in flight (default",
-            "`2 x jobs`), so arbitrarily large grids run in bounded memory.",
-            "With `--store`, every finished cell is persisted to SQLite the",
-            "instant its future resolves — in completion order, not cell",
-            "order — so re-running the same campaign is near-instant (every",
-            "cell is a cache hit) and a SIGKILLed campaign loses at most the",
-            "in-flight window. `--retries N` re-executes a failing cell N",
-            "extra times before its error row is recorded; a worker crash",
-            "(`BrokenProcessPool`) costs only the in-flight cells — the pool",
-            "is rebuilt and the campaign resumes. `--progress` repaints a",
-            "stderr status line (done/total, hit/computed/error counts, ETA):",
-            "",
-            "```console",
-            "$ python -m repro campaign cells --store runs.db --jobs 8   # cold",
-            "$ python -m repro campaign cells --store runs.db --jobs 8   # warm: all cells from cache",
-            "$ python -m repro campaign cells --store runs.db --resume   # finish a killed campaign",
-            "$ python -m repro campaign cells --store runs.db --retries 2 --progress",
-            "$ python -m repro query --store runs.db --algorithm star4 --format markdown",
-            "$ python -m repro gc --store runs.db                        # drop stale versions + errors",
-            "```",
-            "",
-            "`benchmarks/bench_store_cache.py` records the cold-vs-warm",
-            "wall-clock ratio in `BENCH_store.json` (warm must be >= 10x",
-            "faster); `benchmarks/bench_stream.py` gates the streaming",
-            "executor in `BENCH_stream.json` (kill-loss <= in-flight cells,",
-            "streaming overhead vs raw `pool.map`); `tools/ci.sh` SIGKILLs a",
-            "campaign behind a deliberately slow head cell and checks that",
-            "every out-of-order completed cell was already durable and the",
-            "resumed store is byte-identical to an uninterrupted one.",
-            "",
-        ]
-    )
-
-
 def _ablation_section() -> str:
     """The design-choice ablations: oracle substitution cost, H-partition
     slack q, and the related-work (Delta+1) vertex coloring boundary.
@@ -183,7 +155,7 @@ def _ablation_section() -> str:
     names algorithms, never imports them.
     """
     from repro import registry
-    from repro.analysis.verify import verify_edge_coloring, verify_vertex_coloring
+    from repro.verify import verify_edge_coloring, verify_vertex_coloring
     from repro.graphs import max_degree, random_regular, star_forest_stack
 
     lines = ["## Ablations", ""]
@@ -282,7 +254,7 @@ def _baseline_section() -> str:
     color/round landscape the paper's Table 1 sits in. All rows resolve
     through the unified algorithm registry."""
     from repro import registry
-    from repro.analysis.verify import verify_edge_coloring
+    from repro.verify import verify_edge_coloring
     from repro.graphs import max_degree, random_regular
 
     graph = random_regular(64, 16, seed=19)
@@ -322,16 +294,25 @@ def _baseline_section() -> str:
     return "\n".join(lines)
 
 
-def main(argv: List[str] | None = None) -> None:  # pragma: no cover - CLI
+def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    report = generate_report()
-    if argv:
-        with open(argv[0], "w", encoding="utf-8") as handle:
-            handle.write(report)
-        print(f"wrote {argv[0]}")
-    else:
-        print(report)
+    if not argv:
+        print(generate_report())
+        return 0
+    path = Path(argv[0])
+    try:
+        # newline="" keeps the file's line endings byte for byte
+        with open(path, encoding="utf-8", newline="") as handle:
+            text = handle.read()
+        _split(text)  # fail before the slow regeneration
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"{path}: {exc}") from None
+    text = splice(text, generate_report())
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    print(f"wrote the generated block of {path}")
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    sys.exit(main())

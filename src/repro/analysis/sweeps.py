@@ -15,10 +15,10 @@ from typing import Callable, List, Sequence, Tuple
 import networkx as nx
 
 from repro.analysis.stats import PowerLawFit, fit_power_law
-from repro.analysis.verify import verify_edge_coloring
 from repro.core.star_partition import star_partition_edge_coloring
 from repro.graphs.generators import random_regular
 from repro.local.costmodel import log_star
+from repro.verify import verify_edge_coloring
 
 
 @dataclass

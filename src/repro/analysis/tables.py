@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence
 import networkx as nx
 
 from repro.analysis.metrics import ExperimentRecord
-from repro.analysis.verify import verify_edge_coloring, verify_vertex_coloring
 from repro.baselines import (
     degree_splitting_edge_coloring,
     greedy_edge_coloring,
@@ -41,6 +40,7 @@ from repro.graphs import (
     star_forest_stack,
 )
 from repro.local import RoundLedger
+from repro.verify import verify_edge_coloring, verify_vertex_coloring
 
 
 def run_table1(

@@ -19,8 +19,7 @@ Subcommands:
   front-end (kept for compatibility; now registry-resolved).
 * ``sweep`` — a Delta ladder for one algorithm across random regular
   graphs, with per-point engine/jobs control.
-* ``campaign`` — ``run``/``check`` persist and diff the table-reproduction
-  record grid; ``cells`` streams the (algorithm x workload x seed) cell
+* ``campaign cells`` — streams the (algorithm x workload x seed) cell
   grid across a process pool with bounded in-flight submission, optionally
   against a content-addressed experiment store (``--store runs.db``) that
   persists every cell the instant it completes, so already-computed cells
@@ -44,7 +43,8 @@ Subcommands:
   invariant oracles (:mod:`repro.verify`), and ``--diff``: run sampled
   cells under every engine and compare the outputs field by field.
 * ``tables`` / ``figures`` / ``experiments`` — the paper-reproduction
-  harnesses.
+  harnesses; ``experiments PATH`` regenerates only the marked block of
+  PATH (the committed paper tables in ``EXPERIMENTS.md``).
 
 Engine selection (``--engine {reference,vector}``) routes every simulated
 round through :mod:`repro.engine`; ``--jobs N`` parallelizes across worker
@@ -245,12 +245,8 @@ def _enter_cli_sharding(stack, graph, args: argparse.Namespace):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro.analysis.campaign import (
-        CampaignCell,
-        CampaignRunner,
-        build_workload,
-        workload_names,
-    )
+    from repro import workloads
+    from repro.analysis.campaign import CampaignCell, CampaignRunner
 
     spec = registry.get(args.algorithm)
     params = _algorithm_params(spec, args)
@@ -301,9 +297,9 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "shard.fallback counter)"
             )
     else:
-        if args.workload not in workload_names():
+        if args.workload not in workloads.names():
             raise SystemExit(
-                f"unknown workload {args.workload!r}; choose from {workload_names()}"
+                f"unknown workload {args.workload!r}; choose from {workloads.names()}"
             )
         workload_params = dict(args.workload_param or ())
         seeds = args.seeds
@@ -410,8 +406,7 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     from repro.analysis.experiments import main as experiments_main
 
     with use_engine(args.engine):
-        experiments_main([args.output] if args.output else [])
-    return 0
+        return experiments_main([args.output] if args.output else [])
 
 
 def _trace_env(path: Optional[str]):
@@ -476,7 +471,7 @@ def _progress_printer(min_interval_s: float = 0.1):
     return emit
 
 
-def _campaign_cells(args: argparse.Namespace) -> int:
+def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.analysis.campaign import (
         CampaignRunner,
         default_cells,
@@ -561,37 +556,6 @@ def _campaign_cells(args: argparse.Namespace) -> int:
             f"seed={row['seed']}: {row.get('violation')}"
         )
     return 1 if failed or bad_verdicts else 0
-
-
-def cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.analysis.campaign import (
-        compare_campaigns,
-        default_grid,
-        load_campaign,
-        save_campaign,
-    )
-
-    if args.action == "cells":
-        return _campaign_cells(args)
-
-    if args.action == "run" and not args.out:
-        raise SystemExit("campaign run requires --out")
-    if args.action == "check" and not args.baseline:
-        raise SystemExit("campaign check requires --baseline")
-    with use_engine(args.engine):
-        records = default_grid()
-    if args.action == "run":
-        save_campaign(records, args.out)
-        print(f"saved {len(records)} records to {args.out}")
-        return 0
-    baseline = load_campaign(args.baseline)
-    regressions = compare_campaigns(baseline, records)
-    if regressions:
-        for regression in regressions:
-            print(f"REGRESSION {regression}")
-        return 1
-    print(f"no regressions across {len(records)} records")
-    return 0
 
 
 def cmd_workloads(args: argparse.Namespace) -> int:
@@ -1293,25 +1257,31 @@ def build_parser() -> argparse.ArgumentParser:
     figures = sub.add_parser("figures", help="print the figure bound checks")
     figures.set_defaults(func=cmd_figures)
 
-    experiments = sub.add_parser("experiments", help="regenerate EXPERIMENTS.md")
-    experiments.add_argument("output", nargs="?", help="output path")
+    experiments = sub.add_parser(
+        "experiments", help="regenerate the paper tables in EXPERIMENTS.md"
+    )
+    experiments.add_argument(
+        "output",
+        nargs="?",
+        help="markdown file whose generated block (between the marker "
+        "comments) is rewritten; without it the block is printed",
+    )
     experiments.add_argument("--engine", choices=available_engines(), default=None)
     experiments.set_defaults(func=cmd_experiments)
 
     campaign = sub.add_parser(
-        "campaign", help="run/compare persisted experiment campaigns"
+        "campaign", help="fan (algorithm x workload x seed) cells across --jobs"
     )
     campaign.add_argument(
         "action",
-        choices=("run", "check", "cells"),
-        help="run/check the record grid, or fan the cell grid across --jobs",
+        choices=("cells",),
+        help="fan the cell grid across --jobs",
     )
-    campaign.add_argument("--out", help="where to save the campaign (run/cells)")
-    campaign.add_argument("--baseline", help="baseline file to compare against (check)")
+    campaign.add_argument("--out", help="where to save the cell results")
     campaign.add_argument(
         "--store",
         help="experiment store (SQLite): cache hits skip recomputation and "
-        "every finished cell is persisted immediately (cells)",
+        "every finished cell is persisted immediately",
     )
     campaign.add_argument(
         "--resume",
@@ -1350,7 +1320,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress",
         action="store_true",
         help="repaint a stderr status line per resolved cell: "
-        "done/total, hit/computed/error counts, ETA (cells)",
+        "done/total, hit/computed/error counts, ETA",
     )
     campaign.add_argument(
         "--seeds",
@@ -1364,7 +1334,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="stream schema-versioned JSONL trace events to FILE while "
         "cells execute — worker processes inherit the gate and append to "
-        "the same file (equivalent to setting REPRO_TRACE=FILE; cells)",
+        "the same file (equivalent to setting REPRO_TRACE=FILE)",
     )
     _add_engine_jobs(campaign)
     campaign.set_defaults(func=cmd_campaign)

@@ -6,8 +6,11 @@ makes concurrent writers (process-pool workers, parallel campaigns
 against one store file) safe: each writer opens its own connection and
 commits independently.
 
-The query API returns plain dicts — "DataFrame-like" rows the analysis
-layer (``analysis/tables.py``, ``analysis/sweeps.py``) consumes directly.
+The query API returns plain dicts — "DataFrame-like" rows that
+``repro query``/``verify``/``stats`` and the campaign report
+(``analysis/dataframes.py``) consume directly. The paper tables are not
+served from here: their persisted snapshot is the generated block of
+``EXPERIMENTS.md`` (see :mod:`repro.analysis.experiments`).
 :func:`stable_row` projects a row onto the deterministic column subset
 (everything except wall-clock and timestamps), which is what makes a
 killed-and-resumed campaign byte-identical to an uninterrupted one.

@@ -36,7 +36,6 @@ from repro.workloads.registry import (
     names,
     normalized_seed,
     register,
-    register_factory,
     specs,
     to_json,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "names",
     "normalized_seed",
     "register",
-    "register_factory",
     "specs",
     "to_json",
 ]

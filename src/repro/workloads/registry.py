@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-import inspect
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-import networkx as nx
-
 from repro.errors import InvalidParameterError
 
-#: Families a workload may belong to. ``custom`` is reserved for
-#: user-registered factories that do not declare one.
+#: Families a workload may belong to.
 FAMILIES = (
     "random",
     "regular",
@@ -22,7 +18,6 @@ FAMILIES = (
     "adversarial",
     "scale",
     "xl",
-    "custom",
 )
 
 #: Families whose instances are too large for the unfiltered default
@@ -41,7 +36,7 @@ class WorkloadSpec:
     overrides into them, so the *resolved* parameter set is always total
     and content-addressed run keys are stable across spellings.
     ``params`` lists the accepted keyword names (``None`` disables eager
-    validation for introspection-hostile custom factories). ``seeded``
+    validation; the factory's ``TypeError`` rejects bad names). ``seeded``
     marks whether the factory consumes a ``seed`` keyword; deterministic
     topologies ignore seeds entirely. ``compact`` marks factories that
     return a :class:`~repro.graphcore.CompactGraph` (the streaming CSR
@@ -66,58 +61,19 @@ _REGISTRY: Dict[str, WorkloadSpec] = {}
 _BUILTINS_LOADED = False
 
 
-def register(spec: WorkloadSpec, replace: bool = False) -> WorkloadSpec:
+def register(spec: WorkloadSpec) -> WorkloadSpec:
     """Register ``spec``; re-registering the same factory is idempotent,
-    a different factory under an existing name is an error unless
-    ``replace`` is set (the legacy ``register_workload`` semantics)."""
+    a different factory under an existing name is an error."""
     if spec.family not in FAMILIES:
         raise InvalidParameterError(
             f"workload {spec.name!r}: unknown family {spec.family!r}; "
             f"choose from {FAMILIES}"
         )
     existing = _REGISTRY.get(spec.name)
-    if existing is not None and existing.factory is not spec.factory and not replace:
+    if existing is not None and existing.factory is not spec.factory:
         raise InvalidParameterError(f"workload {spec.name!r} registered twice")
     _REGISTRY[spec.name] = spec
     return spec
-
-
-def register_factory(
-    name: str, factory: Callable[..., nx.Graph], replace: bool = True
-) -> WorkloadSpec:
-    """Register a bare factory (the legacy ``analysis.campaign`` surface).
-
-    Defaults, accepted parameters and seededness are introspected from the
-    factory signature; factories whose signature cannot be inspected skip
-    eager validation and rely on ``TypeError`` at build time.
-    """
-    seeded = True
-    defaults: Dict[str, Any] = {}
-    params: Optional[Tuple[str, ...]] = None
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):
-        pass
-    else:
-        seeded = "seed" in signature.parameters
-        params = tuple(k for k in signature.parameters if k != "seed")
-        defaults = {
-            k: p.default
-            for k, p in signature.parameters.items()
-            if k != "seed" and p.default is not inspect.Parameter.empty
-        }
-    return register(
-        WorkloadSpec(
-            name=name,
-            family="custom",
-            summary="user-registered workload",
-            factory=factory,
-            defaults=defaults,
-            params=params,
-            seeded=seeded,
-        ),
-        replace=replace,
-    )
 
 
 def _ensure_loaded() -> None:

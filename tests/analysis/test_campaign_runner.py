@@ -1,5 +1,5 @@
-"""Cell campaigns: workload table, CampaignRunner fan-out, persistence,
-and the CLI wiring for run/sweep/campaign cells."""
+"""Cell campaigns: CampaignRunner fan-out, persistence, and the CLI
+wiring for run/sweep/campaign cells."""
 
 import json
 
@@ -8,48 +8,12 @@ import pytest
 from repro.analysis.campaign import (
     CampaignCell,
     CampaignRunner,
-    build_workload,
     default_cells,
     load_cell_results,
     save_cell_results,
-    workload_names,
 )
 from repro.cli import main
 from repro.errors import InvalidParameterError
-
-
-class TestWorkloads:
-    def test_builtin_names(self):
-        names = workload_names()
-        assert {"random-regular", "erdos-renyi", "star-forest-stack"} <= set(names)
-
-    def test_build_with_params(self):
-        graph = build_workload("random-regular", {"n": 20, "d": 4}, seed=3)
-        assert graph.number_of_nodes() == 20
-        assert all(d == 4 for _, d in graph.degree())
-
-    def test_seed_changes_graph(self):
-        g1 = build_workload("erdos-renyi", {"n": 30, "p": 0.2}, seed=1)
-        g2 = build_workload("erdos-renyi", {"n": 30, "p": 0.2}, seed=2)
-        assert set(g1.edges()) != set(g2.edges())
-
-    def test_unknown_workload(self):
-        with pytest.raises(InvalidParameterError, match="unknown workload"):
-            build_workload("mobius-donut", {})
-
-    def test_bad_workload_params(self):
-        with pytest.raises(InvalidParameterError, match="rejected parameters"):
-            build_workload("random-regular", {"bogus": 5})
-
-    def test_custom_registration_keeps_builtins(self):
-        from repro.analysis.campaign import WORKLOADS, register_workload
-
-        register_workload("test-triangle", lambda seed=0: build_workload("planar-grid", {"rows": 2, "cols": 2}))
-        try:
-            assert "test-triangle" in workload_names()
-            assert "random-regular" in workload_names()
-        finally:
-            WORKLOADS.pop("test-triangle", None)
 
 
 class TestCampaignRunner:

@@ -1,51 +1,11 @@
-"""Release-level checks: CLI campaign flow, report sections, packaging
-consistency, and cross-module documentation invariants."""
+"""Release-level checks: report sections, packaging consistency, and
+cross-module documentation invariants."""
 
-import json
-
-import pytest
+import pathlib
 
 import repro
-from repro.analysis.campaign import save_campaign
-from repro.analysis.metrics import ExperimentRecord
-from repro.cli import main
 
-
-class TestCampaignCli:
-    @pytest.fixture
-    def tiny_grid(self, monkeypatch):
-        records = [
-            ExperimentRecord(
-                experiment="t", workload="w", n=4, m=4, delta=2,
-                params={"x": 1}, colors_used=3, colors_bound=8, rounds_actual=5.0,
-            )
-        ]
-        monkeypatch.setattr(
-            "repro.analysis.campaign.default_grid", lambda: records
-        )
-        return records
-
-    def test_run_then_check_clean(self, tiny_grid, tmp_path, capsys):
-        out = tmp_path / "c.json"
-        assert main(["campaign", "run", "--out", str(out)]) == 0
-        assert main(["campaign", "check", "--baseline", str(out)]) == 0
-        assert "no regressions" in capsys.readouterr().out
-
-    def test_check_flags_regression(self, tiny_grid, tmp_path, capsys):
-        out = tmp_path / "c.json"
-        baseline = [
-            ExperimentRecord(
-                experiment="t", workload="w", n=4, m=4, delta=2,
-                params={"x": 1}, colors_used=1, colors_bound=8, rounds_actual=5.0,
-            )
-        ]
-        save_campaign(baseline, out)
-        assert main(["campaign", "check", "--baseline", str(out)]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_run_requires_out(self, tiny_grid):
-        with pytest.raises(SystemExit):
-            main(["campaign", "run"])
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestReportSections:
@@ -57,11 +17,6 @@ class TestReportSections:
         # the closed-form models they must agree to three decimals
         assert "| 1 | 0.250 | 0.250 | 0.333 | 0.333 |" in section
         assert "| 3 | 0.125 | 0.125 | 0.200 | 0.200 |" in section
-
-
-import pathlib
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestPackagingConsistency:

@@ -1,5 +1,5 @@
-"""The workload registry: specs, building, canonicalization, JSON
-round-trips, and the legacy analysis.campaign delegation."""
+"""The workload registry: specs, building, canonicalization and JSON
+round-trips."""
 
 import json
 
@@ -191,35 +191,3 @@ class TestCanonicalization:
     def test_malformed_json(self):
         with pytest.raises(InvalidParameterError, match="malformed workload JSON"):
             workloads.from_json("{not json")
-
-
-class TestLegacyDelegation:
-    def test_workloads_values_are_legacy_factories(self):
-        """The PR-1 contract: ``WORKLOADS[name]`` is a callable taking
-        ``(seed=..., **params)``, even for unseeded workloads."""
-        from repro.analysis.campaign import WORKLOADS
-
-        graph = WORKLOADS["random-regular"](n=16, d=4, seed=0)
-        assert graph.number_of_nodes() == 16
-        grid = WORKLOADS["planar-grid"](rows=2, cols=2, seed=99)
-        assert grid.number_of_nodes() == 4
-        assert "random-regular" in WORKLOADS
-        assert "mobius-donut" not in WORKLOADS
-        with pytest.raises(KeyError):
-            WORKLOADS["mobius-donut"]
-
-    def test_campaign_surface_shares_the_registry(self):
-        from repro.analysis import campaign
-
-        assert set(campaign.workload_names()) == set(workloads.names())
-        campaign.register_workload(
-            "test-legacy", lambda n=4, seed=0: workloads.build("planar-grid")
-        )
-        try:
-            assert "test-legacy" in workloads.names()
-            spec = workloads.get("test-legacy")
-            assert spec.family == "custom"
-            assert spec.defaults == {"n": 4}
-            assert campaign.build_workload("test-legacy", {}).number_of_nodes() == 64
-        finally:
-            campaign.WORKLOADS.pop("test-legacy", None)

@@ -295,6 +295,20 @@ print("sharded run byte-identical to unsharded; shard count disclosed")
 EOF
 echo "shard smoke: partition/run/compare agree"
 
+echo "== experiments smoke: regenerating EXPERIMENTS.md changes nothing =="
+# Only the marked block is rewritten, and it must come out byte-identical
+# to the committed one (the tier-1 freshness test checks the same block).
+cp EXPERIMENTS.md "$SMOKE_DIR/EXPERIMENTS.md"
+python -m repro experiments "$SMOKE_DIR/EXPERIMENTS.md" >/dev/null
+cmp EXPERIMENTS.md "$SMOKE_DIR/EXPERIMENTS.md"
+echo "experiments smoke: regenerated EXPERIMENTS.md is byte-identical"
+
+echo "== examples smoke: every examples/*.py exits 0 =="
+for script in examples/*.py; do
+  python "$script" >/dev/null || { echo "FAIL: $script exited nonzero"; exit 1; }
+done
+echo "examples smoke: $(ls examples/*.py | wc -l) scripts ran cleanly"
+
 # Bench list (opt-in: RUN_BENCH=1 tools/ci.sh). bench_stream gates the
 # streaming executor's kill-loss and overhead (BENCH_stream.json);
 # bench_verify gates invariant-verification overhead (BENCH_verify.json);
