@@ -1,10 +1,11 @@
-"""Cell campaigns: CampaignRunner fan-out, persistence, and the CLI
-wiring for run/sweep/campaign cells."""
+"""Cell campaigns: the workloads cells build, CampaignRunner fan-out,
+persistence, and the CLI wiring for run/sweep/campaign cells."""
 
 import json
 
 import pytest
 
+from repro import workloads
 from repro.analysis.campaign import (
     CampaignCell,
     CampaignRunner,
@@ -14,6 +15,40 @@ from repro.analysis.campaign import (
 )
 from repro.cli import main
 from repro.errors import InvalidParameterError
+
+
+class TestWorkloads:
+    """Cells resolve their graphs through :mod:`repro.workloads`; a bad
+    workload name or parameter fails only its own cell."""
+
+    def test_builtin_names(self):
+        names = workloads.default_grid_names()
+        assert {"random-regular", "erdos-renyi", "star-forest-stack"} <= set(names)
+
+    def test_build_with_params(self):
+        cell = CampaignCell("greedy", "random-regular", {"n": 20, "d": 4}, seed=3)
+        (row,) = CampaignRunner([cell]).run()
+        assert row["error"] is None
+        assert (row["n"], row["m"]) == (20, 40)
+
+    def test_seed_changes_graph(self):
+        g1 = workloads.build("erdos-renyi", {"n": 30, "p": 0.2}, seed=1)
+        g2 = workloads.build("erdos-renyi", {"n": 30, "p": 0.2}, seed=2)
+        assert set(g1.edges()) != set(g2.edges())
+
+    def test_unknown_workload(self):
+        cells = [
+            CampaignCell("greedy", "mobius-donut"),
+            CampaignCell("greedy", "random-regular", {"n": 16, "d": 4}),
+        ]
+        rows = CampaignRunner(cells).run()
+        assert "unknown workload" in rows[0]["error"]
+        assert rows[1]["error"] is None
+
+    def test_bad_workload_params(self):
+        cell = CampaignCell("greedy", "random-regular", {"bogus": 5})
+        (row,) = CampaignRunner([cell]).run()
+        assert "rejected parameters" in row["error"]
 
 
 class TestCampaignRunner:

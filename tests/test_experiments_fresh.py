@@ -34,7 +34,19 @@ def test_committed_block_is_fresh():
     )
 
 
+def test_committed_file_has_exactly_one_block():
+    text = (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    assert text.count(BEGIN_MARKER) == 1
+    assert text.count(END_MARKER) == 1
+    assert text.index(BEGIN_MARKER) < text.index(END_MARKER)
+
+
 class TestSplice:
+    def test_splice_is_idempotent(self):
+        once = experiments.splice(PROSE, FAKE_BLOCK)
+        assert once != PROSE
+        assert experiments.splice(once, FAKE_BLOCK) == once
+
     def test_prose_outside_markers_survives(self, fake_generator, tmp_path):
         target = tmp_path / "E.md"
         target.write_bytes(PROSE.encode("utf-8"))

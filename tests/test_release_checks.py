@@ -1,11 +1,46 @@
-"""Release-level checks: report sections, packaging consistency, and
-cross-module documentation invariants."""
+"""Release-level checks: the campaign CLI surface, report sections,
+packaging consistency, and cross-module documentation invariants."""
 
+import importlib.util
 import pathlib
 
+import pytest
+
 import repro
+from repro.cli import main
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+class TestCampaignCli:
+    """``repro campaign`` has one action, ``cells``; the record campaign's
+    ``run``/``check`` and ``--baseline`` are gone (the paper tables are
+    checked by ``tests/test_experiments_fresh.py``)."""
+
+    @pytest.mark.parametrize("action", ["run", "check"])
+    def test_removed_actions_are_rejected(self, action, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", action, "--out", str(tmp_path / "c.json")])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "c.json").exists()
+
+    def test_baseline_option_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "cells", "--baseline", str(tmp_path / "b.json")])
+        assert excinfo.value.code == 2
+
+
+class TestVerifyExports:
+    def test_analysis_verify_shim_is_gone(self):
+        assert importlib.util.find_spec("repro.analysis.verify") is None
+
+    def test_reexports_are_the_checkers(self):
+        import repro.analysis
+        from repro.verify import checkers
+
+        for name in ("verify_edge_coloring", "verify_vertex_coloring"):
+            assert getattr(repro, name) is getattr(checkers, name)
+            assert getattr(repro.analysis, name) is getattr(checkers, name)
 
 
 class TestReportSections:

@@ -108,6 +108,18 @@ class TestRegistry:
             )
         assert workloads.get("torus") is spec
 
+    def test_unknown_family_is_an_error(self):
+        with pytest.raises(InvalidParameterError, match="unknown family"):
+            workloads.register(
+                workloads.WorkloadSpec(
+                    name="test-custom",
+                    family="custom",
+                    summary="not a registered family",
+                    factory=lambda: None,
+                )
+            )
+        assert "test-custom" not in workloads.names()
+
 
 class TestBuild:
     def test_overrides_merge_into_defaults(self):
