@@ -15,11 +15,10 @@ rules make the contracts mechanical:
   (``kernels/__init__._KERNEL_MODULES``) and the registrations in the
   kernel modules describe the same mapping: every registering module is
   reachable, every mapped name is actually registered by the module it
-  routes to. A registration is a ``register_kernel("name", ...)`` call
-  or a ``register_program(Program())`` call, whose name is the
-  program class's ``name = "..."`` attribute. A kernel or program
-  outside the map is dead code neither the vector engine nor the
-  sharded runtime will ever dispatch.
+  routes to. A registration is a ``register_program(Program())`` call,
+  whose name is the program class's ``name = "..."`` attribute. A
+  program outside the map is dead code neither the vector engine nor
+  the sharded runtime will ever dispatch.
 * ``reg-compact-parity`` — when any spec declares ``compact_ok=True``,
   the compact-parity suite (``tests/engine/test_compact_parity.py``)
   must exist and derive its case list from the live registry (it
@@ -106,7 +105,7 @@ def _kernel_modules_map(init_file) -> Tuple[Dict[str, str], int]:
     return {}, 1
 
 
-def _program_names(file) -> Dict[str, str]:
+def _program_classes(file) -> Dict[str, str]:
     """Class name -> the literal ``name = "..."`` class attribute, for
     every class in ``file`` that declares one."""
     out: Dict[str, str] = {}
@@ -124,12 +123,10 @@ def _program_names(file) -> Dict[str, str]:
     return out
 
 
-def _registered_kernels(file) -> List[Tuple[str, int]]:
-    """(kernel name, line) for every ``register_kernel("name", ...)``
-    call with a literal first argument, and every
-    ``register_program(Cls())`` call on a class of ``file`` with a
-    literal ``name``."""
-    programs = _program_names(file)
+def _registered_programs(file) -> List[Tuple[str, int]]:
+    """(program name, line) for every ``register_program(Cls())`` call
+    on a class of ``file`` with a literal ``name``."""
+    programs = _program_classes(file)
     out: List[Tuple[str, int]] = []
     for node in ast.walk(file.tree):
         if not isinstance(node, ast.Call) or not node.args:
@@ -139,16 +136,13 @@ def _registered_kernels(file) -> List[Tuple[str, int]]:
             func.attr if isinstance(func, ast.Attribute) else None
         )
         first = node.args[0]
-        if called == "register_kernel":
-            if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                out.append((first.value, node.lineno))
-        elif called == "register_program":
-            if (
-                isinstance(first, ast.Call)
-                and isinstance(first.func, ast.Name)
-                and first.func.id in programs
-            ):
-                out.append((programs[first.func.id], node.lineno))
+        if (
+            called == "register_program"
+            and isinstance(first, ast.Call)
+            and isinstance(first.func, ast.Name)
+            and first.func.id in programs
+        ):
+            out.append((programs[first.func.id], node.lineno))
     return out
 
 
@@ -157,9 +151,9 @@ class KernelModuleRegistered(ProjectChecker):
     rule = CheckRule(
         name="reg-kernel-module",
         family="registry",
-        summary="register_kernel/register_program calls and the lazy "
-        "_KERNEL_MODULES map in kernels/__init__.py describe the same "
-        "mapping (no dead or unreachable kernels or programs)",
+        summary="register_program calls and the lazy _KERNEL_MODULES "
+        "map in kernels/__init__.py describe the same mapping (no dead or "
+        "unreachable programs)",
     )
 
     def check(self, project) -> Iterator[Tuple[str, int, str]]:
@@ -174,11 +168,11 @@ class KernelModuleRegistered(ProjectChecker):
             ):
                 continue
             module = "repro.kernels." + file.pkg_rel[len("kernels/"):-len(".py")]
-            for name, line in _registered_kernels(file):
+            for name, line in _registered_programs(file):
                 registered[name] = (module, line)
                 if module not in mapping.values():
                     yield file.pkg_rel, line, (
-                        f"kernel {name!r} is registered by {module}, but that "
+                        f"program {name!r} is registered by {module}, but that "
                         "module is not reachable through "
                         "_KERNEL_MODULES in kernels/__init__.py — the lazy "
                         "loader will never import it"
@@ -190,8 +184,8 @@ class KernelModuleRegistered(ProjectChecker):
                         else "does not map it at all"
                     )
                     yield file.pkg_rel, line, (
-                        f"kernel {name!r} is registered by {module}, but "
-                        f"_KERNEL_MODULES {target} — get_kernel({name!r}) "
+                        f"program {name!r} is registered by {module}, but "
+                        f"_KERNEL_MODULES {target} — get_program({name!r}) "
                         "cannot resolve it lazily"
                     )
         for name, module in sorted(mapping.items()):

@@ -8,8 +8,8 @@ Subcommands:
   algorithm with its family, kind, color bound and parameters
   (compact-capable algorithms carry a ``[compact]`` marker).
 * ``kernels`` — the whole-round CSR kernel layer: which per-node
-  algorithms have a registered kernel, which of those are shard programs
-  (and so run sharded under ``run --shards``), and which registry
+  algorithms have a registered kernel (each a shard program, so each
+  also runs sharded under ``run --shards``), and which registry
   algorithms consume ``CompactGraph`` natively vs. through the
   conversion fallback.
 * ``run`` — run any registered algorithm on a graph file or a named
@@ -140,14 +140,13 @@ def cmd_algorithms(args: argparse.Namespace) -> int:
 
 def cmd_kernels(args: argparse.Namespace) -> int:
     """The kernel layer's introspection surface: which per-node algorithms
-    have a whole-round CSR kernel, which kernels are shard programs, and
+    have a whole-round CSR kernel (every kernel is a shard program), and
     which registry algorithms consume CompactGraph natively."""
     from repro import kernels
 
     compact_specs = [spec for spec in registry.specs() if spec.compact_ok]
     payload = {
         "kernels": kernels.kernel_names(),
-        "sharded": kernels.program_names(),
         "compact_ok": sorted(spec.name for spec in compact_specs),
         "compact_fallback": sorted(
             spec.name for spec in registry.specs() if not spec.compact_ok
@@ -157,10 +156,9 @@ def cmd_kernels(args: argparse.Namespace) -> int:
         json.dump(payload, sys.stdout, indent=1)
         print()
         return 0
-    print("whole-round CSR kernels (VectorEngine, CompactGraph input):")
+    print("whole-round CSR kernels (VectorEngine, CompactGraph input, --shards):")
     for name in payload["kernels"]:
-        mode = "sharded" if name in payload["sharded"] else "falls back"
-        print(f"  {name}  [--shards: {mode}]")
+        print(f"  {name}")
     print(
         f"compact-capable algorithms ({len(payload['compact_ok'])}"
         f"/{len(registry.names())}): {', '.join(payload['compact_ok'])}"
@@ -1159,8 +1157,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     kernels = sub.add_parser(
         "kernels",
-        help="the whole-round CSR kernel layer: registered kernels, "
-        "which run sharded, compact-capable algorithms",
+        help="the whole-round CSR kernel layer: registered kernels "
+        "(each also runs sharded) and compact-capable algorithms",
     )
     kernels.add_argument("--json", action="store_true")
     kernels.set_defaults(func=cmd_kernels)

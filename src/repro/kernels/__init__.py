@@ -29,18 +29,15 @@ Contract (the reason kernels may exist at all):
   bandwidth-untracked runs). The reference engine never does — it *is*
   the baseline kernels are measured against.
 
-Round procedures that are bulk-synchronous vertex programs (Linial's
-cover-free reduction, the defective refinement, the H-partition peel)
-have exactly one array implementation: a
-:class:`~repro.kernels.program.ShardProgram`. :func:`register_program`
-registers it once, which makes it both this engine's kernel — the
-program run over the whole graph as a single shard — and the sharded
-runtime's program (:func:`get_program`). The remaining kernels
-(Cole–Vishkin, the reductions) register plain whole-run functions with
-:func:`register_kernel`.
+Every kernel is a bulk-synchronous vertex program with exactly one array
+implementation: a :class:`~repro.kernels.program.ShardProgram`.
+:func:`register_program` registers it once, which makes it both this
+engine's kernel (:func:`get_kernel` — the program run over the whole
+graph as a single shard) and the sharded runtime's program
+(:func:`get_program`).
 
-Kernels are registered per :class:`~repro.local.algorithm.NodeAlgorithm`
-``name`` and resolved lazily (:func:`get_kernel` imports the backing
+Programs are registered per :class:`~repro.local.algorithm.NodeAlgorithm`
+``name`` and resolved lazily (:func:`get_program` imports the backing
 module on first use), so importing :mod:`repro.kernels` stays cheap and
 free of circular imports with the substrate modules.
 """
@@ -55,8 +52,6 @@ __all__ = [
     "get_kernel",
     "get_program",
     "kernel_names",
-    "program_names",
-    "register_kernel",
     "register_program",
 ]
 
@@ -78,61 +73,39 @@ _KERNEL_MODULES: Dict[str, str] = {
     "h-partition": "repro.kernels.peeling",
 }
 
-#: algorithm name -> kernel(graph, extras, max_rounds) -> RunResult.
-_KERNELS: Dict[str, Callable[..., Any]] = {}
-
-#: algorithm name -> ShardProgram (each also registered in _KERNELS).
+#: algorithm name -> ShardProgram.
 _PROGRAMS: Dict[str, Any] = {}
-
-
-def register_kernel(name: str, kernel: Callable[..., Any]) -> Callable[..., Any]:
-    """Register ``kernel`` as the whole-run executor for algorithm
-    ``name`` (the :class:`NodeAlgorithm` name, not the registry name)."""
-    _KERNELS[name] = kernel
-    return kernel
 
 
 def register_program(program: Any) -> Any:
     """Register a :class:`~repro.kernels.program.ShardProgram` under its
-    ``name``: as the sharded runtime's program, and — run over the whole
-    graph as one shard — as the kernel for the same algorithm."""
+    ``name`` (the :class:`NodeAlgorithm` name, not the registry name)."""
     _PROGRAMS[program.name] = program
-    register_kernel(program.name, program.run)
     return program
 
 
-def _lookup(table: Dict[str, Any], name: Any) -> Any:
-    """``table[name]`` or None, importing the module that registers
-    ``name`` the first time it is asked for — so registration never
-    burdens interpreter startup."""
+def get_program(name: Optional[str]) -> Optional[Any]:
+    """The shard program registered for algorithm ``name``, or None —
+    importing the module that registers it the first time it is asked
+    for, so registration never burdens interpreter startup."""
     if not isinstance(name, str):
         return None
-    if name not in table and name in _KERNEL_MODULES:
+    if name not in _PROGRAMS and name in _KERNEL_MODULES:
         importlib.import_module(_KERNEL_MODULES[name])
-    return table.get(name)
+    return _PROGRAMS.get(name)
 
 
 def get_kernel(name: Optional[str]) -> Optional[Callable[..., Any]]:
-    """The kernel registered for algorithm ``name``, or None."""
-    return _lookup(_KERNELS, name)
-
-
-def get_program(name: Optional[str]) -> Optional[Any]:
-    """The shard program registered for algorithm ``name``, or None — the
-    sharded runtime then discloses a ``no-program`` fallback."""
-    return _lookup(_PROGRAMS, name)
+    """The kernel for algorithm ``name`` — its program's whole-graph
+    ``run(graph, extras, max_rounds)`` — or None."""
+    program = get_program(name)
+    return None if program is None else program.run
 
 
 def kernel_names() -> List[str]:
-    """Sorted names of all algorithms with a registered kernel (forces
+    """Sorted names of all algorithms with a registered program (forces
     the lazy imports — this is the introspection surface, not the hot
     path)."""
     for module in sorted(set(_KERNEL_MODULES.values())):
         importlib.import_module(module)
-    return sorted(_KERNELS)
-
-
-def program_names() -> List[str]:
-    """Sorted names of the kernels that are shard programs."""
-    kernel_names()
     return sorted(_PROGRAMS)

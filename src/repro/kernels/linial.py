@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.errors import ColoringError, RoundLimitExceeded
 from repro.kernels import KernelUnsupported, register_program
-from repro.kernels.program import ShardProgram
+from repro.kernels.program import ShardProgram, local_values
 from repro.kernels.segments import dense_int_table, edge_endpoints, require_int
 from repro.local.network import RunResult
 
@@ -60,13 +60,6 @@ def _check_encodable(colors: np.ndarray, q: int, d: int) -> None:
     fallback then raises the authentic error, in authentic node order)."""
     if colors.size and (colors.min() < 0 or colors.max() >= q ** (d + 1)):
         raise KernelUnsupported("color does not fit in q^(d+1)")
-
-
-def _local_colors(shard: Any, own: np.ndarray, halo: np.ndarray) -> np.ndarray:
-    """Owned colors followed by the halo colors, indexed by local id."""
-    if not shard.n_halo:
-        return own
-    return np.concatenate([own, np.asarray(halo, dtype=np.int64)])
 
 
 class LinialProgram(ShardProgram):
@@ -147,7 +140,7 @@ class LinialProgram(ShardProgram):
     def step(self, shard, state, halo_vals, arg):
         q, d = int(arg[0]), int(arg[1])
         n_own = shard.n_own
-        colors = _local_colors(shard, state["colors"], halo_vals)
+        colors = local_values(shard, state["colors"], halo_vals)
         planes = _digit_planes(colors, q, d)
         src, dst = edge_endpoints(shard)
         # only edges whose endpoints hold *different* colors constrain;
@@ -241,7 +234,7 @@ class DefectiveProgram(ShardProgram):
     def init_state(self, shard, payload):
         q, d = int(payload["q"]), int(payload["d"])
         n_own = shard.n_own
-        colors = _local_colors(
+        colors = local_values(
             shard, np.asarray(payload["own"], dtype=np.int64), payload["halo"]
         )
         planes = _digit_planes(colors, q, d)

@@ -20,17 +20,23 @@ A program has two halves:
   per-shard stats.
 * the **worker** half holds the per-shard state (a dict of numpy arrays,
   which is also the sharded runtime's checkpoint payload) and executes
-  one array pass per round over the local CSR slice, with ``covered``/
-  ``undecided``-style masks indexed by owned local ids.
+  one array pass per step over the local CSR slice, indexed by owned
+  local ids. A step is usually one round; a class sweep steps once per
+  round in which some color class re-picks, and the coordinator
+  accounts for the idle rounds in closed form.
 
 Inputs a program cannot reproduce exactly (exotic extras, palettes
 outside its vectorized range) raise
 :class:`~repro.kernels.KernelUnsupported` from ``plan``; the caller
 falls back to the per-node path, disclosed through ``kernel.fallback``
-or ``shard.fallback``. Worker-side failures the per-node semantics
-define (an uncovered evaluation point in Linial's refinement) travel in
-the round stats, and the coordinator raises them from its own frame, so
-a sharded run reports one authentic exception, never a pool error.
+or ``shard.fallback``. A decline only the CSR can detect (a parent that
+is not a neighbor) is reported by the worker as ``decline`` in its
+``init_state`` stats, and the caller falls back before the first round.
+Worker-side failures the per-node semantics define (an uncovered
+evaluation point in Linial's refinement, no free color in a re-pick)
+travel in the step stats, and the coordinator raises them from its own
+frame, so a sharded run reports one authentic exception, never a pool
+error.
 """
 
 from __future__ import annotations
@@ -39,7 +45,15 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.kernels import KernelUnsupported
 from repro.local.network import RunResult
+
+
+def local_values(shard: Any, own: np.ndarray, halo: Any) -> np.ndarray:
+    """Owned values followed by the halo values, indexed by local id."""
+    if not shard.n_halo:
+        return own
+    return np.concatenate([own, np.asarray(halo, dtype=own.dtype)])
 
 
 class WholeGraph:
@@ -74,6 +88,8 @@ class ShardProgram:
         view = WholeGraph(graph)
         no_halo = np.empty(0, dtype=np.int64)
         state, stats = self.init_state(view, self.init_payload(plan, view))
+        if "decline" in stats:
+            raise KernelUnsupported(stats["decline"])
         completed = 0
         arg = self.next_action(plan, completed, [stats])
         while arg is not None:

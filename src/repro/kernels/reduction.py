@@ -1,204 +1,249 @@
-"""Whole-run kernels for the color-reduction substrates.
+"""Round programs for the color-reduction substrates.
 
 Both reductions schedule one color class per round, highest class first;
 each class is an independent set, so its members re-pick simultaneously
 from a mex over the neighbor colors *as of that round*. The sequential
-structure collapses into a per-class sweep:
+structure collapses into a class sweep:
 
-* a node's re-pick round is fixed at initialization from its initial
-  color, so the classes and their order are known upfront;
-* when class ``c`` re-picks, every neighbor in a *higher* class already
+* a node's re-pick ("wake") round is fixed at initialization from its
+  initial color, so the coordinator knows the classes, their order and
+  the round limit upfront from the global coloring;
+* when a class re-picks, every neighbor in a *higher* class already
   holds its final color and every other neighbor still holds its initial
   one — exactly the state of a colors vector updated class-by-class in
-  descending order;
+  descending order, with the boundary colors exchanged after each class;
 * the mex over each member's neighborhood is one scatter into a
-  (members x target) seen-mask plus an argmin — ``np.add.reduceat``-style
-  segment ops over ``indptr``, no per-node dispatch.
+  (members x limit) seen-mask plus an argmin — segment ops over
+  ``indptr``, no per-node dispatch.
 
-Message accounting is closed-form: the initialization broadcast delivers
-``2m`` messages in round 1, and the class re-picked in round ``r``
-broadcasts its degree sum into round ``r + 1``.
+The program steps once per round in which some class re-picks; rounds
+in between re-pick nothing and exist only in the accounting, which is
+closed-form: the initialization broadcast delivers ``2m`` messages in
+round 1, and the class re-picked in round ``r`` broadcasts its degree
+sum into round ``r + 1``. Each shard reports its degree sums per wake
+round at init.
+
+The two reductions differ only in how a color maps to its wake round
+and in the pick rule: the basic reduction re-picks below ``target``
+against all neighbors; a Kuhn–Wattenhofer phase re-picks the in-block
+color below ``palette`` against the neighbors in the same block.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ColoringError, RoundLimitExceeded
-from repro.kernels import KernelUnsupported, register_kernel
+from repro.kernels import KernelUnsupported, register_program
+from repro.kernels.program import ShardProgram, local_values
 from repro.kernels.segments import dense_int_table, require_int, segment_gather
 from repro.local.network import RunResult
 
-#: Cap on the (members x target) mex mask; inputs past it fall back to
+#: Cap on the (members x limit) mex mask; inputs past it fall back to
 #: the event-driven per-node path rather than risk a memory spike.
 _MAX_MEX_CELLS = 64_000_000
 
 
-def _round_profile(
-    graph: Any,
-    wake_round: np.ndarray,
-    active: np.ndarray,
-    last_round: int,
-    max_rounds: int,
-) -> Tuple[int, List[int]]:
-    """Total messages and the per-round delivery profile for a class
-    sweep whose last re-pick happens in ``last_round``."""
-    degrees = np.diff(graph.indptr).astype(np.int64)
-    two_m = int(graph.indices.size)
-    if last_round > max_rounds:
-        still_running = int((wake_round[active] > max_rounds).sum())
-        raise RoundLimitExceeded(max_rounds, still_running)
-    deliveries = np.zeros(last_round + 1, dtype=np.int64)
-    deliveries[0] = two_m
-    np.add.at(deliveries, wake_round[active], degrees[active])
-    messages = two_m + int(degrees[active].sum())
-    # round r delivers the sends of round r - 1; the final class's
-    # broadcast is sent (counted in ``messages``) but never delivered.
-    return messages, deliveries[:last_round].tolist()
+def _mex(
+    owner: np.ndarray, candidate: np.ndarray, valid: np.ndarray, count: int, limit: int
+) -> Optional[np.ndarray]:
+    """Per-member mex below ``limit`` over the valid candidate values, or
+    None if some member has no free color."""
+    # one spare, never-seen column: a member whose every color below
+    # ``limit`` is taken picks ``limit``
+    width = limit + 1
+    seen = np.zeros(count * width, dtype=bool)
+    seen[owner[valid] * width + candidate[valid]] = True
+    first = seen.reshape(count, width).argmin(axis=1)
+    return None if first.max() == limit else first
 
 
-def _class_sweep(
-    graph: Any,
-    colors: np.ndarray,
-    active: np.ndarray,
-    class_key: np.ndarray,
-    pick: Any,
-    target: int,
-) -> np.ndarray:
-    """Re-pick every active class in descending ``class_key`` order.
+class _ClassSweep(ShardProgram):
+    """The sweep shared by both reductions. A subclass names its
+    ``required`` extras and defines ``_classes(colors, extras) -> (wake,
+    limit, params)`` — every node's re-pick round (0 for nodes that halt
+    at initialization), the mex limit, and the ints its pick rule needs —
+    and ``_pick(state, own, cand, owner)``: the new colors of members
+    holding ``own`` given their gathered neighbor colors ``cand``, or
+    None if one has no free color."""
 
-    ``pick(members, neighbors, owner, cur)`` returns the new colors of
-    ``members`` given the gathered neighborhood state ``cur[neighbors]``.
-    """
-    cur = colors.copy()
-    act = np.flatnonzero(active)
-    if act.size == 0:
-        return cur
-    order = act[np.argsort(-class_key[act], kind="stable")]
-    keys = class_key[order]
-    # one slice per distinct class, descending — boundaries where the
-    # (descending) sorted key changes.
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    bounds = np.r_[starts, keys.size]
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        members = order[a:b]
-        neighbors, owner = segment_gather(graph.indptr, graph.indices, members)
-        cur[members] = pick(members, neighbors, owner, cur)
-    return cur
+    required: Tuple[str, ...] = ()
 
+    # ---- coordinator half -------------------------------------------------
+    def plan(self, manifest, extras, max_rounds):
+        if not set(self.required) <= set(extras):
+            raise KernelUnsupported(f"missing {self.name} extras")
+        n = int(manifest["n"])
+        if n == 0:
+            return {}, RunResult(rounds=0, messages=0, outputs={}, round_messages=[])
+        colors = dense_int_table(extras["coloring"], n)
+        wake, limit, params = self._classes(colors, extras)
+        two_m = 2 * int(manifest["m"])
+        last_round = int(wake.max())
+        if last_round == 0:
+            # everyone halts at initialization; the broadcast is sent but
+            # the run ends before any delivery round.
+            return {}, RunResult(
+                rounds=0,
+                messages=two_m,
+                outputs=dict(enumerate(colors.tolist())),
+                round_messages=[],
+            )
+        if last_round > max_rounds:
+            raise RoundLimitExceeded(max_rounds, int((wake > max_rounds).sum()))
+        sizes = np.bincount(wake)
+        sizes[0] = 0
+        if int(sizes.max()) * limit > _MAX_MEX_CELLS:
+            raise KernelUnsupported("mex mask too large; per-node path instead")
+        plan = {
+            "colors": colors,
+            "wake": wake,
+            "params": params,
+            "limit": limit,
+            "two_m": two_m,
+            "steps": np.flatnonzero(sizes).tolist(),
+            "acc": {},
+            "print_key": sorted(params.items()),
+            "print_arrays": (colors, wake),
+        }
+        return plan, None
 
-def _masked_mex(
-    member_count: int,
-    owner: np.ndarray,
-    candidate: np.ndarray,
-    valid: np.ndarray,
-    limit: int,
-) -> np.ndarray:
-    """Per-member mex below ``limit`` over the valid candidate values."""
-    if member_count * limit > _MAX_MEX_CELLS:
-        raise KernelUnsupported("mex mask too large; per-node path instead")
-    seen = np.zeros(member_count * limit, dtype=bool)
-    seen[owner[valid] * limit + candidate[valid]] = True
-    seen = seen.reshape(member_count, limit)
-    full = seen.all(axis=1)
-    if full.any():
-        raise ColoringError(f"no free color below {limit}")
-    return np.argmin(seen, axis=1).astype(np.int64)
+    def init_payload(self, plan, shard):
+        return {
+            "own": plan["colors"][shard.lo : shard.hi],
+            "wake": plan["wake"][shard.lo : shard.hi],
+            "params": plan["params"],
+        }
 
+    def next_action(self, plan, completed, stats):
+        acc = plan["acc"]
+        if completed == 0:
+            deliveries = np.zeros(plan["steps"][-1] + 1, dtype=np.int64)
+            deliveries[0] = plan["two_m"]
+            for s in stats:
+                sums = np.asarray(s["wake_degrees"], dtype=np.int64)
+                deliveries[: sums.size] += sums
+            acc["messages"] = int(deliveries.sum())
+            # round r delivers the sends of round r - 1; the final class's
+            # broadcast is sent (counted in messages) but never delivered.
+            acc["round_messages"] = deliveries[:-1].tolist()
+        for s in stats:
+            if "no_free_color" in s:
+                raise ColoringError(f"no free color below {plan['limit']}")
+        if completed < len(plan["steps"]):
+            return plan["steps"][completed]
+        return None
 
-def basic_reduction_kernel(
-    graph: Any, extras: Dict[str, Any], max_rounds: int
-) -> RunResult:
-    if not {"coloring", "m", "target"} <= set(extras):
-        raise KernelUnsupported("missing basic-reduction extras")
-    n = graph.n
-    if n == 0:
-        return RunResult(rounds=0, messages=0, outputs={}, round_messages=[])
-    colors = dense_int_table(extras["coloring"], n)
-    m = require_int(extras["m"])
-    target = require_int(extras["target"])
-    if target <= 0:
-        raise KernelUnsupported("non-positive target")
-    active = colors >= target
-    if not active.any():
-        # everyone halts at initialization; the broadcast is sent but the
-        # run ends before any delivery round.
+    def result(self, plan, outputs, manifest):
+        acc = plan["acc"]
         return RunResult(
-            rounds=0,
-            messages=int(graph.indices.size),
-            outputs=dict(enumerate(colors.tolist())),
-            round_messages=[],
+            rounds=len(acc["round_messages"]),
+            messages=acc["messages"],
+            outputs=dict(enumerate(outputs.tolist())),
+            round_messages=list(acc["round_messages"]),
         )
-    wake_round = m - colors  # class c re-picks in round m - c
-    if int(wake_round[active].min()) < 1:
-        # a color >= m never re-picks (its slot is in the past): the
-        # per-node run would exhaust max_rounds; don't model that here.
-        raise KernelUnsupported("color >= m")
-    last_round = int(wake_round[active].max())
-    messages, round_messages = _round_profile(
-        graph, wake_round, active, last_round, max_rounds
-    )
 
-    def pick(members, neighbors, owner, cur):
-        cand = cur[neighbors]
+    # ---- worker half ------------------------------------------------------
+    def init_state(self, shard, payload):
+        wake = np.asarray(payload["wake"], dtype=np.int64)
+        order = np.flatnonzero(wake)
+        keys = wake[order]
+        # the narrowest dtype: numpy's stable sort is a radix sort up to 16 bits
+        keys = keys.astype(np.min_scalar_type(int(keys.max(initial=0))))
+        order = order[np.argsort(keys, kind="stable")]
+        wake = wake[order]
+        degrees = np.diff(np.asarray(shard.indptr))[order]
+        state = {
+            # the sweep writes re-picked colors in place
+            "colors": np.array(payload["own"], dtype=np.int64),
+            "order": order,
+            "wake": wake,
+        }
+        for key, value in payload["params"].items():
+            state[key] = np.asarray(value)
+        sums = np.bincount(wake, weights=degrees).astype(np.int64)
+        return state, {"wake_degrees": sums.tolist()}
+
+    def boundary(self, shard, state):
+        return state["colors"][np.asarray(shard.boundary)]
+
+    def step(self, shard, state, halo_vals, arg):
+        wake = state["wake"]
+        members = state["order"][
+            wake.searchsorted(arg) : wake.searchsorted(arg, side="right")
+        ]
+        if not members.size:
+            return {}
+        colors = state["colors"]
+        neighbors, owner = segment_gather(
+            np.asarray(shard.indptr), np.asarray(shard.indices), members
+        )
+        cand = local_values(shard, colors, halo_vals)[neighbors]
+        new_colors = self._pick(state, colors[members], cand, owner)
+        if new_colors is None:
+            return {"no_free_color": True}
+        colors[members] = new_colors
+        return {}
+
+    def finalize(self, shard, state):
+        return state["colors"]
+
+
+class BasicReductionProgram(_ClassSweep):
+    """Color class ``c >= target`` re-picks in round ``m - c``, the
+    smallest color below ``target`` unused by any neighbor."""
+
+    name = "basic-reduction"
+    required = ("coloring", "m", "target")
+
+    def _classes(self, colors, extras):
+        m = require_int(extras["m"])
+        target = require_int(extras["target"])
+        if target <= 0:
+            raise KernelUnsupported("non-positive target")
+        active = colors >= target
+        wake = np.where(active, m - colors, 0)
+        if active.any() and int(wake[active].min()) < 1:
+            # a color >= m never re-picks (its slot is in the past): the
+            # per-node run would exhaust max_rounds; don't model that here.
+            raise KernelUnsupported("color >= m")
+        return wake, target, {"target": target}
+
+    def _pick(self, state, own, cand, owner):
+        target = int(state["target"])
         valid = (cand >= 0) & (cand < target)
-        return _masked_mex(members.size, owner, cand, valid, target)
-
-    cur = _class_sweep(graph, colors, active, colors, pick, target)
-    return RunResult(
-        rounds=last_round,
-        messages=messages,
-        outputs=dict(enumerate(cur.tolist())),
-        round_messages=round_messages,
-    )
+        return _mex(owner, cand, valid, own.size, target)
 
 
-def kw_phase_kernel(graph: Any, extras: Dict[str, Any], max_rounds: int) -> RunResult:
-    if not {"coloring", "block", "palette"} <= set(extras):
-        raise KernelUnsupported("missing kw-phase extras")
-    n = graph.n
-    if n == 0:
-        return RunResult(rounds=0, messages=0, outputs={}, round_messages=[])
-    colors = dense_int_table(extras["coloring"], n)
-    block = require_int(extras["block"])
-    palette = require_int(extras["palette"])
-    if block <= 0 or palette <= 0 or palette > block:
-        raise KernelUnsupported("degenerate (block, palette)")
-    rel = colors % block
-    blk = colors // block
-    active = rel >= palette
-    if not active.any():
-        return RunResult(
-            rounds=0,
-            messages=int(graph.indices.size),
-            outputs=dict(enumerate(colors.tolist())),
-            round_messages=[],
-        )
-    wake_round = block - rel  # in-block class rel re-picks in round block - rel
-    last_round = int(wake_round[active].max())
-    messages, round_messages = _round_profile(
-        graph, wake_round, active, last_round, max_rounds
-    )
+class KWPhaseProgram(_ClassSweep):
+    """In-block class ``rel >= palette`` re-picks in round
+    ``block - rel``, the smallest in-block color below ``palette`` unused
+    by any neighbor in the same block."""
 
-    def pick(members, neighbors, owner, cur):
-        cand = cur[neighbors]
+    name = "kw-phase"
+    required = ("coloring", "block", "palette")
+
+    def _classes(self, colors, extras):
+        block = require_int(extras["block"])
+        palette = require_int(extras["palette"])
+        if block <= 0 or palette <= 0 or palette > block:
+            raise KernelUnsupported("degenerate (block, palette)")
+        rel = colors % block
+        wake = np.where(rel >= palette, block - rel, 0)
+        return wake, palette, {"block": block, "palette": palette}
+
+    def _pick(self, state, own, cand, owner):
+        block, palette = int(state["block"]), int(state["palette"])
+        blk = own // block
         cand_rel = cand % block
         # only neighbors in the *member's* block constrain, and only
         # their in-block colors below the palette matter for the mex.
-        valid = (cand // block == blk[members][owner]) & (cand_rel < palette)
-        new_rel = _masked_mex(members.size, owner, cand_rel, valid, palette)
-        return blk[members] * block + new_rel
-
-    cur = _class_sweep(graph, colors, active, rel, pick, palette)
-    return RunResult(
-        rounds=last_round,
-        messages=messages,
-        outputs=dict(enumerate(cur.tolist())),
-        round_messages=round_messages,
-    )
+        valid = (cand // block == blk[owner]) & (cand_rel < palette)
+        new_rel = _mex(owner, cand_rel, valid, own.size, palette)
+        return None if new_rel is None else blk * block + new_rel
 
 
-register_kernel("basic-reduction", basic_reduction_kernel)
-register_kernel("kw-phase", kw_phase_kernel)
+register_program(BasicReductionProgram())
+register_program(KWPhaseProgram())

@@ -80,16 +80,13 @@ def segment_gather(
     ``members`` whose adjacency row ``neighbors[j]`` came from — the
     standard repeat/cumsum CSR gather, no Python loop over members.
     """
-    counts = (indptr[members + 1] - indptr[members]).astype(np.int64)
-    total = int(counts.sum())
+    starts = indptr[members]
+    counts = indptr[members + 1] - starts
     owner = np.repeat(np.arange(members.size, dtype=np.int64), counts)
-    if total == 0:
-        return np.empty(0, dtype=np.int64), owner
-    starts = indptr[members].astype(np.int64)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return indices[starts[owner] + offsets].astype(np.int64, copy=False), owner
+    # slot j reads indices[starts[r] + j - (first slot of row r)], r = owner[j]
+    shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    neighbors = indices[np.arange(owner.size, dtype=np.int64) + shift]
+    return neighbors.astype(np.int64, copy=False), owner
 
 
 def repr_rank_order(n: int) -> np.ndarray:

@@ -21,14 +21,16 @@ Layering:
   the :func:`sharding` scope that
   :func:`~repro.local.network.run_on_graph` consults.
 
-Algorithms without a registered program (centralized baselines, runs on
-graphs other than the partitioned parent) transparently fall through to
-the normal engine path; every such fallthrough is disclosed through the
+Every registered kernel is a program (:func:`kernel_names`), so every
+kernel shards. Algorithms without one (centralized baselines, the
+per-node-only procedures), runs on graphs other than the partitioned
+parent, and inputs a program declines transparently fall through to the
+normal engine path; every such fallthrough is disclosed through the
 ``shard.fallback`` counter, so a campaign can never silently claim
 sharded execution it did not get.
 """
 
-from repro.kernels import get_program, program_names
+from repro.kernels import get_program, kernel_names
 from repro.shard.partition import (
     ShardBundle,
     load_shard,
@@ -40,8 +42,8 @@ __all__ = [
     "ShardBundle",
     "ShardingScope",
     "get_program",
+    "kernel_names",
     "load_shard",
     "partition",
-    "program_names",
     "sharding",
 ]

@@ -22,9 +22,10 @@ checkpoint; the resume test drives exactly that path.
 
 A scope never hijacks runs it cannot reproduce: anything without a
 registered program, on a graph other than the partitioned parent, or
-with inputs the program declines falls through to the ordinary engine
-path, disclosed via the ``shard.fallback`` counter. Dispatched runs are
-disclosed too (``shard.dispatch``), call
+with inputs the program declines (in ``plan``, or in the workers' init
+stats when only the CSR shows it) falls through to the ordinary engine
+path before the first round, disclosed via the ``shard.fallback``
+counter. Dispatched runs are disclosed too (``shard.dispatch``), call
 :func:`~repro.engine.base.note_engine_run` with ``"sharded"`` so store
 rows record the effective engine, and report per-shard round/exchange
 timings through :mod:`repro.obs` spans.
@@ -387,6 +388,22 @@ class ShardingScope:
         except KernelUnsupported as exc:
             obs.incr("shard.fallback", reason=str(exc), algorithm=name)
             return None
+        if short is not None:
+            self._disclose_dispatch(name)
+            short.engine = "sharded"
+            return short
+        with obs.span(
+            f"shard.run.{name}",
+            shards=self.bundle.num_shards,
+            n=int(self.bundle.manifest["n"]),
+        ):
+            result = self._execute(program, plan)
+        if result is not None:
+            result.engine = "sharded"
+        return result
+
+    def _disclose_dispatch(self, name: str) -> None:
+        from repro import obs
         from repro.engine.base import note_engine_run
 
         note_engine_run("sharded")
@@ -396,19 +413,8 @@ class ShardingScope:
             shards=self.bundle.num_shards,
             pool=self._pool.kind if self._pool else ("inline" if self.inline else "process"),
         )
-        if short is not None:
-            short.engine = "sharded"
-            return short
-        with obs.span(
-            f"shard.run.{name}",
-            shards=self.bundle.num_shards,
-            n=int(self.bundle.manifest["n"]),
-        ):
-            result = self._execute(program, plan)
-        result.engine = "sharded"
-        return result
 
-    def _execute(self, program, plan) -> RunResult:
+    def _execute(self, program, plan) -> Optional[RunResult]:
         from repro import obs
 
         bundle = self.bundle
@@ -421,6 +427,7 @@ class ShardingScope:
         meta = self._read_meta(program, plan)
         if meta is not None:
             resumed = True
+            self._disclose_dispatch(program.name)
             replies = pool.request(
                 [
                     ("load", program.name, str(self._state_path(s)))
@@ -449,6 +456,12 @@ class ShardingScope:
                 [peak_rss] + [int(s.get("maxrss_kb", 0)) for s in stats]
             )
             _emit_worker_spans("init", stats)
+            declined = [s["decline"] for s in stats if "decline" in s]
+            if declined:
+                # a decline only the CSR shows (the first shard's reason)
+                obs.incr("shard.fallback", reason=declined[0], algorithm=program.name)
+                return None
+            self._disclose_dispatch(program.name)
             completed = 0
             arg = program.next_action(plan, completed, stats)
 

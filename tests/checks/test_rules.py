@@ -156,6 +156,22 @@ def test_reg_spec_invariants_allows_explicit_declaration(make_project):
     assert _hits(run_checks(root), "reg-spec-invariants") == []
 
 
+def _program_module(name):
+    """A kernel module registering one program called ``name`` (the
+    registration is on line 9)."""
+    return f"""\
+from repro.kernels import register_program
+from repro.kernels.program import ShardProgram
+
+
+class Program(ShardProgram):
+    name = "{name}"
+
+
+register_program(Program())
+"""
+
+
 def test_reg_kernel_module_fires_on_unmapped_and_unregistered(make_project):
     root = make_project(
         {
@@ -165,29 +181,16 @@ def test_reg_kernel_module_fires_on_unmapped_and_unregistered(make_project):
                 "ghost": "repro.kernels.mod_a",
             }
             """,
-            "kernels/mod_a.py": "register_kernel(\"mapped\", None)\n",
-            "kernels/mod_b.py": "register_kernel(\"orphan\", None)\n",
+            "kernels/mod_a.py": _program_module("mapped"),
+            "kernels/mod_b.py": _program_module("orphan"),
         }
     )
     hits = _hits(run_checks(root), "reg-kernel-module")
     # mod_b registers a kernel but is unreachable through the map
-    assert ("src/repro/kernels/mod_b.py", 1) in hits
+    assert ("src/repro/kernels/mod_b.py", 9) in hits
     # "ghost" is mapped but never registered
     assert ("src/repro/kernels/__init__.py", 1) in hits
     assert len(hits) == 2
-
-
-_PROGRAM_MODULE = """\
-from repro.kernels import register_program
-from repro.kernels.program import ShardProgram
-
-
-class PeelProgram(ShardProgram):
-    name = "peel"
-
-
-register_program(PeelProgram())
-"""
 
 
 def test_reg_kernel_module_fires_on_unreachable_program(make_project):
@@ -196,8 +199,8 @@ def test_reg_kernel_module_fires_on_unreachable_program(make_project):
             "kernels/__init__.py": """\
             _KERNEL_MODULES = {"mapped": "repro.kernels.mod_a"}
             """,
-            "kernels/mod_a.py": "register_kernel(\"mapped\", None)\n",
-            "kernels/mod_p.py": _PROGRAM_MODULE,
+            "kernels/mod_a.py": _program_module("mapped"),
+            "kernels/mod_p.py": _program_module("peel"),
         }
     )
     hits = _hits(run_checks(root), "reg-kernel-module")
@@ -211,19 +214,28 @@ def test_reg_kernel_module_mapped_program_passes(make_project):
             "kernels/__init__.py": """\
             _KERNEL_MODULES = {"peel": "repro.kernels.mod_p"}
             """,
-            "kernels/mod_p.py": _PROGRAM_MODULE,
+            "kernels/mod_p.py": _program_module("peel"),
         }
     )
     assert _hits(run_checks(root), "reg-kernel-module") == []
 
 
 def test_reg_kernel_module_clean_mapping_passes(make_project):
+    # two programs registered by one module, both mapped to it
+    two_programs = _program_module("first") + (
+        "\n\nclass Second(ShardProgram):\n"
+        "    name = \"second\"\n\n\n"
+        "register_program(Second())\n"
+    )
     root = make_project(
         {
             "kernels/__init__.py": """\
-            _KERNEL_MODULES = {"mapped": "repro.kernels.mod_a"}
+            _KERNEL_MODULES = {
+                "first": "repro.kernels.mod_a",
+                "second": "repro.kernels.mod_a",
+            }
             """,
-            "kernels/mod_a.py": "register_kernel(\"mapped\", None)\n",
+            "kernels/mod_a.py": two_programs,
         }
     )
     assert _hits(run_checks(root), "reg-kernel-module") == []

@@ -18,8 +18,16 @@ from repro import registry, workloads
 from repro.analysis.campaign import default_cells
 from repro.engine import get_engine
 from repro.graphcore import CompactGraph
+from repro.substrates.cole_vishkin import (
+    ColeVishkinAlgorithm,
+    cv_iterations,
+    root_forest,
+)
 from repro.substrates.linial import LinialAlgorithm, linial_schedule
-from repro.substrates.reduction import BasicReductionAlgorithm
+from repro.substrates.reduction import (
+    BasicReductionAlgorithm,
+    BlockedReductionAlgorithm,
+)
 
 
 def _default_grid_cases():
@@ -240,6 +248,27 @@ class TestEngineLevelParity:
             "target": graph.max_degree + 1,
         }
 
+    def _kw_extras(self, graph):
+        ordered = sorted(graph.nodes(), key=repr)
+        palette = graph.max_degree + 1
+        return {
+            "coloring": {v: i for i, v in enumerate(ordered)},
+            "block": 2 * palette,
+            "palette": palette,
+        }
+
+    def _cole_vishkin_case(self, n):
+        # a compact tree with as many nodes as the workload instance
+        tree = CompactGraph.from_networkx(
+            workloads.build("random-tree", {"n": n}, seed=1)
+        )
+        extras = {
+            "parent": root_forest(tree),
+            "initial_coloring": {v: v for v in range(tree.n)},
+            "iterations": cv_iterations(tree.n),
+        }
+        return tree, ColeVishkinAlgorithm(), extras
+
     @pytest.mark.parametrize(
         "workload,params",
         [
@@ -251,13 +280,15 @@ class TestEngineLevelParity:
     )
     def test_full_runresult_parity_on_compact(self, workload, params):
         compact = workloads.build(workload, params, seed=1)
-        for algorithm, extras in (
-            (LinialAlgorithm(), self._linial_extras(compact)),
-            # the sleep-hinted reduction: many rounds, event-driven path
-            (BasicReductionAlgorithm(), self._reduction_extras(compact)),
+        for graph, algorithm, extras in (
+            (compact, LinialAlgorithm(), self._linial_extras(compact)),
+            # the sleep-hinted reductions: many rounds, event-driven path
+            (compact, BasicReductionAlgorithm(), self._reduction_extras(compact)),
+            (compact, BlockedReductionAlgorithm(), self._kw_extras(compact)),
+            self._cole_vishkin_case(compact.n),
         ):
-            ref = get_engine("reference").run(compact, algorithm, extras=extras)
-            vec = get_engine("vector").run(compact, algorithm, extras=extras)
+            ref = get_engine("reference").run(graph, algorithm, extras=extras)
+            vec = get_engine("vector").run(graph, algorithm, extras=extras)
             assert vec.outputs == ref.outputs
             assert vec.rounds == ref.rounds
             assert vec.messages == ref.messages

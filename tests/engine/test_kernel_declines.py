@@ -14,14 +14,19 @@ import pytest
 from repro import obs
 from repro.engine import get_engine
 from repro.graphcore import build_grid
+from repro.substrates.cole_vishkin import ColeVishkinAlgorithm, cv_iterations
 from repro.substrates.defective import DefectiveRefinementAlgorithm
 from repro.substrates.hpartition import _Peeler
 from repro.substrates.linial import LinialAlgorithm, linial_schedule
+from repro.substrates.reduction import BasicReductionAlgorithm, BlockedReductionAlgorithm
 
 GRAPH = build_grid(20, 20)
 N = GRAPH.n
 DENSE = {v: v for v in range(N)}
 _Q0 = linial_schedule(N, GRAPH.max_degree)[0][0]
+# the grid's rows as rooted paths: every node's parent is its left neighbor
+ROWS = {v: (v - 1 if v % 20 else None) for v in range(N)}
+_CV = {"parent": ROWS, "initial_coloring": DENSE, "iterations": cv_iterations(N)}
 # a stalled peel runs to the round budget on the per-node path
 MAX_ROUNDS = 50
 
@@ -51,6 +56,28 @@ CASES = [
                  id="peel-string-threshold"),
     pytest.param(_Peeler(), {"threshold": True}, "non-numeric threshold",
                  id="peel-bool-threshold"),
+    pytest.param(ColeVishkinAlgorithm(), {"parent": ROWS, "initial_coloring": DENSE},
+                 "missing cole-vishkin extras", id="cv-missing-extras"),
+    pytest.param(ColeVishkinAlgorithm(), {**_CV, "parent": list(ROWS.values())},
+                 "parent map is not a dict", id="cv-non-dict-parent"),
+    # node 5's parent is a far-away node: only the CSR shows the decline,
+    # so the sharded runtime learns it from the workers' init stats
+    pytest.param(ColeVishkinAlgorithm(), {**_CV, "parent": {**ROWS, 5: 300}},
+                 "parent is not a neighbor", id="cv-parent-not-neighbor"),
+    pytest.param(ColeVishkinAlgorithm(), {**_CV, "iterations": -1},
+                 "negative iterations", id="cv-negative-iterations"),
+    # node 1 and its parent 0 xor to int64's minimum
+    pytest.param(ColeVishkinAlgorithm(),
+                 {**_CV, "initial_coloring": {**DENSE, 0: -2 ** 63, 1: 0}},
+                 "color bit width out of range", id="cv-wide-colors"),
+    pytest.param(BasicReductionAlgorithm(), {"coloring": DENSE, "m": N},
+                 "missing basic-reduction extras", id="basic-missing-extras"),
+    pytest.param(BasicReductionAlgorithm(), {"coloring": DENSE, "m": N, "target": 0},
+                 "non-positive target", id="basic-non-positive-target"),
+    pytest.param(BasicReductionAlgorithm(), {"coloring": DENSE, "m": N - 5, "target": 5},
+                 "color >= m", id="basic-color-at-least-m"),
+    pytest.param(BlockedReductionAlgorithm(), {"coloring": DENSE, "block": 4, "palette": 5},
+                 "degenerate (block, palette)", id="kw-degenerate"),
 ]
 
 

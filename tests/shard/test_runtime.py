@@ -144,7 +144,23 @@ class TestCheckpointResume:
         assert not stats["resumed"]
         assert result.outputs == plain.outputs
 
-    def test_sigkill_mid_run_then_resume_is_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize(
+        "algorithm,extras",
+        [
+            ("hpartition import _Peeler as Algo", "{'threshold': 2}"),
+            # ten color classes on the grid (ids mod 10 is proper: row
+            # and column neighbors differ by 1 and 21): the five classes
+            # above the target re-pick in five steps, so step 3 is mid-run
+            (
+                "reduction import BasicReductionAlgorithm as Algo",
+                "{'coloring': {v: v % 10 for v in range(g.n)}, 'm': 10, 'target': 5}",
+            ),
+        ],
+        ids=["h-partition", "basic-reduction"],
+    )
+    def test_sigkill_mid_run_then_resume_is_byte_identical(
+        self, algorithm, extras, tmp_path
+    ):
         """The drill the checkpoint exists for: a coordinator SIGKILLed
         right after committing round 3 (workers still live mid-exchange)
         must resume to the bit-identical result."""
@@ -155,7 +171,7 @@ class TestCheckpointResume:
             "from repro import workloads\n"
             "from repro.local.network import run_on_graph\n"
             "from repro.shard import ShardBundle, partition, sharding\n"
-            "from repro.substrates.hpartition import _Peeler\n"
+            f"from repro.substrates.{algorithm}\n"
             "workdir = sys.argv[1]\n"
             "g = workloads.build('xl-grid', {'rows': 30, 'cols': 21}, seed=0)\n"
             "bdir = os.path.join(workdir, 'bundle')\n"
@@ -165,8 +181,7 @@ class TestCheckpointResume:
             "    bundle = partition(g, 4, bdir)\n"
             "ck = os.path.join(workdir, 'ckpt')\n"
             "with sharding(g, bundle, checkpoint=ck) as scope:\n"
-            "    got = run_on_graph(g, _Peeler(), extras={'threshold': 2},"
-            " engine='vector')\n"
+            f"    got = run_on_graph(g, Algo(), extras={extras}, engine='vector')\n"
             "    resumed = scope.last_stats['resumed']\n"
             "print(json.dumps({'rounds': got.rounds, 'messages': got.messages,"
             " 'round_messages': got.round_messages,"
@@ -191,11 +206,13 @@ class TestCheckpointResume:
         assert crashed.returncode == -9, crashed.stderr
         meta = json.loads((workdir / "ckpt" / "meta.json").read_text())
         assert meta["completed"] == 3
+        assert meta["next_arg"] is not None  # killed mid-run, not at the end
         # resume run completes and reports resumption
         finished = run_once()
         assert finished.returncode == 0, finished.stderr
         resumed = json.loads(finished.stdout)
         assert resumed["resumed"] is True
+        resumed_meta = (workdir / "ckpt" / "meta.json").read_bytes()
         # a never-interrupted control run in a fresh checkpoint dir
         import shutil
 
@@ -206,3 +223,8 @@ class TestCheckpointResume:
         assert control["resumed"] is False
         for key in ("rounds", "messages", "round_messages", "outputs"):
             assert resumed[key] == control[key]
+        # the coordinator's accumulated state (for the class sweep, the
+        # message profile the shards report at init) came back from
+        # meta.json: the resumed run commits the same final checkpoint,
+        # byte for byte, as the uninterrupted one
+        assert (workdir / "ckpt" / "meta.json").read_bytes() == resumed_meta

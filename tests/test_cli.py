@@ -116,12 +116,9 @@ class TestKernelsCommand:
         assert "linial" in payload["kernels"]
         assert len(payload["compact_ok"]) == 21
         assert payload["compact_fallback"] == []
-        assert payload["sharded"] == [
-            "defective-refinement",
-            "h-partition",
-            "linial",
-        ]
-        assert set(payload["sharded"]) <= set(payload["kernels"])
+        # every kernel is a shard program, so no separate sharded list
+        assert "sharded" not in payload
+        assert len(payload["kernels"]) == 6
 
     def test_algorithms_shows_compact_marker(self, capsys):
         assert main(["algorithms"]) == 0

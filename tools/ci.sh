@@ -293,6 +293,28 @@ assert json.dumps(sharded, sort_keys=True) == json.dumps(plain, sort_keys=True),
     f"sharded run diverged from unsharded:\n{sharded}\n{plain}"
 print("sharded run byte-identical to unsharded; shard count disclosed")
 EOF
+# The same contract for a forest pipeline: cole-vishkin on a random tree,
+# whose parent edges cross the shard boundaries, must dispatch sharded
+# (not fall back) and match the unsharded row byte for byte.
+python -m repro graph build --workload random-tree --workload-param n=300 \
+  --out "$SMOKE_DIR/t.csrg" >/dev/null
+python -m repro graph partition --graph "$SMOKE_DIR/t.csrg" \
+  --out "$SMOKE_DIR/t_shards" --shards 4 >/dev/null
+python -m repro run --graph "$SMOKE_DIR/t.csrg" --algorithm cole-vishkin \
+  --engine vector --shards 4 --shard-dir "$SMOKE_DIR/t_shards" \
+  --out "$SMOKE_DIR/cv_sharded.json" > "$SMOKE_DIR/cv_sharded.out"
+grep -q "sharded: 4 shards" "$SMOKE_DIR/cv_sharded.out"
+python -m repro run --graph "$SMOKE_DIR/t.csrg" --algorithm cole-vishkin \
+  --engine vector --out "$SMOKE_DIR/cv_plain.json" >/dev/null
+python - "$SMOKE_DIR/cv_sharded.json" "$SMOKE_DIR/cv_plain.json" <<'EOF'
+import json, sys
+sharded, plain = (json.load(open(p))[0] for p in sys.argv[1:3])
+assert sharded.pop("shards") == 4
+sharded.pop("shard_stats")
+assert json.dumps(sharded, sort_keys=True) == json.dumps(plain, sort_keys=True), \
+    f"sharded cole-vishkin diverged from unsharded:\n{sharded}\n{plain}"
+print("sharded cole-vishkin byte-identical to unsharded")
+EOF
 echo "shard smoke: partition/run/compare agree"
 
 echo "== experiments smoke: regenerating EXPERIMENTS.md changes nothing =="
@@ -313,10 +335,8 @@ echo "examples smoke: $(ls examples/*.py | wc -l) scripts ran cleanly"
 # streaming executor's kill-loss and overhead (BENCH_stream.json);
 # bench_verify gates invariant-verification overhead (BENCH_verify.json);
 # bench_graphcore gates the CSR conversion-skip speedup and the 1M-node
-# build's peak RSS (BENCH_graphcore.json); bench_kernels gates the
-# whole-round kernel layer (BENCH_kernels.json: 1M-node linial in
-# single-digit seconds, >= 10x kernel-vs-per-node speedup, >= 12
-# compact_ok algorithms); bench_obs gates the instrumentation layer
+# build's peak RSS (BENCH_graphcore.json); bench_obs gates the
+# instrumentation layer
 # (BENCH_obs.json: disabled accessors <= 500ns/call, campaign overhead
 # <= 5%, traced campaign emits a schema-valid JSONL file); bench_checks
 # gates the static-analysis pass (BENCH_checks.json: full-repo repro
@@ -333,7 +353,6 @@ if [ "${RUN_BENCH:-0}" = "1" ]; then
   python benchmarks/bench_store_cache.py
   python benchmarks/bench_engine_comparison.py
   python benchmarks/bench_graphcore.py
-  python benchmarks/bench_kernels.py
   python benchmarks/bench_obs.py
   python benchmarks/bench_checks.py
   python benchmarks/bench_shard.py
