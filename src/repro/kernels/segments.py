@@ -95,7 +95,10 @@ def repr_rank_order(n: int) -> np.ndarray:
     code point exactly like numpy's unicode dtype)."""
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    return np.argsort(np.arange(n).astype(str), kind="stable").astype(np.int64)
+    # the narrowest unicode width that holds n - 1: ``astype(str)`` pads
+    # every id to 21 code points, 3.5x the bytes at a million nodes
+    digits = np.arange(n).astype(f"U{len(str(n - 1))}")
+    return np.argsort(digits, kind="stable").astype(np.int64)
 
 
 def repr_sorted_nodes(graph: Any) -> list:

@@ -199,7 +199,9 @@ def linial_coloring(
             actual=result.rounds,
             modeled=linial_rounds(graph.number_of_nodes(), delta),
         )
-    return dict(result.outputs)
+    # every engine builds a fresh outputs dict: hand it over, not a copy
+    # (at a million nodes a copy is a third live node-keyed dict)
+    return result.outputs
 
 
 # ---------------------------------------------------------------- registry

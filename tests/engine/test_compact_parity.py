@@ -18,6 +18,7 @@ from repro import registry, workloads
 from repro.analysis.campaign import default_cells
 from repro.engine import get_engine
 from repro.graphcore import CompactGraph
+from repro.kernels.segments import repr_rank_order
 from repro.substrates.cole_vishkin import (
     ColeVishkinAlgorithm,
     cv_iterations,
@@ -57,6 +58,13 @@ def assert_same_run(a, b):
     assert b.rounds_actual == a.rounds_actual
     assert b.rounds_modeled == a.rounds_modeled
     assert _semantic_extra(b) == _semantic_extra(a)
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 1000, 1001])
+def test_repr_rank_order_is_sorted_by_repr(n):
+    # n - 1 has fewer digits than n at 10, 100, 1000: the id strings'
+    # width must come from the largest id, never truncate it
+    assert repr_rank_order(n).tolist() == sorted(range(n), key=repr)
 
 
 class TestRegistryParityOnDefaultGrid:
