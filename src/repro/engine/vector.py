@@ -26,13 +26,19 @@ untouched but reorganizes the scheduler around three ideas:
   enforces this for every registered algorithm). Per-round cost drops from
   O(n) to O(active + delivered messages).
 
-:class:`~repro.graphcore.CompactGraph` inputs take a **native path**: the
-CSR arrays the engine would otherwise build by walking networkx adjacency
-already exist, so graph ingestion is two array conversions instead of a
-per-node, per-edge Python traversal — the ``bench_graphcore`` suite gates
-this conversion-skip at >= 2x on the scale family. Scheduling semantics
-are identical in both paths (same drain order, same step order), which
-the compact-parity suite enforces against the reference engine.
+**Kernel dispatch.** Every crash-free, untraced, bandwidth-untracked run
+of an algorithm with a registered
+:class:`~repro.kernels.program.ShardProgram` is handed to that program,
+which replays the whole run as fused numpy ops over the CSR arrays and
+returns the reference engine's exact ``RunResult``. The input is one CSR
+view: a :class:`~repro.graphcore.CompactGraph` as it is, or an nx graph
+interned once in ``graph.nodes()`` order — the pipelines' subgraphs,
+star forests and line graphs with edge-tuple ids dispatch as well as
+compact inputs. On an nx input the program's declared node-keyed extras
+are remapped to dense ids and the outputs mapped back; whatever cannot
+be remapped, and whatever the program declines, runs on the per-node
+loop, disclosed through the ``kernel.fallback`` counter. Crash schedules
+and bandwidth tracking observe per-node state and always take the loop.
 
 Tracer runs are delegated to the reference engine: a tracer observes every
 per-node event, which forces the O(n) loop anyway. The delegation is
@@ -49,6 +55,7 @@ import warnings
 from typing import Any, Dict, List, Optional
 
 import networkx as nx
+import numpy as np
 
 from repro import obs
 from repro.engine.base import Engine, EngineFallbackWarning, note_engine_run
@@ -67,11 +74,99 @@ _SLEEPING = 1
 _HALTED = 2
 
 
+class _Interned:
+    """An nx graph's ids interned to ``0..n-1`` in ``graph.nodes()`` order.
+
+    Rows are read through ``graph.neighbors`` only: ``graph.degree`` and
+    ``graph.edges`` cache a view that points back at the graph, and a
+    transient subgraph caught in that cycle waits for the cyclic
+    collector. ``neighbors``/``bounds`` keep the original neighbor ids for
+    the per-node path; ``indptr``/``indices`` are the dense CSR a program
+    runs over, built only when one reads them.
+    """
+
+    __slots__ = ("ids", "index", "neighbors", "bounds", "n", "m", "max_degree", "directed")
+
+    def __init__(self, graph: nx.Graph):
+        if nx.number_of_selfloops(graph):
+            raise SimulationError("self-loops are not allowed in LOCAL networks")
+        # programs assume symmetric rows; a digraph's rows are successors
+        self.directed = graph.is_directed()
+        self.ids = ids = list(graph.nodes())
+        self.n = len(ids)
+        self.index = {v: i for i, v in enumerate(ids)}
+        self.neighbors = flat = []
+        self.bounds = bounds = [0]
+        for v in ids:
+            flat.extend(graph.neighbors(v))
+            bounds.append(len(flat))
+        self.m = len(flat) // 2
+        self.max_degree = max(
+            (bounds[i + 1] - bounds[i] for i in range(self.n)), default=0
+        )
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return np.array(self.bounds, dtype=np.int64)
+
+    @property
+    def indices(self) -> np.ndarray:
+        return np.fromiter(
+            map(self.index.__getitem__, self.neighbors),
+            dtype=np.int64,
+            count=len(self.neighbors),
+        )
+
+
 class VectorEngine(Engine):
     """O(active + messages) per-round scheduler, parity-checked against
     :class:`~repro.engine.reference.ReferenceEngine`."""
 
     name = "vector"
+
+    def _run_program(
+        self,
+        graph: Any,
+        algorithm: NodeAlgorithm,
+        extras: Optional[Dict[str, Any]],
+        max_rounds: int,
+    ) -> Optional[RunResult]:
+        """The run replayed by the algorithm's registered
+        :class:`~repro.kernels.program.ShardProgram` — fused numpy ops over
+        the CSR arrays, a bit-for-bit replica of the per-node semantics
+        (the compact-parity suite is the gate) — or None when there is no
+        program or it declines, disclosed through ``kernel.fallback``."""
+        from repro import kernels
+
+        algo_name = getattr(algorithm, "name", None)
+        kernel = kernels.get_kernel(algo_name)
+        if kernel is None:
+            return None
+        try:
+            with obs.span(f"kernel.{algo_name}", n=graph.n):
+                if isinstance(graph, _Interned):
+                    if graph.directed:
+                        raise kernels.KernelUnsupported("directed graph")
+                    # dense ids in, original ids out, both in graph order
+                    dense = kernels.get_program(algo_name).intern_extras(
+                        extras or {}, graph.ids, graph.index
+                    )
+                    result = kernel(graph, dense, max_rounds)
+                    ids = graph.ids
+                    result.outputs = {ids[i]: v for i, v in result.outputs.items()}
+                else:
+                    result = kernel(graph, dict(extras or {}), max_rounds)
+        except kernels.KernelUnsupported as exc:
+            # The decline reasons are stable short strings (see the
+            # kernel modules), so they are usable as counter labels.
+            obs.incr("kernel.fallback", kernel=algo_name, reason=str(exc))
+            return None
+        obs.incr("kernel.dispatch", kernel=algo_name)
+        obs.incr("engine.runs", engine=self.name)
+        obs.incr("engine.rounds", result.rounds, engine=self.name)
+        obs.incr("engine.messages", result.messages, engine=self.name)
+        result.engine = self.name
+        return result
 
     def run(
         self,
@@ -111,71 +206,32 @@ class VectorEngine(Engine):
         note_engine_run(self.name)
         if max_rounds is None:
             max_rounds = DEFAULT_MAX_ROUNDS
+        csr = graph if isinstance(graph, CompactGraph) else _Interned(graph)
 
-        if (
-            isinstance(graph, CompactGraph)
-            and not crashes
-            and not track_bandwidth
-        ):
-            # ---- Kernel path: a registered whole-run array kernel replays
-            # the algorithm as fused numpy ops over the CSR arrays. Kernels
-            # are bit-for-bit replicas of the per-node semantics (the
-            # compact-parity suite is the gate) and decline anything they
-            # cannot reproduce exactly, falling through to the loop below.
+        if not crashes and not track_bandwidth:
             # Crashing/bandwidth-tracked runs observe per-node, per-round
             # state no closed-form replay models, so they never dispatch.
-            from repro import kernels
+            result = self._run_program(csr, algorithm, extras, max_rounds)
+            if result is not None:
+                return result
 
-            algo_name = getattr(algorithm, "name", None)
-            kernel = kernels.get_kernel(algo_name)
-            if kernel is not None:
-                try:
-                    with obs.span(f"kernel.{algo_name}", n=graph.n):
-                        result = kernel(graph, dict(extras or {}), max_rounds)
-                except kernels.KernelUnsupported as exc:
-                    # The decline reasons are stable short strings (see the
-                    # kernel modules), so they are usable as counter labels.
-                    obs.incr("kernel.fallback", kernel=algo_name, reason=str(exc))
-                else:
-                    obs.incr("kernel.dispatch", kernel=algo_name)
-                    obs.incr("engine.runs", engine=self.name)
-                    obs.incr("engine.rounds", result.rounds, engine=self.name)
-                    obs.incr("engine.messages", result.messages, engine=self.name)
-                    result.engine = self.name
-                    return result
-
-        if isinstance(graph, CompactGraph):
-            # ---- Native path: the CSR arrays already exist (and the type
-            # guarantees no self-loops); ids are the dense ints 0..n-1, so
-            # no interning dict is needed — addressee ids *are* indices.
-            n = graph.n
-            adj = graph.adjacency_lists()
+        n = csr.n
+        if isinstance(csr, CompactGraph):
+            # ---- The CSR arrays already exist (and the type guarantees no
+            # self-loops); ids are the dense ints 0..n-1, so no interning
+            # dict is needed — addressee ids *are* indices.
+            adj = csr.adjacency_lists()
             ids = range(n)
             index = None
             nodes: List[Node] = [Node(i, adj[i]) for i in range(n)]
-            max_degree = graph.max_degree
             unknown = {v for v in (crashes or {}) if not (isinstance(v, int) and 0 <= v < n)}
         else:
-            if nx.number_of_selfloops(graph):
-                raise SimulationError("self-loops are not allowed in LOCAL networks")
-
-            # ---- CSR adjacency: intern ids, slice one flat neighbor array.
-            ids = list(graph.nodes())
-            n = len(ids)
-            index = {v: i for i, v in enumerate(ids)}
-            flat = []
-            indptr = [0]
-            for v in ids:
-                flat.extend(graph.neighbors(v))
-                indptr.append(len(flat))
-            nodes = [
-                Node(ids[i], tuple(flat[indptr[i] : indptr[i + 1]])) for i in range(n)
-            ]
-            max_degree = max(
-                (indptr[i + 1] - indptr[i] for i in range(n)), default=0
-            )
+            ids = csr.ids
+            index = csr.index
+            flat, bounds = csr.neighbors, csr.bounds
+            nodes = [Node(ids[i], tuple(flat[bounds[i] : bounds[i + 1]])) for i in range(n)]
             unknown = set(crashes or {}) - set(index)
-        ctx = Context(n=n, max_degree=max_degree, extras=dict(extras or {}))
+        ctx = Context(n=n, max_degree=csr.max_degree, extras=dict(extras or {}))
 
         crashes = crashes or {}
         if unknown:

@@ -1,4 +1,4 @@
-"""Batched numpy round kernels over :class:`~repro.graphcore.CompactGraph`.
+"""Batched numpy round kernels over CSR graphs.
 
 The per-node simulators (:class:`~repro.local.network.Network` and the
 vector engine's event-driven loop) dispatch a Python ``step`` per node per
@@ -25,9 +25,12 @@ Contract (the reason kernels may exist at all):
   per-node path, which remains the semantic authority, and discloses the
   decline through the ``kernel.fallback`` counter.
 * **Engines opt in.** Only :class:`~repro.engine.vector.VectorEngine`
-  consults this registry (and only for crash-free, untraced,
-  bandwidth-untracked runs). The reference engine never does — it *is*
-  the baseline kernels are measured against.
+  consults this registry, for every crash-free, untraced,
+  bandwidth-untracked run — on a ``CompactGraph`` as it is, and on an nx
+  graph interned to dense ids, with the extras a program declares
+  node-keyed (``node_keyed``/``node_valued``) remapped to match and the
+  outputs mapped back. The reference engine never does — it *is* the
+  baseline kernels are measured against.
 
 Every kernel is a bulk-synchronous vertex program with exactly one array
 implementation: a :class:`~repro.kernels.program.ShardProgram`.

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.errors import InvalidParameterError, RoundLimitExceeded
 from repro.kernels import KernelUnsupported, register_program
-from repro.kernels.program import ShardProgram, local_values
+from repro.kernels.program import DenseExtra, ShardProgram, local_values
 from repro.kernels.segments import dense_int_table, edge_endpoints, require_int
 from repro.local.network import RunResult
 
@@ -34,6 +34,8 @@ from repro.local.network import RunResult
 def _parent_array(parent: Any, n: int) -> np.ndarray:
     """The parent map as an int64 vector (-1 for roots), declined unless
     every listed parent is a node of the graph."""
+    if type(parent) is DenseExtra:
+        return parent.values
     if not isinstance(parent, dict):
         raise KernelUnsupported("parent map is not a dict")
     par = np.full(n, -1, dtype=np.int64)
@@ -69,6 +71,8 @@ class ColeVishkinProgram(ShardProgram):
     reading halo parents' colors from the preceding exchange."""
 
     name = "cole-vishkin"
+    node_keyed = ("initial_coloring",)
+    node_valued = ("parent",)
 
     def plan(self, manifest, extras, max_rounds):
         if not {"parent", "initial_coloring", "iterations"} <= set(extras):

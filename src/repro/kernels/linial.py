@@ -69,6 +69,7 @@ class LinialProgram(ShardProgram):
     ``repro.substrates.linial._refine`` at every node."""
 
     name = "linial"
+    node_keyed = ("initial_coloring",)
 
     def plan(self, manifest, extras, max_rounds):
         from repro.substrates.linial import linial_schedule
@@ -185,6 +186,7 @@ class DefectiveProgram(ShardProgram):
     ``init_state``, and the coordinator stops immediately."""
 
     name = "defective-refinement"
+    node_keyed = ("initial_coloring",)
 
     def plan(self, manifest, extras, max_rounds):
         if not {"initial_coloring", "q", "d"} <= set(extras):

@@ -25,6 +25,12 @@ A program has two halves:
   round in which some color class re-picks, and the coordinator
   accounts for the idle rounds in closed form.
 
+A program runs over dense ids ``0..n-1``. Its extras are node-keyed
+only where the class says so (``node_keyed``, ``node_valued``); for a
+graph with other ids the engine interns exactly those extras to dense
+int64 vectors with :meth:`ShardProgram.intern_extras`, and maps the
+outputs back.
+
 Inputs a program cannot reproduce exactly (exotic extras, palettes
 outside its vectorized range) raise
 :class:`~repro.kernels.KernelUnsupported` from ``plan``; the caller
@@ -41,12 +47,61 @@ error.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.kernels import KernelUnsupported
 from repro.local.network import RunResult
+
+
+class DenseExtra:
+    """A node-keyed extra already interned to dense ids: ``values[i]`` is
+    the entry of the node with dense id ``i`` (``-1`` for a root in a
+    node-valued map). Only :meth:`ShardProgram.intern_extras` builds one,
+    so no caller-supplied extra is ever mistaken for it."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+
+def _intern_table(table: Any, ids: Sequence[Any]) -> DenseExtra:
+    """A node -> int table as a dense int64 vector in ``ids`` order,
+    declined with the reasons :func:`~repro.kernels.segments.dense_int_table`
+    gives a compact graph's table. Entries are read by lookup, exactly as
+    the per-node ``Context.node_input`` reads them."""
+    if not isinstance(table, dict) or len(table) != len(ids):
+        raise KernelUnsupported("per-node table is not a total dense map")
+    values = list(map(table.get, ids))
+    for v, value in zip(ids, values):
+        if type(value) is not int:
+            if value is None and v not in table:
+                raise KernelUnsupported("per-node table is not a total dense map")
+            raise KernelUnsupported("non-int node key or value")
+    try:
+        return DenseExtra(np.array(values, dtype=np.int64))
+    except OverflowError:
+        raise KernelUnsupported("table not coercible to int64")
+
+
+def _intern_node_map(mapping: Any, ids: Sequence[Any], index: Dict[Any, int]) -> DenseExtra:
+    """A node -> node map (``None`` or absent for a root) as dense ids in
+    ``ids`` order, ``-1`` for roots; declined unless every listed value
+    is a node of the graph."""
+    if not isinstance(mapping, dict):
+        raise KernelUnsupported("parent map is not a dict")
+    out = np.full(len(ids), -1, dtype=np.int64)
+    for i, v in enumerate(ids):
+        target = mapping.get(v)
+        if target is None:
+            continue
+        try:
+            out[i] = index[target]
+        except (KeyError, TypeError):
+            raise KernelUnsupported("parent outside the graph")
+    return DenseExtra(out)
 
 
 def local_values(shard: Any, own: np.ndarray, halo: Any) -> np.ndarray:
@@ -77,6 +132,27 @@ class ShardProgram:
     dict-of-ndarray state."""
 
     name: str = ""
+    #: extras mapping node ids to ints (a coloring)
+    node_keyed: Tuple[str, ...] = ()
+    #: extras mapping node ids to node ids (a parent map)
+    node_valued: Tuple[str, ...] = ()
+
+    def intern_extras(
+        self, extras: Dict[str, Any], ids: Sequence[Any], index: Dict[Any, int]
+    ) -> Dict[str, Any]:
+        """``extras`` for the graph whose node ``ids[i]`` has dense id
+        ``i`` (``index`` inverts ``ids``): the declared node-keyed extras
+        become :class:`DenseExtra` vectors, everything else passes as is.
+        Raises :class:`KernelUnsupported` for a table the per-node path
+        reads differently."""
+        out = dict(extras)
+        for key in self.node_keyed:
+            if key in out:
+                out[key] = _intern_table(out[key], ids)
+        for key in self.node_valued:
+            if key in out:
+                out[key] = _intern_node_map(out[key], ids, index)
+        return out
 
     def run(self, graph: Any, extras: Dict[str, Any], max_rounds: int) -> RunResult:
         """The whole-graph kernel: this program over one shard with an

@@ -31,7 +31,7 @@ color below ``palette`` against the neighbors in the same block.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -48,16 +48,15 @@ _MAX_MEX_CELLS = 64_000_000
 
 def _mex(
     owner: np.ndarray, candidate: np.ndarray, valid: np.ndarray, count: int, limit: int
-) -> Optional[np.ndarray]:
-    """Per-member mex below ``limit`` over the valid candidate values, or
-    None if some member has no free color."""
+) -> np.ndarray:
+    """Per-member mex below ``limit`` over the valid candidate values;
+    ``limit`` for a member with no free color."""
     # one spare, never-seen column: a member whose every color below
     # ``limit`` is taken picks ``limit``
     width = limit + 1
     seen = np.zeros(count * width, dtype=bool)
     seen[owner[valid] * width + candidate[valid]] = True
-    first = seen.reshape(count, width).argmin(axis=1)
-    return None if first.max() == limit else first
+    return seen.reshape(count, width).argmin(axis=1)
 
 
 class _ClassSweep(ShardProgram):
@@ -65,11 +64,14 @@ class _ClassSweep(ShardProgram):
     ``required`` extras and defines ``_classes(colors, extras) -> (wake,
     limit, params)`` — every node's re-pick round (0 for nodes that halt
     at initialization), the mex limit, and the ints its pick rule needs —
-    and ``_pick(state, own, cand, owner)``: the new colors of members
-    holding ``own`` given their gathered neighbor colors ``cand``, or
-    None if one has no free color."""
+    ``_pick(state, own, cand, owner) -> (new, stuck)``: the new colors of
+    members holding ``own`` given their gathered neighbor colors ``cand``,
+    and the mask of members with no free color — and ``_used(state, own,
+    cand)``: the size of the used-color set the per-node re-pick of one
+    member holding ``own`` searches, for its error message."""
 
     required: Tuple[str, ...] = ()
+    node_keyed = ("coloring",)
 
     # ---- coordinator half -------------------------------------------------
     def plan(self, manifest, extras, max_rounds):
@@ -129,9 +131,14 @@ class _ClassSweep(ShardProgram):
             # round r delivers the sends of round r - 1; the final class's
             # broadcast is sent (counted in messages) but never delivered.
             acc["round_messages"] = deliveries[:-1].tolist()
-        for s in stats:
-            if "no_free_color" in s:
-                raise ColoringError(f"no free color below {plan['limit']}")
+        stuck = [s["no_free_color"] for s in stats if "no_free_color" in s]
+        if stuck:
+            # the per-node run raises at the first stuck member in global
+            # id order: the minimum over the shards' first-stuck reports
+            _gid, used = min(stuck)
+            raise ColoringError(
+                f"no free color below {plan['limit']} (|used|={used})"
+            )
         if completed < len(plan["steps"]):
             return plan["steps"][completed]
         return None
@@ -181,9 +188,12 @@ class _ClassSweep(ShardProgram):
             np.asarray(shard.indptr), np.asarray(shard.indices), members
         )
         cand = local_values(shard, colors, halo_vals)[neighbors]
-        new_colors = self._pick(state, colors[members], cand, owner)
-        if new_colors is None:
-            return {"no_free_color": True}
+        own = colors[members]
+        new_colors, stuck = self._pick(state, own, cand, owner)
+        if stuck.any():
+            j = int(np.flatnonzero(stuck)[0])
+            used = self._used(state, int(own[j]), cand[owner == j])
+            return {"no_free_color": [shard.lo + int(members[j]), used]}
         colors[members] = new_colors
         return {}
 
@@ -214,7 +224,12 @@ class BasicReductionProgram(_ClassSweep):
     def _pick(self, state, own, cand, owner):
         target = int(state["target"])
         valid = (cand >= 0) & (cand < target)
-        return _mex(owner, cand, valid, own.size, target)
+        first = _mex(owner, cand, valid, own.size, target)
+        return first, first == target
+
+    def _used(self, state, own, cand):
+        # every neighbor color, whatever its class
+        return int(np.unique(cand).size)
 
 
 class KWPhaseProgram(_ClassSweep):
@@ -242,7 +257,12 @@ class KWPhaseProgram(_ClassSweep):
         # their in-block colors below the palette matter for the mex.
         valid = (cand // block == blk[owner]) & (cand_rel < palette)
         new_rel = _mex(owner, cand_rel, valid, own.size, palette)
-        return None if new_rel is None else blk * block + new_rel
+        return blk * block + new_rel, new_rel == palette
+
+    def _used(self, state, own, cand):
+        # the in-block colors of the same-block neighbors
+        block = int(state["block"])
+        return int(np.unique(cand[cand // block == own // block] % block).size)
 
 
 register_program(BasicReductionProgram())

@@ -25,6 +25,7 @@ from typing import Any, Tuple
 import numpy as np
 
 from repro.kernels import KernelUnsupported
+from repro.kernels.program import DenseExtra
 
 
 def edge_endpoints(graph: Any) -> Tuple[np.ndarray, np.ndarray]:
@@ -40,7 +41,10 @@ def edge_endpoints(graph: Any) -> Tuple[np.ndarray, np.ndarray]:
 
 def dense_int_table(table: Any, n: int) -> np.ndarray:
     """Coerce a node->int dict over exactly the dense ids ``0..n-1`` to an
-    int64 vector; raise :class:`KernelUnsupported` for anything looser."""
+    int64 vector; raise :class:`KernelUnsupported` for anything looser.
+    A table the engine already interned passes through as is."""
+    if type(table) is DenseExtra:
+        return table.values
     if not isinstance(table, dict) or len(table) != n:
         raise KernelUnsupported("per-node table is not a total dense map")
     for k, v in table.items():

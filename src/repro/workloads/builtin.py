@@ -18,6 +18,9 @@ Importing this module populates :mod:`repro.workloads.registry`.
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import networkx as nx
 
 from repro.errors import InvalidParameterError
@@ -50,10 +53,26 @@ def _power_law(n: int, attach: int, seed: int = 0) -> nx.Graph:
 
 def _geometric(n: int, radius: float, seed: int = 0) -> nx.Graph:
     """Random geometric graph on the unit square: locally dense clusters,
-    the wireless-interference style workload."""
+    the wireless-interference style workload.
+
+    The graph ``nx.random_geometric_graph(n, radius, seed=seed)`` builds —
+    the same positions, edges and edge order — by its pairwise loop: with
+    scipy installed networkx would use a KD-tree instead, and importing
+    scipy adds ~30 MB to every campaign worker that builds one of these
+    small instances."""
     if radius <= 0:
         raise InvalidParameterError("geometric radius must be positive")
-    return nx.random_geometric_graph(n, radius, seed=seed)
+    rng = random.Random(seed)
+    graph = nx.empty_graph(n)
+    pos = {v: [rng.random(), rng.random()] for v in graph}
+    nx.set_node_attributes(graph, pos, "pos")
+    limit = radius ** 2
+    graph.add_edges_from(
+        (u, v)
+        for (u, pu), (v, pv) in itertools.combinations(pos.items(), 2)
+        if abs(pu[0] - pv[0]) ** 2 + abs(pu[1] - pv[1]) ** 2 <= limit
+    )
+    return graph
 
 
 def _line_of_regular(n: int, d: int, seed: int = 0) -> nx.Graph:

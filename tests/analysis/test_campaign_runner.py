@@ -303,6 +303,67 @@ class TestStreamingExecutor:
         finally:
             registry._REGISTRY.pop("test-worker-killer", None)
 
+    @pytest.mark.skipif(
+        __import__("multiprocessing").get_start_method() != "fork",
+        reason="pool workers must inherit the test-registered algorithms",
+    )
+    def test_every_pool_freezes_its_workers_heap(self, tmp_path):
+        """The first pool and the one rebuilt after a BrokenProcessPool
+        both run the gc-freezing initializer in their workers; an inline
+        run leaves the caller's process unfrozen."""
+        import gc
+        import os
+
+        from repro import registry
+
+        # forked workers inherit the freeze count: start from zero
+        assert gc.get_freeze_count() == 0
+        marker = tmp_path / "killed"
+
+        def frozen_run(name):
+            return registry.AlgorithmRun(
+                name=name, kind="edge-coloring", coloring={}, colors_used=0,
+                extra={"freeze_count": gc.get_freeze_count()},
+            )
+
+        def kill_once(graph):
+            # the first attempt takes its worker down; the requeued one
+            # runs on the rebuilt pool
+            if not marker.exists():
+                marker.touch()
+                os._exit(1)
+            return frozen_run("test-kill-once")
+
+        for name, runner in (
+            ("test-kill-once", kill_once),
+            ("test-freeze-count", lambda graph: frozen_run("test-freeze-count")),
+        ):
+            registry.register(
+                registry.AlgorithmSpec(
+                    name=name, family="baseline", kind="edge-coloring",
+                    summary="reports its worker's gc freeze count",
+                    color_bound="-", rounds_bound="-", runner=runner,
+                )
+            )
+        try:
+            cells = [
+                CampaignCell("test-kill-once", "random-regular", {"n": 16, "d": 4}),
+            ] + [
+                CampaignCell("test-freeze-count", "random-regular",
+                             {"n": 16, "d": 4}, seed=s)
+                for s in range(3)
+            ]
+            rows = CampaignRunner(cells, jobs=2, verify=False).run()
+            assert marker.exists()
+            assert all(r["error"] is None for r in rows), rows
+            assert all(r["extra"]["freeze_count"] > 0 for r in rows)
+            inline = CampaignRunner(cells[1:2], jobs=1, verify=False).run()
+            assert inline[0]["extra"]["freeze_count"] == 0
+            assert gc.get_freeze_count() == 0
+        finally:
+            registry._REGISTRY.pop("test-kill-once", None)
+            registry._REGISTRY.pop("test-freeze-count", None)
+
 
 class TestCachedStreaming:
     """Cache-specific streaming behavior: duplicate-key sharing and the

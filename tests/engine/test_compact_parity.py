@@ -14,7 +14,7 @@ Two layers of guarantee:
 
 import pytest
 
-from repro import registry, workloads
+from repro import obs, registry, workloads
 from repro.analysis.campaign import default_cells
 from repro.engine import get_engine
 from repro.graphcore import CompactGraph
@@ -240,6 +240,78 @@ class TestOraclesCatchCorruptedKernelOutput:
         assert "palette-bound" in verdict.violation
 
 
+#: The engine-level parity instances: every xl family at a size where the
+#: per-node reference run is still affordable.
+XL_PARITY = [
+    ("xl-grid", {"rows": 15, "cols": 15}),
+    ("xl-regular", {"n": 120, "d": 6}),
+    ("xl-power-law", {"n": 90, "attach": 3}),
+    ("xl-forest-stack", {"n_centers": 5, "leaves_per_center": 8, "a": 2}),
+]
+
+
+def _tuple_ids(compact):
+    """The compact instance as networkx with tuple ids, in dense order."""
+    return compact.to_networkx(), lambda v: ("v", v)
+
+
+def _sparse_shuffled_ids(compact):
+    """The compact instance as networkx with sparse int ids, nodes and
+    edges inserted in a shuffled order (so graph order is neither the
+    dense order nor the sorted order of the ids)."""
+    import random
+
+    import networkx as nx
+
+    rng = random.Random(7)
+    nodes = list(range(compact.n))
+    rng.shuffle(nodes)
+    edges = list(compact.to_networkx().edges())
+    rng.shuffle(edges)
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    graph.add_edges_from(edges)
+    return graph, lambda v: 1000 + 37 * v
+
+
+NX_FORMS = [
+    pytest.param(_tuple_ids, id="tuple-ids"),
+    pytest.param(_sparse_shuffled_ids, id="sparse-shuffled-ids"),
+]
+
+
+def _relabel(form, compact, extras, node_keyed=(), node_valued=()):
+    """``compact`` in networkx ``form``, with the node-keyed extras (and
+    the node values of ``node_valued`` maps) relabeled the same way."""
+    import networkx as nx
+
+    graph, label = form(compact)
+    graph = nx.relabel_nodes(graph, label)
+    extras = dict(extras)
+    for key in node_keyed:
+        extras[key] = {label(v): c for v, c in extras[key].items()}
+    for key in node_valued:
+        extras[key] = {
+            label(v): (None if p is None else label(p))
+            for v, p in extras[key].items()
+        }
+    return graph, extras
+
+
+def _outcome(engine, graph, algorithm, extras):
+    try:
+        result = get_engine(engine).run(graph, algorithm, extras=extras)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome under test
+        return ("raised", type(exc), str(exc))
+    return (
+        "ran",
+        list(result.outputs.items()),
+        result.rounds,
+        result.messages,
+        list(result.round_messages),
+    )
+
+
 class TestEngineLevelParity:
     def _linial_extras(self, graph):
         ordered = sorted(graph.nodes(), key=repr)
@@ -277,15 +349,7 @@ class TestEngineLevelParity:
         }
         return tree, ColeVishkinAlgorithm(), extras
 
-    @pytest.mark.parametrize(
-        "workload,params",
-        [
-            ("xl-grid", {"rows": 15, "cols": 15}),
-            ("xl-regular", {"n": 120, "d": 6}),
-            ("xl-power-law", {"n": 90, "attach": 3}),
-            ("xl-forest-stack", {"n_centers": 5, "leaves_per_center": 8, "a": 2}),
-        ],
-    )
+    @pytest.mark.parametrize("workload,params", XL_PARITY)
     def test_full_runresult_parity_on_compact(self, workload, params):
         compact = workloads.build(workload, params, seed=1)
         for graph, algorithm, extras in (
@@ -302,6 +366,74 @@ class TestEngineLevelParity:
             assert vec.messages == ref.messages
             assert vec.round_messages == ref.round_messages
             assert ref.engine == "reference" and vec.engine == "vector"
+
+    def _program_cases(self, compact):
+        """(algorithm, compact instance, dense extras, node-keyed extras,
+        node-valued extras) for all six registered programs."""
+        import networkx as nx
+
+        from repro.substrates.defective import DefectiveRefinementAlgorithm
+        from repro.substrates.hpartition import _Peeler
+
+        degeneracy = max(nx.core_number(compact.to_networkx()).values())
+        tree, cv, cv_extras = self._cole_vishkin_case(compact.n)
+        linial = self._linial_extras(compact)
+        return [
+            (LinialAlgorithm(), compact, linial, ("initial_coloring",), ()),
+            (DefectiveRefinementAlgorithm(), compact,
+             {"initial_coloring": linial["initial_coloring"], "q": 7, "d": 2},
+             ("initial_coloring",), ()),
+            (BasicReductionAlgorithm(), compact, self._reduction_extras(compact),
+             ("coloring",), ()),
+            (BlockedReductionAlgorithm(), compact, self._kw_extras(compact),
+             ("coloring",), ()),
+            (cv, tree, cv_extras, ("initial_coloring",), ("parent",)),
+            (_Peeler(), compact, {"threshold": degeneracy}, (), ()),
+        ]
+
+    @pytest.mark.parametrize("form", NX_FORMS)
+    @pytest.mark.parametrize("workload,params", XL_PARITY)
+    def test_full_runresult_parity_on_nx(self, workload, params, form):
+        # the pipelines' own inputs: networkx graphs whose ids are not
+        # 0..n-1 take the same kernels, with the extras interned and
+        # the outputs mapped back in graph order
+        compact = workloads.build(workload, params, seed=1)
+        for algorithm, instance, extras, keyed, valued in self._program_cases(compact):
+            graph, extras = _relabel(form, instance, extras, keyed, valued)
+            ref = get_engine("reference").run(graph, algorithm, extras=extras)
+            with obs.collect() as runtime:
+                vec = get_engine("vector").run(graph, algorithm, extras=extras)
+            # outputs keyed by the original ids, in graph order
+            assert list(vec.outputs.items()) == list(ref.outputs.items())
+            assert vec.rounds == ref.rounds
+            assert vec.messages == ref.messages
+            assert vec.round_messages == ref.round_messages
+            assert vec.engine == "vector"
+            counters = runtime.snapshot()["counters"]
+            assert counters.get(f"kernel.dispatch[kernel={algorithm.name}]") == 1
+            assert not any(k.startswith("kernel.fallback") for k in counters)
+
+    @pytest.mark.parametrize("form", NX_FORMS)
+    @pytest.mark.parametrize("workload,params", XL_PARITY)
+    def test_no_free_color_matches_reference_on_nx(self, workload, params, form):
+        # a palette below Delta + 1 runs out mid-sweep: the kernel raises
+        # the per-node error, naming the first stuck node's used colors
+        compact = workloads.build(workload, params, seed=1)
+        coloring = self._reduction_extras(compact)["coloring"]
+        for algorithm, extras in (
+            (BasicReductionAlgorithm(),
+             {"coloring": coloring, "m": compact.n, "target": 2}),
+            (BlockedReductionAlgorithm(),
+             {"coloring": coloring, "block": 10, "palette": 2}),
+        ):
+            graph, extras = _relabel(form, compact, extras, ("coloring",))
+            reference = _outcome("reference", graph, algorithm, extras)
+            assert reference[0] == "raised"
+            with obs.collect() as runtime:
+                vector = _outcome("vector", graph, algorithm, extras)
+            assert vector == reference
+            counters = runtime.snapshot()["counters"]
+            assert not any(k.startswith("kernel.fallback") for k in counters)
 
     def test_linial_actually_rounds_on_the_grid_case(self):
         # guard against a silently-trivial parity case: 225 ids on a

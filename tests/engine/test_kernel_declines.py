@@ -7,8 +7,13 @@ give an identical ``RunResult`` or raise the same exception type with
 the same message. The decline itself is disclosed through the
 ``kernel.fallback[kernel=...,reason=...]`` counter, whose reason strings
 are stable labels.
+
+Every case runs twice: on the compact grid, and on its networkx twin
+with tuple ids, where the engine interns the node-keyed extras before
+the kernel sees them and must decline with the same reason.
 """
 
+import networkx as nx
 import pytest
 
 from repro import obs
@@ -81,29 +86,124 @@ CASES = [
 ]
 
 
-def _outcome(engine, algorithm, extras):
+def _outcome(engine, algorithm, extras, graph=GRAPH, **kwargs):
     try:
         result = get_engine(engine).run(
-            GRAPH, algorithm, extras=dict(extras), max_rounds=MAX_ROUNDS
+            graph, algorithm, extras=dict(extras), max_rounds=MAX_ROUNDS, **kwargs
         )
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome under test
         return ("raised", type(exc), str(exc))
     return (
         "ran",
-        result.outputs,
+        list(result.outputs.items()),
         result.rounds,
         result.messages,
         list(result.round_messages),
     )
 
 
-@pytest.mark.parametrize("algorithm,extras,reason", CASES)
-def test_decline_matches_reference_and_is_disclosed(algorithm, extras, reason):
+def _assert_declined(algorithm, extras, reason, graph=GRAPH):
     with obs.collect() as runtime:
-        vector = _outcome("vector", algorithm, extras)
-    reference = _outcome("reference", algorithm, extras)
+        vector = _outcome("vector", algorithm, extras, graph)
+    reference = _outcome("reference", algorithm, extras, graph)
     assert vector == reference
     counters = runtime.snapshot()["counters"]
     key = f"kernel.fallback[kernel={algorithm.name},reason={reason}]"
     assert counters.get(key) == 1, sorted(counters)
     assert not any(k.startswith("kernel.dispatch") for k in counters)
+
+
+@pytest.mark.parametrize("algorithm,extras,reason", CASES)
+def test_decline_matches_reference_and_is_disclosed(algorithm, extras, reason):
+    _assert_declined(algorithm, extras, reason)
+
+
+# ---- the same cases on networkx: grid coordinates as tuple ids ----------
+
+
+def _label(v):
+    return divmod(v, 20)
+
+
+NX_GRID = nx.relabel_nodes(GRAPH.to_networkx(), _label)
+
+
+def _relabeled(extras):
+    """``extras`` for ``NX_GRID``: every key of a node table relabeled
+    (ids outside the grid too), and the parent map's values as well."""
+    out = dict(extras)
+    for key in ("initial_coloring", "coloring", "parent"):
+        if isinstance(out.get(key), dict):
+            out[key] = {_label(v): c for v, c in out[key].items()}
+    if isinstance(out.get("parent"), dict):
+        out["parent"] = {
+            v: (None if p is None else _label(p)) for v, p in out["parent"].items()
+        }
+    return out
+
+
+@pytest.mark.parametrize("algorithm,extras,reason", CASES)
+def test_decline_on_nx_matches_compact(algorithm, extras, reason):
+    _assert_declined(algorithm, _relabeled(extras), reason, graph=NX_GRID)
+
+
+_NX_IDS = {_label(v): v for v in range(N)}
+_NX_CV = _relabeled(_CV)
+
+#: Declines only an nx input can show: the tables are read by node id,
+#: so a key set that is not exactly the graph's nodes, or a parent that
+#: is not one of them, is declined before the kernel runs.
+NX_CASES = [
+    pytest.param(LinialAlgorithm(),
+                 {"initial_coloring": {k: c for k, c in _NX_IDS.items() if c != 7},
+                  "m0": N},
+                 "per-node table is not a total dense map", id="table-missing-a-node"),
+    pytest.param(LinialAlgorithm(),
+                 {"initial_coloring": {**_NX_IDS, ("elsewhere", 0): N}, "m0": N + 1},
+                 "per-node table is not a total dense map", id="table-key-outside-graph"),
+    # as many keys as nodes, but one of them is not a node
+    pytest.param(BasicReductionAlgorithm(),
+                 {"coloring": {(k if c != 7 else ("elsewhere", 0)): c
+                               for k, c in _NX_IDS.items()},
+                  "m": N, "target": 5},
+                 "per-node table is not a total dense map", id="table-key-swapped-out"),
+    pytest.param(BasicReductionAlgorithm(),
+                 {"coloring": {**_NX_IDS, (0, 7): None}, "m": N, "target": 5},
+                 "non-int node key or value", id="table-none-value"),
+    pytest.param(ColeVishkinAlgorithm(),
+                 {**_NX_CV, "parent": {**_NX_CV["parent"], (0, 5): ("elsewhere", 0)}},
+                 "parent outside the graph", id="parent-outside-graph"),
+    pytest.param(ColeVishkinAlgorithm(),
+                 {**_NX_CV, "parent": {**_NX_CV["parent"], (0, 5): [0, 4]}},
+                 "parent outside the graph", id="parent-unhashable"),
+]
+
+
+@pytest.mark.parametrize("algorithm,extras,reason", NX_CASES)
+def test_nx_only_decline_matches_reference(algorithm, extras, reason):
+    _assert_declined(algorithm, extras, reason, graph=NX_GRID)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"crashes": {(3, 4): 1}}, {"track_bandwidth": True}],
+    ids=["crashes", "bandwidth"],
+)
+def test_crash_and_bandwidth_runs_on_nx_stay_per_node(kwargs):
+    # per-round node state no closed-form replay models: never dispatched
+    extras = {"initial_coloring": _NX_IDS, "m0": N}
+    with obs.collect() as runtime:
+        vector = _outcome("vector", LinialAlgorithm(), extras, NX_GRID, **kwargs)
+    reference = _outcome("reference", LinialAlgorithm(), extras, NX_GRID, **kwargs)
+    assert vector == reference
+    assert vector[0] == "ran"
+    counters = runtime.snapshot()["counters"]
+    assert not any(k.startswith("kernel.") for k in counters), sorted(counters)
+
+
+def test_directed_nx_input_is_declined():
+    # the programs read symmetric rows; a digraph's rows are successors
+    graph = nx.DiGraph(nx.relabel_nodes(nx.path_graph(30), _label))
+    graph.remove_edges_from([((0, v + 1), (0, v)) for v in range(19)])
+    extras = {"initial_coloring": {v: i for i, v in enumerate(graph)}, "m0": 30}
+    _assert_declined(LinialAlgorithm(), extras, "directed graph", graph=graph)

@@ -237,10 +237,12 @@ class TestProgramsActuallyDispatch:
     )
     def test_no_free_color_travels_in_step_stats(self, algorithm, extras, tmp_path):
         # a palette below Delta + 1 runs out mid-sweep: the worker reports
-        # it and the coordinator raises the ColoringError the whole-graph
-        # run raises
+        # the first stuck node and its used-color count, and the
+        # coordinator raises the ColoringError the per-node run raises
         graph = _grid()
         extras = {"coloring": _ids(graph), **extras}
+        with pytest.raises(ColoringError) as reference:
+            run_on_graph(graph, algorithm, extras=extras, engine="reference")
         with pytest.raises(ColoringError) as plain:
             run_on_graph(graph, algorithm, extras=extras, engine="vector")
         with obs.collect() as runtime:
@@ -248,7 +250,8 @@ class TestProgramsActuallyDispatch:
                 with pytest.raises(ColoringError) as sharded:
                     run_on_graph(graph, algorithm, extras=extras, engine="vector")
         assert str(sharded.value) == str(plain.value)
-        assert str(plain.value).startswith("no free color below 2")
+        assert str(plain.value) == str(reference.value)
+        assert str(plain.value).startswith("no free color below 2 (|used|=")
         counters = runtime.snapshot()["counters"]
         assert any("shard.dispatch" in key for key in counters)
 

@@ -149,6 +149,18 @@ class TestBuild:
         gadget = workloads.build("shared-cliques")
         assert gadget.degree[0] == 4 * 4  # num_cliques * (clique_size - 1)
 
+    @pytest.mark.parametrize("n,radius", [(64, 0.25), (16, 0.35), (40, 0.6)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 17])
+    def test_geometric_is_networkx_random_geometric_graph(self, n, radius, seed):
+        # same positions, adjacency and edge order as networkx's builder
+        # (which takes its scipy KD-tree path when scipy is installed)
+        import networkx as nx
+
+        ours = workloads.build("geometric", {"n": n, "radius": radius}, seed=seed)
+        theirs = nx.random_geometric_graph(n, radius, seed=seed)
+        assert list(ours.nodes(data=True)) == list(theirs.nodes(data=True))
+        assert [list(ours.adj[v]) for v in ours] == [list(theirs.adj[v]) for v in theirs]
+
 
 class TestCanonicalization:
     def test_canonical_params_resolve_defaults(self):

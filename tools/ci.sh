@@ -224,6 +224,53 @@ python "$SMOKE_DIR/kernel_probe.py" vector "$SMOKE_DIR/kernel_vector.json"
 python "$SMOKE_DIR/kernel_probe.py" reference "$SMOKE_DIR/kernel_ref.json"
 cmp "$SMOKE_DIR/kernel_vector.json" "$SMOKE_DIR/kernel_ref.json"
 echo "kernel smoke: kernel run byte-identical to reference"
+# The same on a pipeline-shaped input: a networkx line graph whose node
+# ids are edge tuples, colored by Linial and then one Kuhn-Wattenhofer
+# phase. The vector run must dispatch both kernels, not fall back.
+cat > "$SMOKE_DIR/kernel_nx_probe.py" <<'EOF'
+import json, sys
+from repro import obs
+from repro.engine import get_engine
+from repro.graphs import random_regular
+from repro.graphs.linegraph import line_graph_with_cover
+from repro.substrates.linial import LinialAlgorithm
+from repro.substrates.reduction import BlockedReductionAlgorithm
+
+engine, out = sys.argv[1], sys.argv[2]
+line, _cover = line_graph_with_cover(random_regular(60, 6, seed=0))
+ordered = sorted(line.nodes(), key=repr)
+n = len(ordered)
+palette = max(len(line[v]) for v in line) + 1
+with obs.collect() as runtime:
+    linial = get_engine(engine).run(line, LinialAlgorithm(), extras={
+        # ids from an n^2 space: Linial has rounds to do
+        "initial_coloring": {v: i * n for i, v in enumerate(ordered)},
+        "m0": n * n,
+    })
+    phase = get_engine(engine).run(line, BlockedReductionAlgorithm(), extras={
+        "coloring": linial.outputs, "block": 2 * palette, "palette": palette,
+    })
+counters = runtime.snapshot()["counters"]
+if engine == "vector":
+    for name in ("linial", "kw-phase"):
+        key = f"kernel.dispatch[kernel={name}]"
+        assert counters.get(key) == 1, f"{key} not counted: {sorted(counters)}"
+payload = []
+for run in (linial, phase):
+    assert run.engine == engine, f"unexpected fallback: ran {run.engine}"
+    payload.append({
+        "outputs": [[repr(k), v] for k, v in sorted(run.outputs.items())],
+        "rounds": run.rounds,
+        "messages": run.messages,
+        "round_messages": list(run.round_messages),
+    })
+with open(out, "w") as handle:
+    json.dump(payload, handle, sort_keys=True)
+EOF
+python "$SMOKE_DIR/kernel_nx_probe.py" vector "$SMOKE_DIR/kernel_nx_vector.json"
+python "$SMOKE_DIR/kernel_nx_probe.py" reference "$SMOKE_DIR/kernel_nx_ref.json"
+cmp "$SMOKE_DIR/kernel_nx_vector.json" "$SMOKE_DIR/kernel_nx_ref.json"
+echo "kernel smoke: tuple-id line graph dispatches kernels, byte-identical to reference"
 
 echo "== obs smoke: traced campaign -> schema-valid JSONL, stats reports, traced == untraced =="
 # A small multi-worker campaign with --trace: every worker appends
