@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Tuple
 import networkx as nx
 
 from repro.errors import InvalidParameterError
+from repro.graphs.properties import max_degree, number_of_edges
 from repro.local import RoundLedger
 from repro.local.costmodel import log_star
 from repro.baselines.greedy import greedy_edge_coloring
@@ -150,13 +151,13 @@ def degree_splitting_edge_coloring(
     if threshold < 1:
         raise InvalidParameterError("threshold must be >= 1")
     own = RoundLedger(label="degree-splitting")
-    delta = max((d for _, d in graph.degree()), default=0)
+    delta = max_degree(graph)
     n = graph.number_of_nodes()
 
     leaves: List[nx.Graph] = [graph]
     levels = 0
     while max(
-        (max((d for _, d in leaf.degree()), default=0) for leaf in leaves),
+        (max_degree(leaf) for leaf in leaves),
         default=0,
     ) > threshold:
         next_leaves: List[nx.Graph] = []
@@ -169,7 +170,7 @@ def degree_splitting_edge_coloring(
     coloring: EdgeColoring = {}
     offset = 0
     for leaf in leaves:
-        if leaf.number_of_edges() == 0:
+        if number_of_edges(leaf) == 0:
             continue
         local = greedy_edge_coloring(leaf)
         width = max(local.values()) + 1

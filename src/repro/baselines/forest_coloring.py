@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
-from repro.graphs.properties import degeneracy_ordering
+from repro.graphs.properties import degeneracy_ordering, max_degree, number_of_edges
 from repro.local import RoundLedger
 from repro.local.costmodel import log_star
 from repro.substrates.cole_vishkin import cole_vishkin_forest_coloring
@@ -53,8 +53,8 @@ def forest_edge_coloring(
 ) -> ForestColoringResult:
     """An O(a * Delta)-edge-coloring in O(log* n) rounds."""
     own = RoundLedger(label="forest-edge-coloring")
-    delta = max((d for _, d in graph.degree()), default=0)
-    if graph.number_of_edges() == 0:
+    delta = max_degree(graph)
+    if number_of_edges(graph) == 0:
         return ForestColoringResult(
             coloring={}, colors_used=0, num_forests=0, delta=delta, ledger=own
         )

@@ -12,6 +12,7 @@ from typing import Dict, Iterable, Optional
 import networkx as nx
 
 from repro.errors import ColoringError
+from repro.graphs.properties import iter_edges
 from repro.types import Edge, EdgeColoring, NodeId, VertexColoring, edge_key
 
 
@@ -48,7 +49,7 @@ def greedy_edge_coloring(
 
             return greedy_edge_compact(graph)
         order = sorted(
-            (edge_key(u, v) for u, v in graph.edges()),
+            (edge_key(u, v) for u, v in iter_edges(graph)),
             key=lambda e: (repr(e[0]), repr(e[1])),
         )
     coloring: EdgeColoring = {}

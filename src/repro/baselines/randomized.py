@@ -21,6 +21,7 @@ from typing import Dict, Optional, Set
 import networkx as nx
 
 from repro.errors import InvalidParameterError, RoundLimitExceeded
+from repro.graphs.properties import iter_edges, max_degree
 from repro.local import RoundLedger
 from repro.types import Edge, EdgeColoring, NodeId, edge_key
 
@@ -53,7 +54,7 @@ def randomized_edge_coloring(
     :class:`RoundLimitExceeded` rather than hang.
     """
     own = RoundLedger(label="randomized-edge-coloring")
-    delta = max((d for _, d in graph.degree()), default=0)
+    delta = max_degree(graph)
     palette = max(int(palette_factor * delta + 0.5), delta + 1, 1)
     if palette_factor <= 1.0:
         raise InvalidParameterError("palette_factor must exceed 1")
@@ -62,7 +63,7 @@ def randomized_edge_coloring(
     coloring: EdgeColoring = {}
     used: Dict[NodeId, Set[int]] = {v: set() for v in graph.nodes()}
     uncolored = sorted(
-        (edge_key(u, v) for u, v in graph.edges()),
+        (edge_key(u, v) for u, v in iter_edges(graph)),
         key=lambda e: (repr(e[0]), repr(e[1])),
     )
     rounds = 0

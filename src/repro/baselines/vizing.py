@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 import networkx as nx
 
 from repro.errors import ColoringError
+from repro.graphs.properties import iter_edges, max_degree, number_of_edges
 from repro.types import Edge, EdgeColoring, NodeId, edge_key
 
 
@@ -137,21 +138,21 @@ def _color_edge(state: _State, u: NodeId, v: NodeId) -> None:
 
 def misra_gries_edge_coloring(graph: nx.Graph) -> EdgeColoring:
     """A proper edge coloring with at most Delta+1 colors (Vizing bound)."""
-    delta = max((d for _, d in graph.degree()), default=0)
-    if graph.number_of_edges() == 0:
+    delta = max_degree(graph)
+    if number_of_edges(graph) == 0:
         return {}
     state = _State(graph, palette=delta + 1)
     # edges() yields traversal-dependent orientations; canonicalize through
     # edge_key so the sweep order and each fan's center are representation-
     # independent (CompactGraph vs networkx, any insertion order).
     canonical = sorted(
-        (edge_key(u, v) for u, v in graph.edges()),
+        (edge_key(u, v) for u, v in iter_edges(graph)),
         key=lambda e: (repr(e[0]), repr(e[1])),
     )
     for u, v in canonical:
         if edge_key(u, v) not in state.color:
             _color_edge(state, u, v)
-    for u, v in graph.edges():
+    for u, v in iter_edges(graph):
         if edge_key(u, v) not in state.color:
             raise ColoringError(f"edge ({u!r},{v!r}) left uncolored")
     return dict(state.color)

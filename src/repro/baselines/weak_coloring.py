@@ -25,6 +25,7 @@ import networkx as nx
 
 from repro.errors import InvalidParameterError
 from repro.graphs.linegraph import line_graph_with_cover
+from repro.graphs.properties import max_degree, number_of_edges
 from repro.local import RoundLedger
 from repro.substrates.defective import defective_coloring
 from repro.substrates.linial import linial_coloring
@@ -65,7 +66,7 @@ def _recurse(
     oracle: ColoringOracle,
     ledger: RoundLedger,
 ) -> Dict[NodeId, Tuple[int, ...]]:
-    delta = max((d for _, d in graph.degree()), default=0)
+    delta = max_degree(graph)
     if delta <= threshold:
         base = oracle.vertex_coloring(
             graph,
@@ -107,7 +108,7 @@ def weak_vertex_coloring(
         raise InvalidParameterError("threshold must be >= 1")
     oracle = oracle or ColoringOracle()
     own = RoundLedger(label="weak-coloring")
-    delta = max((d for _, d in graph.degree()), default=0)
+    delta = max_degree(graph)
     if graph.number_of_nodes() == 0:
         return WeakColoringResult(
             coloring={}, colors_used=0, delta=0, levels=0, ledger=own
@@ -137,10 +138,10 @@ def weak_edge_coloring(
 ) -> WeakColoringResult:
     """The edge version (on the line graph): the intro's prior-art
     Delta^(1+eps)-edge-coloring regime [6, 7]."""
-    if graph.number_of_edges() == 0:
+    if number_of_edges(graph) == 0:
         return WeakColoringResult(
             coloring={}, colors_used=0,
-            delta=max((d for _, d in graph.degree()), default=0),
+            delta=max_degree(graph),
             levels=0, ledger=RoundLedger(label="weak-coloring"),
         )
     line, _ = line_graph_with_cover(graph)
@@ -148,7 +149,7 @@ def weak_edge_coloring(
     return WeakColoringResult(
         coloring=dict(result.coloring),
         colors_used=result.colors_used,
-        delta=max(d for _, d in graph.degree()),
+        delta=max_degree(graph),
         levels=result.levels,
         ledger=result.ledger,
     )

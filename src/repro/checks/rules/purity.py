@@ -24,6 +24,17 @@ loop at a time, so it is enforced mechanically inside ``kernels/``:
   (subscript assignment or mutating method calls). Kernel inputs may be
   memory-mapped read-only files shared across workers; a kernel that
   mutates its input corrupts every subsequent run on the same graph.
+
+One rule guards the pipeline glue around the kernels (``core/``,
+``substrates/``, ``baselines/``, ``verify/oracles.py``,
+``graphs/linegraph.py`` and ``graphs/orientation.py``):
+
+* ``pure-glue-cached-view`` — no ``.degree(...)``, ``.edges(...)`` or
+  zero-argument ``.number_of_edges()`` call. On a networkx graph each
+  caches a view that points back at the graph, so every transient
+  subgraph or line graph read that way lives until the cyclic collector
+  runs. ``repro.graphs.properties`` has the cycle-free readers
+  (``max_degree``, ``iter_edges``, ``number_of_edges``).
 """
 
 from __future__ import annotations
@@ -46,6 +57,21 @@ _CSR_ARRAYS = frozenset({"indptr", "indices"})
 
 #: numpy ndarray methods that mutate in place.
 _MUTATING_METHODS = frozenset({"sort", "fill", "put", "partition", "resize", "itemset"})
+
+
+#: Pipeline glue that must read graphs without caching nx views.
+_GLUE_DIRS = ("core/", "substrates/", "baselines/")
+_GLUE_FILES = frozenset(
+    {"verify/oracles.py", "graphs/linegraph.py", "graphs/orientation.py"}
+)
+
+#: Calls that cache a view pointing back at an nx graph, with the
+#: cycle-free reader to use instead.
+_CACHED_VIEW_CALLS = {
+    "degree": "max_degree(graph)",
+    "edges": "iter_edges(graph)",
+    "number_of_edges": "number_of_edges(graph)",
+}
 
 
 def _in_kernels(file) -> bool:
@@ -174,3 +200,33 @@ class CsrMutation(FileChecker):
                             "ndarray mutation of a CSR input; use the "
                             "copying variant (np.sort, np.full, ...)"
                         )
+
+
+@register_checker
+class GlueCachedView(FileChecker):
+    rule = CheckRule(
+        name="pure-glue-cached-view",
+        family="purity",
+        summary="no .degree()/.edges()/.number_of_edges() call in the "
+        "pipeline glue — they cache a view that keeps a transient nx graph "
+        "alive until the cyclic collector; use repro.graphs.properties",
+    )
+
+    def select(self, file) -> bool:
+        return file.pkg_rel.startswith(_GLUE_DIRS) or file.pkg_rel in _GLUE_FILES
+
+    def check(self, file) -> Iterator[Tuple[int, str]]:
+        for node in ast.walk(file.tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            attr = node.func.attr
+            if attr not in _CACHED_VIEW_CALLS:
+                continue
+            if attr == "number_of_edges" and (node.args or node.keywords):
+                continue  # the (u, v) form reads the adjacency directly
+            yield node.lineno, (
+                f"calls .{attr}() — on an nx graph it caches a view that "
+                "points back at the graph, so a transient graph waits for "
+                f"the cyclic collector; use {_CACHED_VIEW_CALLS[attr]} from "
+                "repro.graphs.properties"
+            )

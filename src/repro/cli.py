@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``info --graph FILE`` — structural parameters (n, m, Delta, arboricity
-  bounds, degeneracy) of an edge-list graph.
+  bounds, degeneracy) of an edge-list or ``.csrg`` graph.
 * ``algorithms`` — the unified algorithm registry: every runnable
   algorithm with its family, kind, color bound and parameters
   (compact-capable algorithms carry a ``[compact]`` marker).
@@ -107,9 +107,6 @@ def _read_graph_file(path: str):
 
 def cmd_info(args: argparse.Namespace) -> int:
     graph = _read_graph_file(args.graph)
-    if hasattr(graph, "to_networkx"):
-        # the structural-parameter helpers below need the nx surface
-        graph = graph.to_networkx()
     bounds = arboricity_bounds(graph)
     print(f"n          = {graph.number_of_nodes()}")
     print(f"m          = {graph.number_of_edges()}")

@@ -38,7 +38,12 @@ import networkx as nx
 
 from repro.errors import ColoringError, InvalidParameterError
 from repro.graphs.orientation import Orientation
-from repro.graphs.properties import arboricity_bounds
+from repro.graphs.properties import (
+    arboricity_bounds,
+    iter_edges,
+    max_degree,
+    number_of_edges,
+)
 from repro.local import Context, Message, Node, NodeAlgorithm, RoundLedger, run_on_graph
 from repro.core.connectors import OrientationConnector, build_orientation_connector
 from repro.core.params import Section5Params, choose_section5_params
@@ -156,7 +161,7 @@ def merge_cross_edges(
     ``coloring`` (which must cover every non-cross edge of ``graph``),
     using colors below ``palette``. Returns the extended coloring."""
     cross: List[Edge] = []
-    for u, v in graph.edges():
+    for u, v in iter_edges(graph):
         e = edge_key(u, v)
         if side[u] != side[v]:
             if e in coloring:
@@ -284,8 +289,8 @@ def edge_color_bounded_arboricity(
     oracle = oracle or ColoringOracle()
     own = RoundLedger(label="thm-5.2")
     a = _resolve_arboricity(graph, arboricity)
-    delta = max((d for _, d in graph.degree()), default=0)
-    if graph.number_of_edges() == 0:
+    delta = max_degree(graph)
+    if number_of_edges(graph) == 0:
         return ArboricityColoringResult(
             coloring={}, colors_used=0, palette_bound=0, delta=delta,
             arboricity=a, dhat=0, ledger=own,
@@ -295,7 +300,7 @@ def edge_color_bounded_arboricity(
 
     # Intra-set edges are vertex-disjoint across sets: one shared palette.
     internal = [
-        edge_key(u, v) for u, v in graph.edges() if hp.index[u] == hp.index[v]
+        edge_key(u, v) for u, v in iter_edges(graph) if hp.index[u] == hp.index[v]
     ]
     coloring: EdgeColoring = {}
     internal_colors = 0
@@ -312,7 +317,7 @@ def edge_color_bounded_arboricity(
     for i in range(levels - 1, 0, -1):
         members = [v for v in graph.nodes() if hp.index[v] >= i]
         stage_graph = graph.subgraph(members)
-        if stage_graph.number_of_edges() == 0:
+        if number_of_edges(stage_graph) == 0:
             continue
         side = {
             v: "A" if hp.index[v] == i else "B" for v in stage_graph.nodes()
@@ -360,8 +365,8 @@ def edge_color_orientation_connector(
     oracle = oracle or ColoringOracle()
     own = RoundLedger(label="thm-5.3")
     a = _resolve_arboricity(graph, arboricity)
-    delta = max((d for _, d in graph.degree()), default=0)
-    if graph.number_of_edges() == 0:
+    delta = max_degree(graph)
+    if number_of_edges(graph) == 0:
         return ArboricityColoringResult(
             coloring={}, colors_used=0, palette_bound=0, delta=delta,
             arboricity=a, dhat=0, ledger=own,
@@ -454,8 +459,8 @@ def edge_color_recursive(
     oracle = oracle or ColoringOracle()
     own = RoundLedger(label="thm-5.4")
     a = _resolve_arboricity(graph, arboricity)
-    delta = max((d for _, d in graph.degree()), default=0)
-    if graph.number_of_edges() == 0:
+    delta = max_degree(graph)
+    if number_of_edges(graph) == 0:
         return ArboricityColoringResult(
             coloring={}, colors_used=0, palette_bound=0, delta=delta,
             arboricity=a, dhat=0, ledger=own, params=Section5Params(x=x, q=q),
@@ -471,9 +476,9 @@ def edge_color_recursive(
         levels: int,
         sub_ledger: RoundLedger,
     ) -> Dict[Edge, Tuple[int, ...]]:
-        if sub.number_of_edges() == 0:
+        if number_of_edges(sub) == 0:
             return {}
-        sub_delta = max(d for _, d in sub.degree())
+        sub_delta = max_degree(sub)
         if levels == 0 or sub_delta <= 3:
             result = edge_color_bounded_arboricity(
                 sub, arboricity=max(1, beta), q=q, oracle=oracle, ledger=sub_ledger
@@ -535,7 +540,7 @@ def edge_color_delta_plus_o_delta(
     for ``a = o(Delta)`` (falls back to Theorem 5.2 when the recursion depth
     formula selects x = 1)."""
     a = _resolve_arboricity(graph, arboricity)
-    delta = max((d for _, d in graph.degree()), default=0)
+    delta = max_degree(graph)
     params = choose_section5_params(max(delta, 1), a)
     if params.x == 1:
         result = edge_color_bounded_arboricity(

@@ -24,6 +24,7 @@ import networkx as nx
 from repro.errors import InvalidParameterError
 from repro.graphs.cliques import CliqueCover
 from repro.graphs.linegraph import line_graph_with_cover
+from repro.graphs.properties import max_degree, number_of_edges
 from repro.local import RoundLedger
 from repro.core.connectors import build_clique_connector
 from repro.core.params import (
@@ -157,7 +158,7 @@ def cd_coloring(
 
     bound = cd_palette_bound(diversity, clique_size, t, x)
     target = cd_target_colors(diversity, clique_size, x)
-    delta = max((d for _, d in graph.degree()), default=0)
+    delta = max_degree(graph)
     if trim and coloring and target >= delta + 1 and num_colors(coloring) > target:
         coloring = basic_color_reduction(graph, coloring, target, ledger=own_ledger)
 
@@ -219,8 +220,8 @@ def cd_edge_coloring(
     graph via CD-Coloring of its line graph (diversity 2, clique size
     ``max(Delta, 3)``). The line-graph simulation costs O(1) overhead in the
     LOCAL model."""
-    delta = max((d for _, d in graph.degree()), default=0)
-    if graph.number_of_edges() == 0:
+    delta = max_degree(graph)
+    if number_of_edges(graph) == 0:
         return CDEdgeColoringResult(
             coloring={},
             colors_used=0,

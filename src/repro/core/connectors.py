@@ -30,6 +30,7 @@ import networkx as nx
 from repro.errors import InvalidParameterError
 from repro.graphs.cliques import CliqueCover
 from repro.graphs.orientation import Orientation
+from repro.graphs.properties import iter_edges
 from repro.types import Edge, EdgeColoring, NodeId, edge_key
 
 
@@ -101,7 +102,7 @@ def build_edge_connector(graph: nx.Graph, t: int) -> EdgeConnector:
             group_of[(v, u)] = math.ceil(label / t)
     connector = nx.Graph()
     edge_map: Dict[Edge, Edge] = {}
-    for u, v in graph.edges():
+    for u, v in iter_edges(graph):
         cu = (u, group_of[(u, v)])
         cv = (v, group_of[(v, u)])
         connector.add_edge(cu, cv)
@@ -187,7 +188,7 @@ def build_orientation_connector(
     edge_map: Dict[Edge, Edge] = {}
     head_map: Dict[Edge, NodeId] = {}
     side: Dict[NodeId, str] = {}
-    for u, w in graph.edges():
+    for u, w in iter_edges(graph):
         e = edge_key(u, w)
         head = orientation.head[e]
         tail = u if head == w else w

@@ -22,6 +22,7 @@ import networkx as nx
 
 from repro.errors import InvalidParameterError
 from repro.graphs.linegraph import line_graph_with_cover
+from repro.graphs.properties import max_degree, number_of_edges
 from repro.local import RoundLedger
 from repro.core.connectors import build_edge_connector
 from repro.core.params import choose_t_star, star_palette_bound, star_target_colors
@@ -40,7 +41,7 @@ def reduce_edge_coloring(
     in ``m - target`` rounds, ``target >= 2*Delta - 1`` required. Implemented
     as the basic vertex reduction on the line graph (each color class is a
     matching, so simultaneous re-picks never conflict)."""
-    delta = max((d for _, d in graph.degree()), default=0)
+    delta = max_degree(graph)
     if delta >= 1 and target < 2 * delta - 1:
         raise InvalidParameterError(
             f"edge reduction needs target >= 2*Delta-1 = {2 * delta - 1}"
@@ -88,9 +89,9 @@ def _recurse(
     t_override: Optional[int],
 ) -> Dict[Edge, Tuple[int, ...]]:
     """Returns hierarchical color tuples per (canonical) edge."""
-    if graph.number_of_edges() == 0:
+    if number_of_edges(graph) == 0:
         return {}
-    delta = max(d for _, d in graph.degree())
+    delta = max_degree(graph)
     if x == 0 or delta <= 3:
         direct = oracle.edge_coloring(graph, ledger=ledger, label="direct-edge-coloring")
         return {e: (c,) for e, c in direct.items()}
@@ -142,7 +143,7 @@ def star_partition_edge_coloring(
         raise InvalidParameterError("recursion depth x must be >= 1")
     oracle = oracle or ColoringOracle()
     own = RoundLedger(label="star-partition")
-    delta = max((d for _, d in graph.degree()), default=0)
+    delta = max_degree(graph)
 
     tuples = _recurse(graph, x, oracle, own, t)
     palette = sorted(set(tuples.values()))
@@ -178,7 +179,7 @@ def four_delta_edge_coloring(
 ) -> StarPartitionResult:
     """The headline Section 4 result: ``4*Delta`` colors in
     ``O~(Delta^(1/4) + log* n)`` time (x = 1, ``t = floor(sqrt(Delta))``)."""
-    delta = max((d for _, d in graph.degree()), default=0)
+    delta = max_degree(graph)
     t = max(2, int(math.isqrt(delta))) if delta >= 4 else None
     return star_partition_edge_coloring(graph, x=1, t=t, oracle=oracle, ledger=ledger)
 

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 import networkx as nx
 
 from repro.errors import ColoringError, InvalidParameterError
+from repro.graphs.properties import max_degree
 from repro.local import RoundLedger
 from repro.substrates.hpartition import HPartition, h_partition
 from repro.substrates.oracle import ColoringOracle
@@ -64,7 +65,7 @@ def vertex_color_bounded_arboricity(
     """A proper (Delta+1)-vertex-coloring via H-partition level sweeps."""
     oracle = oracle or ColoringOracle()
     own = RoundLedger(label="vertex-arboricity")
-    delta = max((d for _, d in graph.degree()), default=0)
+    delta = max_degree(graph)
     if graph.number_of_nodes() == 0:
         return VertexArboricityResult(
             coloring={}, colors_used=0, delta=0, arboricity=arboricity or 0,

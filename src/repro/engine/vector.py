@@ -55,7 +55,6 @@ import warnings
 from typing import Any, Dict, List, Optional
 
 import networkx as nx
-import numpy as np
 
 from repro import obs
 from repro.engine.base import Engine, EngineFallbackWarning, note_engine_run
@@ -72,50 +71,6 @@ from repro.types import NodeId
 _AWAKE = 0
 _SLEEPING = 1
 _HALTED = 2
-
-
-class _Interned:
-    """An nx graph's ids interned to ``0..n-1`` in ``graph.nodes()`` order.
-
-    Rows are read through ``graph.neighbors`` only: ``graph.degree`` and
-    ``graph.edges`` cache a view that points back at the graph, and a
-    transient subgraph caught in that cycle waits for the cyclic
-    collector. ``neighbors``/``bounds`` keep the original neighbor ids for
-    the per-node path; ``indptr``/``indices`` are the dense CSR a program
-    runs over, built only when one reads them.
-    """
-
-    __slots__ = ("ids", "index", "neighbors", "bounds", "n", "m", "max_degree", "directed")
-
-    def __init__(self, graph: nx.Graph):
-        if nx.number_of_selfloops(graph):
-            raise SimulationError("self-loops are not allowed in LOCAL networks")
-        # programs assume symmetric rows; a digraph's rows are successors
-        self.directed = graph.is_directed()
-        self.ids = ids = list(graph.nodes())
-        self.n = len(ids)
-        self.index = {v: i for i, v in enumerate(ids)}
-        self.neighbors = flat = []
-        self.bounds = bounds = [0]
-        for v in ids:
-            flat.extend(graph.neighbors(v))
-            bounds.append(len(flat))
-        self.m = len(flat) // 2
-        self.max_degree = max(
-            (bounds[i + 1] - bounds[i] for i in range(self.n)), default=0
-        )
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return np.array(self.bounds, dtype=np.int64)
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.fromiter(
-            map(self.index.__getitem__, self.neighbors),
-            dtype=np.int64,
-            count=len(self.neighbors),
-        )
 
 
 class VectorEngine(Engine):
@@ -137,6 +92,7 @@ class VectorEngine(Engine):
         (the compact-parity suite is the gate) — or None when there is no
         program or it declines, disclosed through ``kernel.fallback``."""
         from repro import kernels
+        from repro.graphcore import Interned
 
         algo_name = getattr(algorithm, "name", None)
         kernel = kernels.get_kernel(algo_name)
@@ -144,7 +100,7 @@ class VectorEngine(Engine):
             return None
         try:
             with obs.span(f"kernel.{algo_name}", n=graph.n):
-                if isinstance(graph, _Interned):
+                if isinstance(graph, Interned):
                     if graph.directed:
                         raise kernels.KernelUnsupported("directed graph")
                     # dense ids in, original ids out, both in graph order
@@ -201,12 +157,12 @@ class VectorEngine(Engine):
                 crashes=crashes,
                 tracer=tracer,
             )
-        from repro.graphcore import CompactGraph
+        from repro.graphcore import CompactGraph, Interned
 
         note_engine_run(self.name)
         if max_rounds is None:
             max_rounds = DEFAULT_MAX_ROUNDS
-        csr = graph if isinstance(graph, CompactGraph) else _Interned(graph)
+        csr = graph if isinstance(graph, CompactGraph) else Interned(graph)
 
         if not crashes and not track_bandwidth:
             # Crashing/bandwidth-tracked runs observe per-node, per-round

@@ -10,6 +10,10 @@ The subsystem the million-node tier stands on:
   in O(1)) plus edge-list and METIS ingestion.
 * :mod:`~repro.graphcore.builders` — workload families synthesized
   straight into CSR, never materializing a networkx graph.
+* :class:`~repro.graphcore.interned.Interned` — a networkx graph's ids
+  interned once into the same CSR arrays, the one view through which
+  the vector engine's programs and the core peel of
+  :mod:`repro.graphs.properties` read nx inputs.
 
 ``VectorEngine`` consumes ``CompactGraph`` natively (no conversion);
 ``ReferenceEngine`` converts transparently so parity holds bit for bit.
@@ -18,6 +22,7 @@ and ``repro graph build/info/convert`` is the CLI surface.
 """
 
 from repro.graphcore.compact import CompactGraph, from_edge_array
+from repro.graphcore.interned import Interned
 from repro.graphcore.builders import (
     build_forest_stack,
     build_grid,
@@ -37,6 +42,7 @@ from repro.graphcore.formats import (
 __all__ = [
     "CompactGraph",
     "from_edge_array",
+    "Interned",
     "build_forest_stack",
     "build_grid",
     "build_power_law",

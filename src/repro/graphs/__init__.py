@@ -37,7 +37,9 @@ from repro.graphs.properties import (
     degeneracy,
     degeneracy_ordering,
     forest_decomposition,
+    iter_edges,
     max_degree,
+    number_of_edges,
 )
 
 __all__ = [
@@ -71,5 +73,7 @@ __all__ = [
     "degeneracy",
     "degeneracy_ordering",
     "forest_decomposition",
+    "iter_edges",
     "max_degree",
+    "number_of_edges",
 ]

@@ -17,6 +17,7 @@ from typing import Dict, Tuple
 import networkx as nx
 
 from repro.graphs.cliques import CliqueCover
+from repro.graphs.properties import iter_edges
 from repro.types import Edge, EdgeColoring, VertexColoring, edge_key
 
 
@@ -29,7 +30,7 @@ def line_graph_with_cover(graph: nx.Graph) -> Tuple[nx.Graph, CliqueCover]:
     ``cover.max_clique_size() == Delta(G)`` (for ``Delta >= 1``).
     """
     line = nx.Graph()
-    line.add_nodes_from(edge_key(u, v) for u, v in graph.edges())
+    line.add_nodes_from(edge_key(u, v) for u, v in iter_edges(graph))
     cliques = []
     for v in graph.nodes():
         incident = [edge_key(v, u) for u in graph.neighbors(v)]

@@ -15,6 +15,7 @@ from typing import Dict, Iterable, List, Set, Tuple
 import networkx as nx
 
 from repro.errors import InvalidParameterError
+from repro.graphs.properties import iter_edges
 from repro.types import Edge, NodeId, edge_key
 
 
@@ -34,7 +35,7 @@ class Orientation:
     def orient_by(graph: nx.Graph, chooser) -> "Orientation":
         """Orient every edge toward ``chooser(u, v)``."""
         head = {}
-        for u, v in graph.edges():
+        for u, v in iter_edges(graph):
             e = edge_key(u, v)
             head[e] = chooser(*e)
         return Orientation(graph=graph, head=head)
@@ -82,7 +83,7 @@ class Orientation:
     def restrict(self, subgraph: nx.Graph) -> "Orientation":
         """The induced orientation on a subgraph of the same vertex set."""
         head = {}
-        for u, v in subgraph.edges():
+        for u, v in iter_edges(subgraph):
             e = edge_key(u, v)
             if e not in self.head:
                 raise InvalidParameterError(f"edge {e!r} not oriented in parent")

@@ -2,79 +2,149 @@
 
 Exact arboricity is a matroid-union computation; for the sizes this library
 targets we provide the standard sandwich
-``ceil(m / (n - 1)) <= a(G) <= degeneracy(G)`` (the upper bound because a
-k-degenerate graph decomposes into k forests via the elimination order, and
-degeneracy <= 2a - 1 always), plus an exact Nash-Williams density evaluation
-over a useful family of candidate subgraphs for small graphs.
+``max_H ceil(m_H / (n_H - 1)) <= a(G) <= degeneracy(G)`` (the upper bound
+because a k-degenerate graph decomposes into k forests via the elimination
+order, and degeneracy <= 2a - 1 always), with the Nash-Williams density
+evaluated on the whole graph and on every k-core.
+
+Both sides come from one CSR view and one core peel
+(:func:`~repro.kernels.cores.core_numbers_csr`, Batagelj & Zaversnik):
+the degeneracy is the maximum core number (Matula & Beck), and every
+k-core's node and edge counts are reverse cumulative sums over the core
+numbers. A :class:`~repro.graphcore.CompactGraph` is read as it is; a
+networkx graph is interned once by :class:`~repro.graphcore.Interned`.
+
+:func:`max_degree`, :func:`number_of_edges` and :func:`iter_edges` read a
+networkx graph's adjacency dicts only. ``graph.degree()`` and
+``graph.edges()`` (and ``number_of_edges()``, which sums the degree view)
+cache a view that points back at the graph, so a transient subgraph or
+line graph read that way outlives its last reference until the cyclic
+collector runs; read through these helpers it is freed by refcount.
 """
 
 from __future__ import annotations
 
-import math
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.types import NodeId
 
+#: ``nx.core_number``'s refusal, raised verbatim for the same inputs.
+_SELF_LOOPS = (
+    "Input graph has self loops which is not permitted; "
+    "Consider using G.remove_edges_from(nx.selfloop_edges(G))."
+)
 
-def max_degree(graph: nx.Graph) -> int:
-    """Delta(G); 0 for the empty graph."""
-    return max((d for _, d in graph.degree()), default=0)
+
+def max_degree(graph: Any) -> int:
+    """Delta(G); 0 for the empty graph. A digraph's degree is in + out."""
+    if not isinstance(graph, nx.Graph):
+        return graph.max_degree
+    # ``_adj``/``_succ``/``_pred`` are the dicts (or filtered views) the
+    # nx views themselves read; ``graph.adj`` would wrap every row in an
+    # AtlasView, several times slower than the DegreeView it replaces
+    if graph.is_directed():
+        pred = graph._pred
+        return max((len(row) + len(pred[v]) for v, row in graph._succ.items()), default=0)
+    # a self-loop counts twice, as in ``graph.degree()``
+    return max((len(row) + (v in row) for v, row in graph._adj.items()), default=0)
+
+
+def number_of_edges(graph: Any) -> int:
+    """``graph.number_of_edges()`` without caching a degree view."""
+    if not isinstance(graph, nx.Graph):
+        return graph.number_of_edges()
+    if graph.is_directed():
+        return sum(map(len, graph._succ.values()))
+    return sum(len(row) + (v in row) for v, row in graph._adj.items()) // 2
+
+
+def iter_edges(graph: Any) -> Iterator[Tuple[NodeId, NodeId]]:
+    """``graph.edges()`` in its exact order, without caching an edge view."""
+    if not isinstance(graph, nx.Graph):
+        yield from graph.edges()
+        return
+    if graph.is_directed():
+        for u, row in graph._succ.items():
+            for v in row:
+                yield u, v
+        return
+    seen = set()
+    for u, row in graph._adj.items():
+        for v in row:
+            if v not in seen:
+                yield u, v
+        seen.add(u)
 
 
 def degeneracy_ordering(graph: nx.Graph) -> Tuple[List[NodeId], int]:
     """Smallest-last vertex ordering and the graph's degeneracy.
 
     Returns ``(order, k)`` where each vertex has at most ``k`` neighbors
-    later in ``order``.
+    later in ``order``. Each step removes the vertex of smallest current
+    degree, ties broken by smallest ``repr``. Vertices are ranked by
+    ``repr`` once and the heap gets ``degree * n + rank`` at every degree
+    change; a vertex's newest entry is its smallest, so it pops first and
+    the older ones pop after the vertex is removed.
     """
-    remaining = {v: set(graph.neighbors(v)) for v in graph.nodes()}
+    ranked = sorted(graph.nodes(), key=repr)
+    n = len(ranked)
+    rank = {v: r for r, v in enumerate(ranked)}
+    remaining = [{rank[u] for u in graph.neighbors(v)} for v in ranked]
+    degree_of = [len(nbrs) for nbrs in remaining]
+    heap = [d * n + r for r, d in enumerate(degree_of)]
+    heapq.heapify(heap)
+    removed = [False] * n
     order: List[NodeId] = []
     degeneracy = 0
-    # bucket queue over current degrees
-    buckets: Dict[int, set] = {}
-    degree_of: Dict[NodeId, int] = {}
-    for v, nbrs in remaining.items():
-        d = len(nbrs)
-        degree_of[v] = d
-        buckets.setdefault(d, set()).add(v)
-    removed = set()
-    for _ in range(len(remaining)):
-        d = 0
-        while not buckets.get(d):
-            d += 1
-        v = min(buckets[d], key=repr)
-        buckets[d].discard(v)
+    while heap:
+        d, r = divmod(heapq.heappop(heap), n)
+        if removed[r]:
+            continue
         degeneracy = max(degeneracy, d)
-        order.append(v)
-        removed.add(v)
-        for u in remaining[v]:
-            if u in removed:
-                continue
-            du = degree_of[u]
-            buckets[du].discard(u)
-            degree_of[u] = du - 1
-            buckets.setdefault(du - 1, set()).add(u)
+        order.append(ranked[r])
+        removed[r] = True
+        for u in remaining[r]:
+            if not removed[u]:
+                degree_of[u] -= 1
+                heapq.heappush(heap, degree_of[u] * n + u)
     return order, degeneracy
 
 
-def degeneracy(graph: nx.Graph) -> int:
-    return degeneracy_ordering(graph)[1]
+def _require_undirected(graph: Any) -> None:
+    if isinstance(graph, nx.Graph) and graph.is_directed():
+        raise InvalidParameterError(
+            "degeneracy and arboricity bounds need an undirected graph"
+        )
 
 
-def _core_numbers(graph: nx.Graph) -> Dict[NodeId, int]:
-    """Per-node core numbers. ``nx.core_number`` needs a networkx graph;
-    CSR inputs use the vectorized peel (core numbers are a graph invariant,
-    so the two agree exactly)."""
-    if hasattr(graph, "indptr") and hasattr(graph, "indices"):
-        from repro.kernels.cores import core_numbers_csr
+def _peel(graph: Any) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, core numbers)`` of an undirected simple graph:
+    a ``CompactGraph``'s own arrays, or a networkx graph interned. Inputs
+    ``nx.core_number`` refuses are refused with its own error."""
+    from repro.graphcore import CompactGraph, Interned
+    from repro.kernels.cores import core_numbers_csr
 
-        cores = core_numbers_csr(graph.indptr, graph.indices)
-        return {v: int(c) for v, c in enumerate(cores)}
-    return nx.core_number(graph)
+    if not isinstance(graph, CompactGraph):
+        _require_undirected(graph)
+        if graph.is_multigraph():
+            raise nx.NetworkXNotImplemented("not implemented for multigraph type")
+        if nx.number_of_selfloops(graph):
+            raise nx.NetworkXNotImplemented(_SELF_LOOPS)
+        graph = Interned(graph)
+    indptr, indices = graph.indptr, graph.indices
+    return indptr, indices, core_numbers_csr(indptr, indices)
+
+
+def degeneracy(graph: Any) -> int:
+    """The maximum core number; 0 for the empty graph."""
+    core = _peel(graph)[2]
+    return int(core.max()) if core.size else 0
 
 
 @dataclass(frozen=True)
@@ -89,30 +159,38 @@ class ArboricityBounds:
             )
 
 
-def arboricity_bounds(graph: nx.Graph) -> ArboricityBounds:
+def arboricity_bounds(graph: Any) -> ArboricityBounds:
     """The Nash-Williams density lower bound and the degeneracy upper bound.
 
     ``a(G) = max_H ceil(m_H / (n_H - 1))``; evaluating the density on the
-    whole graph and on every core (k-core for k up to the degeneracy) gives a
-    practical lower bound, while the degeneracy elimination order explicitly
+    whole graph and on every k-core (k from 2 up to the degeneracy) gives
+    a practical lower bound, while the degeneracy elimination order
     decomposes the edges into ``degeneracy`` forests, an upper bound.
+    One core peel yields all of it: ``n_k`` counts the nodes with core
+    number ``>= k`` and ``m_k`` the edges whose endpoints both have it.
     """
+    _require_undirected(graph)
     n = graph.number_of_nodes()
-    m = graph.number_of_edges()
-    if n <= 1 or m == 0:
-        return ArboricityBounds(lower=0 if m == 0 else 1, upper=0 if m == 0 else 1)
-    lower = math.ceil(m / (n - 1))
-    upper = max(1, degeneracy(graph))
-    core_numbers = _core_numbers(graph)
-    for k in range(2, upper + 1):
-        core_nodes = [v for v, c in core_numbers.items() if c >= k]
-        if len(core_nodes) > 1:
-            sub = graph.subgraph(core_nodes)
-            ms, ns = sub.number_of_edges(), sub.number_of_nodes()
-            if ns > 1 and ms > 0:
-                lower = max(lower, math.ceil(ms / (ns - 1)))
-    lower = min(lower, upper)
-    return ArboricityBounds(lower=lower, upper=upper)
+    if n <= 1:
+        # one node carries no edge but a self-loop
+        m = min(number_of_edges(graph), 1)
+        return ArboricityBounds(lower=m, upper=m)
+    indptr, indices, core = _peel(graph)
+    m = indices.size // 2
+    if m == 0:
+        return ArboricityBounds(lower=0, upper=0)
+    upper = max(1, int(core.max()))
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    once = src < indices
+    edge_core = np.minimum(core[src[once]], core[indices[once]])
+    n_k = np.bincount(core, minlength=upper + 1)[::-1].cumsum()[::-1]
+    m_k = np.bincount(edge_core, minlength=upper + 1)[::-1].cumsum()[::-1]
+    n_k, m_k = n_k[2 : upper + 1], m_k[2 : upper + 1]
+    dense = (n_k > 1) & (m_k > 0)
+    lower = -(-m // (n - 1))
+    if dense.any():
+        lower = max(lower, int((-(-m_k[dense] // (n_k[dense] - 1))).max()))
+    return ArboricityBounds(lower=min(lower, upper), upper=upper)
 
 
 def forest_decomposition(graph: nx.Graph) -> List[nx.Graph]:

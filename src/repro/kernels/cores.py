@@ -4,9 +4,10 @@ Core numbers (and hence the degeneracy, their maximum) are graph
 invariants: any correct peeling produces the same values as networkx's
 sequential min-degree algorithm, so :func:`core_numbers_csr` is free to
 peel whole min-degree *layers* per pass instead of one vertex at a time.
-The ``arboricity_bounds`` compact branch leans on this to evaluate the
-Nash-Williams core densities without ever materializing a networkx
-graph.
+:mod:`repro.graphs.properties` runs this one peel for every input — a
+``CompactGraph`` as it is, a networkx graph interned — to get the
+degeneracy and every k-core's Nash-Williams density for
+``arboricity_bounds``.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional
 import networkx as nx
 
 from repro.errors import ColoringError, InvalidParameterError
+from repro.graphs.properties import max_degree
 from repro.local import Context, Message, Node, NodeAlgorithm, RoundLedger, run_on_graph
 from repro.substrates.linial import _encode, _poly_eval
 from repro.substrates.primes import next_prime
@@ -113,7 +114,7 @@ def defective_coloring(
     d = 1
     while q ** (d + 1) < m:
         d += 1
-    delta = max((deg for _, deg in graph.degree()), default=0)
+    delta = max_degree(graph)
     result = run_on_graph(
         graph,
         DefectiveRefinementAlgorithm(),

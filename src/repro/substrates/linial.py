@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import networkx as nx
 
 from repro.errors import ColoringError, InvalidParameterError
+from repro.graphs.properties import max_degree
 from repro.local import Context, Message, Node, NodeAlgorithm, RoundLedger, run_on_graph
 from repro.local.costmodel import linial_rounds
 from repro.substrates.primes import next_prime
@@ -193,7 +194,7 @@ def linial_coloring(
         extras={"initial_coloring": initial, "m0": m0},
     )
     if ledger is not None:
-        delta = max((d for _, d in graph.degree()), default=0)
+        delta = max_degree(graph)
         ledger.add(
             "linial",
             actual=result.rounds,

@@ -26,6 +26,7 @@ from typing import Dict, Optional
 import networkx as nx
 
 from repro.errors import ColoringError, InvalidParameterError
+from repro.graphs.properties import iter_edges, max_degree, number_of_edges
 from repro.local import RoundLedger
 from repro.local.costmodel import fhk_edge_rounds, fhk_vertex_rounds
 from repro.graphs.linegraph import line_graph_with_cover
@@ -35,7 +36,7 @@ from repro.types import Edge, EdgeColoring, NodeId, VertexColoring, edge_key
 
 
 def _check_proper(graph: nx.Graph, coloring: VertexColoring, what: str) -> None:
-    for u, v in graph.edges():
+    for u, v in iter_edges(graph):
         if coloring[u] == coloring[v]:
             raise ColoringError(f"{what}: edge ({u!r},{v!r}) is monochromatic")
 
@@ -73,7 +74,7 @@ class ColoringOracle:
         n = graph.number_of_nodes()
         if n == 0:
             return {}
-        delta = max((d for _, d in graph.degree()), default=0)
+        delta = max_degree(graph)
         target = delta + 1 if palette_size is None else palette_size
         if target < delta + 1:
             raise InvalidParameterError(
@@ -113,16 +114,16 @@ class ColoringOracle:
         graph — which a LOCAL network simulates at O(1) overhead.
         """
         self.invocations += 1
-        if graph.number_of_edges() == 0:
+        if number_of_edges(graph) == 0:
             return {}
-        delta = max(d for _, d in graph.degree())
+        delta = max_degree(graph)
         target = 2 * delta - 1 if palette_size is None else palette_size
         if target < 2 * delta - 1:
             raise InvalidParameterError(
                 f"edge oracle needs at least 2*Delta-1 = {2 * delta - 1} colors"
             )
         line, _ = line_graph_with_cover(graph)
-        line_delta = max((d for _, d in line.degree()), default=0)
+        line_delta = max_degree(line)
         initial_vertex: Optional[VertexColoring] = None
         if initial is not None:
             initial_vertex = {edge_key(u, v): c for (u, v), c in initial.items()}

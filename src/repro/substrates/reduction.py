@@ -21,6 +21,7 @@ from typing import Dict, List, Optional
 import networkx as nx
 
 from repro.errors import ColoringError, InvalidParameterError
+from repro.graphs.properties import max_degree
 from repro.local import Context, Message, Node, NodeAlgorithm, RoundLedger, run_on_graph
 from repro.local.costmodel import kuhn_wattenhofer_rounds
 from repro.types import NodeId, VertexColoring
@@ -117,7 +118,7 @@ class BlockedReductionAlgorithm(NodeAlgorithm):
 
 
 def _validate_inputs(graph: nx.Graph, coloring: VertexColoring, target: int) -> int:
-    delta = max((d for _, d in graph.degree()), default=0)
+    delta = max_degree(graph)
     if target < delta + 1:
         raise InvalidParameterError(
             f"cannot reduce below Delta+1 = {delta + 1} colors (asked for {target})"
@@ -157,7 +158,7 @@ def kuhn_wattenhofer_reduction(
 ) -> VertexColoring:
     """Reduce a proper m-coloring to ``target`` (default Delta+1) colors in
     ``O(Delta * log(m/Delta)) + (target overshoot)`` rounds."""
-    delta = max((d for _, d in graph.degree()), default=0)
+    delta = max_degree(graph)
     if target is None:
         target = delta + 1
     _validate_inputs(graph, coloring, target)

@@ -27,6 +27,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 import networkx as nx
 
 from repro.errors import ColoringError, InvalidParameterError
+from repro.graphs.properties import max_degree, number_of_edges
 from repro.verify.checkers import (
     verify_edge_coloring,
     verify_h_partition,
@@ -64,12 +65,12 @@ class OracleContext:
 
     @property
     def m(self) -> int:
-        return self.graph.number_of_edges()
+        return number_of_edges(self.graph)
 
     @property
     def delta(self) -> int:
         if self._delta is None:
-            self._delta = max((d for _, d in self.graph.degree()), default=0)
+            self._delta = max_degree(self.graph)
         return self._delta
 
     @property

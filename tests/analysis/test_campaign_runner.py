@@ -151,6 +151,25 @@ class TestStreamingExecutor:
         for s in range(6)
     ]
 
+    def test_returned_rows_share_their_strings(self, tmp_path):
+        # rows served from the store are decoded one by one; the runner
+        # interns their strings, so the rows it returns keep one copy of
+        # each field name, metric name and repeated value
+        from repro.store import ExperimentStore, RunCache
+
+        cells = [
+            CampaignCell("greedy", "random-regular", {"n": 16, "d": 4}, seed=s)
+            for s in (0, 1)
+        ]
+        with ExperimentStore(tmp_path / "runs.db") as store:
+            CampaignRunner(cells, cache=RunCache(store)).run()
+            again = CampaignRunner(cells, cache=RunCache(store)).run()
+        assert [r["cached"] for r in again] == [True, True]
+        first, second = (r["metrics"]["timers"] for r in again)
+        names = {k: k for k in second}
+        assert first and all(k is names[k] for k in first)
+        assert again[0]["workload"] is again[1]["workload"]
+
     def test_uncached_unseeded_sweep_matches_cached(self, tmp_path):
         """The same grid returns the same identity fields with and
         without a store: unseeded seeds normalize to 0 and identical

@@ -64,6 +64,7 @@ def test_check_list_prints_catalogue(capsys):
         "pure-kernel-networkx",
         "pure-kernel-node-loop",
         "pure-csr-mutation",
+        "pure-glue-cached-view",
         "exc-blind-except",
         "schema-freeze",
         "fork-global-write",

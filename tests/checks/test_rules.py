@@ -374,6 +374,49 @@ def test_pure_csr_mutation_fires_on_writes_allows_reads(make_project):
     assert all(path == "src/repro/kernels/bad.py" for path, _ in hits)
 
 
+def test_pure_glue_cached_view_fires_in_glue_only(make_project):
+    root = make_project(
+        {
+            "substrates/bad.py": """\
+            def delta(graph, line):
+                d = max(d for _, d in graph.degree())
+                pairs = [e for e in line.edges()]
+                return d, pairs, graph.number_of_edges(), graph.degree(0)
+            """,
+            "graphs/linegraph.py": """\
+            def build(graph):
+                return list(graph.edges(data=True))
+            """,
+            "verify/oracles.py": "def m(graph):\n    return graph.number_of_edges()\n",
+            "graphs/orientation.py": "def f(g):\n    return list(g.edges())\n",
+            "core/good.py": """\
+            from repro.graphs.properties import iter_edges, max_degree, number_of_edges
+
+
+            def delta(graph, hypergraph, node):
+                edges = hypergraph.edges
+                return (
+                    max_degree(graph), list(iter_edges(graph)),
+                    number_of_edges(graph), graph.number_of_edges(0, 1),
+                    node.degree, edges,
+                )
+            """,
+            # outside the glue the nx views are legal
+            "graphs/generators.py": "def f(g):\n    return list(g.edges())\n",
+            "verify/checkers.py": "def f(g):\n    return g.degree()\n",
+        }
+    )
+    assert sorted(_hits(run_checks(root), "pure-glue-cached-view")) == [
+        ("src/repro/graphs/linegraph.py", 2),
+        ("src/repro/graphs/orientation.py", 2),
+        ("src/repro/substrates/bad.py", 2),
+        ("src/repro/substrates/bad.py", 3),
+        ("src/repro/substrates/bad.py", 4),
+        ("src/repro/substrates/bad.py", 4),
+        ("src/repro/verify/oracles.py", 2),
+    ]
+
+
 # -- exception hygiene ----------------------------------------------------
 
 

@@ -98,3 +98,36 @@ class TestEdgeOracle:
         coloring = ColoringOracle().edge_coloring(g)
         assert set(coloring) == {(0, 1), (1, 2)}
         assert coloring[(0, 1)] != coloring[(1, 2)]
+
+
+class TestTransientGraphsFreedByRefcount:
+    @pytest.mark.parametrize("engine", ["reference", "vector"])
+    def test_line_graph_dies_with_the_call(self, monkeypatch, engine):
+        # Reading a graph through degree()/edges() caches a view that
+        # points back at it; the line graph must be freed by refcount
+        # alone, without waiting for the cyclic collector.
+        import gc
+        import weakref
+
+        from repro.engine import use_engine
+        from repro.substrates import oracle as oracle_module
+
+        lines = []
+        build = oracle_module.line_graph_with_cover
+
+        def recording(graph):
+            line, cover = build(graph)
+            lines.append(weakref.ref(line))
+            return line, cover
+
+        monkeypatch.setattr(oracle_module, "line_graph_with_cover", recording)
+        g = random_regular(24, 4, seed=3)
+        gc.collect()
+        gc.disable()
+        try:
+            with use_engine(engine):
+                coloring = ColoringOracle().edge_coloring(g)
+            assert len(lines) == 1 and lines[0]() is None
+        finally:
+            gc.enable()
+        verify_edge_coloring(g, coloring)

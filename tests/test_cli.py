@@ -24,6 +24,26 @@ class TestInfo:
         assert "Delta      = 4" in out
         assert "arboricity" in out
 
+    @pytest.mark.parametrize(
+        "graph",
+        [random_regular(16, 4, seed=1), nx.gnp_random_graph(30, 0.3, seed=4)],
+        ids=["regular", "gnp"],
+    )
+    def test_csrg_matches_edge_list_twin(self, tmp_path, capsys, graph):
+        # a .csrg is read as the CompactGraph it is, never converted to nx
+        from repro import graphcore
+
+        edges = tmp_path / "g.edges"
+        repro_io.write_edge_list(graph, edges)
+        compact = tmp_path / "g.csrg"
+        graphcore.save(
+            graphcore.CompactGraph.from_networkx(repro_io.read_edge_list(edges)), compact
+        )
+        assert main(["info", "--graph", str(edges)]) == 0
+        from_edges = capsys.readouterr().out
+        assert main(["info", "--graph", str(compact)]) == 0
+        assert capsys.readouterr().out == from_edges
+
 
 class TestColor:
     @pytest.mark.parametrize("algorithm", ["star4", "vizing", "greedy", "forest"])

@@ -120,3 +120,33 @@ class TestLineGraphConsistency:
         verify_vertex_coloring(line, result.coloring)
         # the same map read as an edge coloring of the base graph is proper
         verify_edge_coloring(base, dict(result.coloring))
+
+
+class TestTransientGraphsFreedByRefcount:
+    @pytest.mark.parametrize(
+        "algorithm",
+        ["star4", "thm52", "thm53", "thm54", "cor55", "cd", "vertex-arboricity",
+         "h-partition", "oracle-edge", "weak", "weak-vertex"],
+    )
+    def test_pipeline_leaves_no_graph_in_a_cycle(self, algorithm):
+        # every subgraph, line graph and class graph a pipeline builds is
+        # read without cached nx views, so refcounting alone frees it
+        import gc
+
+        from repro import registry
+        from repro.engine import use_engine
+
+        graph = random_regular(40, 6, seed=2)
+
+        def graphs_alive():
+            return {id(o) for o in gc.get_objects() if isinstance(o, nx.Graph)}
+
+        gc.collect()
+        before = graphs_alive()
+        gc.disable()
+        try:
+            with use_engine("vector"):
+                registry.run(algorithm, graph)
+            assert graphs_alive() - before == set()
+        finally:
+            gc.enable()

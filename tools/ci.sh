@@ -29,24 +29,32 @@ echo "== store smoke: run, kill, resume, compare =="
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 
-echo "== check smoke: planted violation is caught with file:line =="
-# Copy the scannable tree, plant one nondeterminism bug, and require the
-# checker to fail naming exactly that file and line. Proves the CI step
-# above is load-bearing, not vacuously green.
+echo "== check smoke: planted violations are caught with file:line =="
+# Copy the scannable tree, plant one nondeterminism bug and one cached-view
+# read in the pipeline glue, and require the checker to fail naming exactly
+# those files and lines. Proves the CI step above is load-bearing, not
+# vacuously green.
 mkdir -p "$SMOKE_DIR/planted/src" "$SMOKE_DIR/planted/tests/engine"
 cp -r src/repro "$SMOKE_DIR/planted/src/repro"
 cp tests/engine/test_compact_parity.py "$SMOKE_DIR/planted/tests/engine/"
 PLANT_FILE="$SMOKE_DIR/planted/src/repro/substrates/linial.py"
 printf '\n\ndef _planted_nondeterminism():\n    import random\n    return random.random()\n' >> "$PLANT_FILE"
 PLANT_LINE=$(grep -c '' "$PLANT_FILE")  # the random.random() call is the last line
+VIEW_FILE="$SMOKE_DIR/planted/src/repro/substrates/reduction.py"
+printf '\n\ndef _planted_cached_view(graph):\n    return max(d for _, d in graph.degree())\n' >> "$VIEW_FILE"
+VIEW_LINE=$(grep -c '' "$VIEW_FILE")  # the graph.degree() call is the last line
 if python -m repro check --root "$SMOKE_DIR/planted" > "$SMOKE_DIR/planted.out"; then
-  echo "FAIL: repro check exited 0 on a tree with a planted unseeded RNG call"; exit 1
+  echo "FAIL: repro check exited 0 on a tree with planted violations"; exit 1
 fi
-if ! grep -q "substrates/linial.py:$PLANT_LINE: det-unseeded-rng" "$SMOKE_DIR/planted.out"; then
-  echo "FAIL: planted violation not reported at the expected file:line; got:"
-  cat "$SMOKE_DIR/planted.out"; exit 1
-fi
-echo "check smoke: planted violation caught at substrates/linial.py:$PLANT_LINE"
+for WANT in "substrates/linial.py:$PLANT_LINE: det-unseeded-rng" \
+            "substrates/reduction.py:$VIEW_LINE: pure-glue-cached-view"; do
+  if ! grep -q "$WANT" "$SMOKE_DIR/planted.out"; then
+    echo "FAIL: planted violation not reported as $WANT; got:"
+    cat "$SMOKE_DIR/planted.out"; exit 1
+  fi
+done
+echo "check smoke: planted violations caught at substrates/linial.py:$PLANT_LINE" \
+     "and substrates/reduction.py:$VIEW_LINE"
 SMOKE_GRID=(--algorithms star4,star,thm52,forest,greedy
             --workloads random-regular,star-forest-stack
             --seeds 0,1,2 --jobs 2)
