@@ -90,23 +90,38 @@ class CampaignCell:
         return f"{self.algorithm}|{self.workload}({wp})|seed={self.seed}|{ap}"
 
 
-def _shared_strings(value: Any) -> Any:
-    """``value`` with the strings of its dicts and lists interned.
+#: Value types a dict may hold and still be shared between rows.
+_FLAT = frozenset({str, int, float, bool, type(None)})
+
+
+def _shared_values(value: Any, memo: Dict[str, Any]) -> Any:
+    """``value`` with its strings interned and its flat dicts and floats
+    shared.
 
     Every row arrives as fresh objects (unpickled from a worker or decoded
     from the store), yet its field names, metric names, labels and most
-    values repeat from row to row. A runner returns all of its rows, so
-    interned they share one copy of each string: a 714-cell grid pass
-    keeps ~3 MB instead of ~6 MB."""
+    values repeat from row to row, and so do whole flat dicts: workload
+    and algorithm params, ``extra`` and the metrics counters. A runner
+    returns all of its rows, so interned they share one copy of each
+    string, and ``memo`` — one per :meth:`CampaignRunner.run` — hands
+    every content-equal flat dict and every equal float the first one's
+    object. ``repr`` is the key: it keeps key order and tells ``1`` from
+    ``1.0`` from ``True``. A timer's total and maximum, decoded from the
+    store as two floats, become one. Nothing mutates a returned row."""
     if isinstance(value, dict):
-        return {
-            sys.intern(k) if isinstance(k, str) else k: _shared_strings(v)
+        out = {
+            sys.intern(k) if isinstance(k, str) else k: _shared_values(v, memo)
             for k, v in value.items()
         }
+        if all(type(v) in _FLAT for v in out.values()):
+            return memo.setdefault(repr(out), out)
+        return out
     if isinstance(value, list):
-        return [_shared_strings(v) for v in value]
+        return [_shared_values(v, memo) for v in value]
     if isinstance(value, str):
         return sys.intern(value)
+    if type(value) is float:
+        return memo.setdefault(repr(value), value)
     return value
 
 
@@ -579,6 +594,7 @@ class CampaignRunner:
         seen_warnings: set = set()
         deduped_warnings: Dict[Tuple[str, str], int] = {}
         busy_ms = 0.0
+        shared: Dict[str, Any] = {}  # the memo of _shared_values
 
         cache = self.cache
         default_engine = self.engine
@@ -620,6 +636,18 @@ class CampaignRunner:
                 continue
             keys.append(key)
             seeds.append(seed)
+            if key in primary_by_key:
+                # The same computation is already served or scheduled
+                # this run: share its row instead of reading or
+                # recomputing it.
+                primary = primary_by_key[key]
+                if results[primary] is not None:
+                    results[index] = dict(results[primary])
+                    tracker.hit()
+                else:
+                    duplicates.setdefault(primary, []).append(index)
+                continue
+            primary_by_key[key] = index
             # A verifying campaign re-executes verdict-less stored rows
             # (migrated v1 stores, verify=False runs) so every cell it
             # returns carries a verdict.
@@ -629,14 +657,9 @@ class CampaignRunner:
                 else None
             )
             if hit is not None:
-                results[index] = _shared_strings(hit)
+                results[index] = _shared_values(hit, shared)
                 tracker.hit()
-            elif key in primary_by_key:
-                # The same computation is already scheduled this run:
-                # share its row instead of recomputing.
-                duplicates.setdefault(primary_by_key[key], []).append(index)
             else:
-                primary_by_key[key] = index
                 miss_indices.append(index)
 
         def on_row(index: int, row: Dict[str, Any]) -> None:
@@ -665,7 +688,7 @@ class CampaignRunner:
                     )
             else:
                 row = dict(row, seed=seeds[index])
-            results[index] = row = _shared_strings(row)
+            results[index] = row = _shared_values(row, shared)
             tracker.computed(row)
             for dup in duplicates.get(index, ()):
                 results[dup] = dict(row)

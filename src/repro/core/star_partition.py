@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import networkx as nx
 
 from repro.errors import InvalidParameterError
-from repro.graphs.linegraph import line_graph_with_cover
+from repro.graphs.linegraph import line_view
 from repro.graphs.properties import max_degree, number_of_edges
 from repro.local import RoundLedger
 from repro.core.connectors import build_edge_connector
@@ -48,9 +48,8 @@ def reduce_edge_coloring(
         )
     if not coloring:
         return {}
-    line, _ = line_graph_with_cover(graph)
     as_vertex: VertexColoring = dict(coloring)
-    reduced = basic_color_reduction(line, as_vertex, target, ledger=ledger)
+    reduced = basic_color_reduction(line_view(graph), as_vertex, target, ledger=ledger)
     return dict(reduced)
 
 

@@ -24,11 +24,12 @@ from repro.types import NodeId
 class ReferenceEngine(Engine):
     """Bit-for-bit the pre-engine ``Network.run`` semantics.
 
-    :class:`~repro.graphcore.CompactGraph` inputs are converted to
-    networkx transparently (the reference scheduler is defined over nx
-    adjacency), so parity suites can hold the CSR fast path of
+    :class:`~repro.graphcore.CompactGraph` and
+    :class:`~repro.graphcore.Interned` inputs are converted to networkx
+    transparently (the reference scheduler is defined over nx adjacency),
+    so parity suites can hold the CSR fast path of
     :class:`~repro.engine.vector.VectorEngine` against this engine on the
-    *same* compact instance.
+    *same* compact instance or view.
     """
 
     name = "reference"
@@ -43,10 +44,10 @@ class ReferenceEngine(Engine):
         crashes: Optional[Dict[NodeId, int]] = None,
         tracer: Optional[Tracer] = None,
     ) -> RunResult:
-        from repro.graphcore import CompactGraph
+        from repro.graphcore import CompactGraph, Interned
 
         note_engine_run(self.name)
-        if isinstance(graph, CompactGraph):
+        if isinstance(graph, (CompactGraph, Interned)):
             graph = graph.to_networkx()
         network = Network(graph)
         ctx = network.make_context(**(extras or {}))

@@ -31,10 +31,12 @@ of an algorithm with a registered
 :class:`~repro.kernels.program.ShardProgram` is handed to that program,
 which replays the whole run as fused numpy ops over the CSR arrays and
 returns the reference engine's exact ``RunResult``. The input is one CSR
-view: a :class:`~repro.graphcore.CompactGraph` as it is, or an nx graph
-interned once in ``graph.nodes()`` order — the pipelines' subgraphs,
-star forests and line graphs with edge-tuple ids dispatch as well as
-compact inputs. On an nx input the program's declared node-keyed extras
+view: a :class:`~repro.graphcore.CompactGraph` or a
+:class:`~repro.graphcore.Interned` as it is, or an nx graph interned once
+in ``graph.nodes()`` order — the pipelines' subgraphs, star forests and
+line graphs with edge-tuple ids dispatch as well as compact inputs, and
+the coloring oracle hands every pass of one call the same view. On an
+input with other ids the program's declared node-keyed extras
 are remapped to dense ids and the outputs mapped back; whatever cannot
 be remapped, and whatever the program declines, runs on the per-node
 loop, disclosed through the ``kernel.fallback`` counter. Crash schedules
@@ -162,7 +164,9 @@ class VectorEngine(Engine):
         note_engine_run(self.name)
         if max_rounds is None:
             max_rounds = DEFAULT_MAX_ROUNDS
-        csr = graph if isinstance(graph, CompactGraph) else Interned(graph)
+        csr = graph if isinstance(graph, (CompactGraph, Interned)) else Interned(graph)
+        if isinstance(csr, Interned) and csr.loops:
+            raise SimulationError("self-loops are not allowed in LOCAL networks")
 
         if not crashes and not track_bandwidth:
             # Crashing/bandwidth-tracked runs observe per-node, per-round

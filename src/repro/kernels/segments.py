@@ -106,12 +106,16 @@ def repr_rank_order(n: int) -> np.ndarray:
 
 
 def repr_sorted_nodes(graph: Any) -> list:
-    """``sorted(graph.nodes(), key=repr)``, vectorized for CSR graphs.
+    """``sorted(graph.nodes(), key=repr)``, vectorized for compact graphs.
 
     The default initial colorings (Linial, Cole-Vishkin, defective) all
     rank nodes by repr; at a million nodes the Python sort costs more
-    than the kernel round it feeds, so CSR inputs take the argsort path.
+    than the kernel round it feeds, so a ``CompactGraph``, whose nodes
+    are the dense ids, takes the argsort path. Any other graph — an
+    :class:`~repro.graphcore.Interned` view included — ranks its own ids.
     """
-    if hasattr(graph, "indptr") and hasattr(graph, "indices"):
+    from repro.graphcore.compact import CompactGraph
+
+    if isinstance(graph, CompactGraph):
         return repr_rank_order(graph.n).tolist()
     return sorted(graph.nodes(), key=repr)

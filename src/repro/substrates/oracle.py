@@ -21,24 +21,64 @@ the top level.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import ColoringError, InvalidParameterError
+from repro.graphcore import CompactGraph, Interned
 from repro.graphs.properties import iter_edges, max_degree, number_of_edges
 from repro.local import RoundLedger
 from repro.local.costmodel import fhk_edge_rounds, fhk_vertex_rounds
-from repro.graphs.linegraph import line_graph_with_cover
+from repro.graphs.linegraph import line_view
 from repro.substrates.linial import linial_coloring
 from repro.substrates.reduction import kuhn_wattenhofer_reduction
 from repro.types import Edge, EdgeColoring, NodeId, VertexColoring, edge_key
 
 
-def _check_proper(graph: nx.Graph, coloring: VertexColoring, what: str) -> None:
-    for u, v in iter_edges(graph):
-        if coloring[u] == coloring[v]:
-            raise ColoringError(f"{what}: edge ({u!r},{v!r}) is monochromatic")
+def _view(graph: Any) -> Any:
+    """The one CSR view every pass of an oracle call reads. A digraph
+    stays as it is: its Delta counts in- and out-arcs, a view's only the
+    successor rows the engines step over."""
+    if isinstance(graph, (CompactGraph, Interned)) or graph.is_directed():
+        return graph
+    return Interned(graph)
+
+
+def _dense_colors(graph: Any, coloring: VertexColoring) -> Optional[np.ndarray]:
+    """``coloring`` as an int64 vector in the view's node order, or None
+    when some node is uncolored or some color is not a plain int."""
+    colors = list(map(coloring.get, graph.nodes()))
+    if set(map(type, colors)) - {int}:
+        return None
+    try:
+        return np.array(colors, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _check_proper(graph: Any, coloring: VertexColoring, what: str) -> None:
+    """Raise on the first monochromatic edge in ``iter_edges`` order —
+    one array comparison over a view's edge slots, an edge walk for a
+    digraph or for colors the array cannot hold (that walk raises the
+    ``KeyError`` of an uncolored node)."""
+    colors = None if isinstance(graph, nx.Graph) else _dense_colors(graph, coloring)
+    if colors is None:
+        for u, v in iter_edges(graph):
+            if coloring[u] == coloring[v]:
+                raise ColoringError(f"{what}: edge ({u!r},{v!r}) is monochromatic")
+        return
+    indptr = np.asarray(graph.indptr)
+    indices = np.asarray(graph.indices)
+    src = np.repeat(np.arange(colors.size, dtype=np.int64), np.diff(indptr))
+    # an edge's slot at its endpoint first in node order, as iter_edges
+    # lists it; a self-loop's one slot is its own
+    bad = np.flatnonzero((indices >= src) & (colors[src] == colors[indices]))
+    if bad.size:
+        ids = graph.nodes()
+        u, v = ids[int(src[bad[0]])], ids[int(indices[bad[0]])]
+        raise ColoringError(f"{what}: edge ({u!r},{v!r}) is monochromatic")
 
 
 class ColoringOracle:
@@ -80,14 +120,15 @@ class ColoringOracle:
             raise InvalidParameterError(
                 f"oracle cannot color with {target} < Delta+1 = {delta + 1} colors"
             )
+        view = _view(graph)
         if initial is not None and self.validate:
-            _check_proper(graph, initial, "oracle initial coloring")
+            _check_proper(view, initial, "oracle initial coloring")
 
         sub = RoundLedger(label=label)
-        coloring = linial_coloring(graph, initial=initial, ledger=sub)
-        coloring = kuhn_wattenhofer_reduction(graph, coloring, target=delta + 1, ledger=sub)
+        coloring = linial_coloring(view, initial=initial, ledger=sub)
+        coloring = kuhn_wattenhofer_reduction(view, coloring, target=delta + 1, ledger=sub)
         if self.validate:
-            _check_proper(graph, coloring, "oracle output")
+            _check_proper(view, coloring, "oracle output")
             used = max(coloring.values(), default=-1) + 1
             if used > target:
                 raise ColoringError(f"oracle used {used} > {target} colors")
@@ -122,8 +163,8 @@ class ColoringOracle:
             raise InvalidParameterError(
                 f"edge oracle needs at least 2*Delta-1 = {2 * delta - 1} colors"
             )
-        line, _ = line_graph_with_cover(graph)
-        line_delta = max_degree(line)
+        line = line_view(graph)
+        line_delta = line.max_degree
         initial_vertex: Optional[VertexColoring] = None
         if initial is not None:
             initial_vertex = {edge_key(u, v): c for (u, v), c in initial.items()}

@@ -170,6 +170,34 @@ class TestStreamingExecutor:
         assert first and all(k is names[k] for k in first)
         assert again[0]["workload"] is again[1]["workload"]
 
+    def test_returned_rows_share_their_flat_dicts(self, tmp_path, monkeypatch):
+        # content-equal params, extras and counters are one object across
+        # the rows of one run, and the rows serialize byte for byte as the
+        # unshared rows decoded from the store do
+        from repro.analysis import campaign
+        from repro.store import ExperimentStore, RunCache
+
+        cells = [
+            CampaignCell("linial", "random-regular", {"n": 16, "d": 4}, seed=s)
+            for s in (0, 1)
+        ]
+        with ExperimentStore(tmp_path / "runs.db") as store:
+            computed = CampaignRunner(cells, engine="vector", cache=RunCache(store)).run()
+            shared = CampaignRunner(cells, engine="vector", cache=RunCache(store)).run()
+            monkeypatch.setattr(campaign, "_shared_values", lambda value, memo: value)
+            plain = CampaignRunner(cells, engine="vector", cache=RunCache(store)).run()
+        for rows in (computed, shared):
+            first, second = rows
+            for key in ("workload_params", "algo_params", "extra"):
+                assert first[key] is second[key]
+            counters = first["metrics"]["counters"]
+            assert counters and counters is second["metrics"]["counters"]
+        # a timer's total and maximum, two floats once decoded, are one
+        _, total, peak = shared[0]["metrics"]["timers"]["registry.run"]
+        assert total is peak
+        assert plain[0]["workload_params"] is not plain[1]["workload_params"]
+        assert [json.dumps(r) for r in shared] == [json.dumps(r) for r in plain]
+
     def test_uncached_unseeded_sweep_matches_cached(self, tmp_path):
         """The same grid returns the same identity fields with and
         without a store: unseeded seeds normalize to 0 and identical
@@ -412,7 +440,9 @@ class TestCachedStreaming:
                 CampaignRunner(cells, cache=(c := RunCache(store))).run(), c
             )
             assert all(r["cached"] for r in second)
-            assert cache.hits == 3
+            # one store read serves all three cells
+            assert (cache.hits, cache.misses) == (1, 0)
+            assert second[1]["metrics"] is second[0]["metrics"]
             # cold and warm runs of the identical command return the same
             # rows: computed rows carry the key-normalized seed (0), not
             # each cell's raw seed

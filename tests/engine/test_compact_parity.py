@@ -67,6 +67,23 @@ def test_repr_rank_order_is_sorted_by_repr(n):
     assert repr_rank_order(n).tolist() == sorted(range(n), key=repr)
 
 
+def test_repr_sorted_nodes_ranks_a_views_own_ids():
+    # an Interned view has indptr/indices like a CompactGraph, but its
+    # nodes are its ids: ranking dense 0..n-1 would seed Linial wrongly
+    import networkx as nx
+
+    from repro.graphcore import Interned
+    from repro.kernels.segments import repr_sorted_nodes
+    from repro.substrates.linial import linial_coloring
+
+    graph = nx.relabel_nodes(nx.cycle_graph(12), {v: (v % 4, 11 - v) for v in range(12)})
+    view = Interned(graph)
+    assert repr_sorted_nodes(view) == sorted(graph.nodes(), key=repr)
+    assert linial_coloring(view) == linial_coloring(graph)
+    compact = CompactGraph.from_networkx(graph)
+    assert repr_sorted_nodes(compact) == sorted(range(12), key=repr)
+
+
 class TestRegistryParityOnDefaultGrid:
     @pytest.mark.parametrize("algorithm,workload,params", list(_default_grid_cases()))
     @pytest.mark.parametrize("engine", ["reference", "vector"])

@@ -103,9 +103,9 @@ class TestEdgeOracle:
 class TestTransientGraphsFreedByRefcount:
     @pytest.mark.parametrize("engine", ["reference", "vector"])
     def test_line_graph_dies_with_the_call(self, monkeypatch, engine):
-        # Reading a graph through degree()/edges() caches a view that
-        # points back at it; the line graph must be freed by refcount
-        # alone, without waiting for the cyclic collector.
+        # The line view every pass of the call reads must be freed by
+        # refcount alone when the call returns — no engine, kernel or
+        # check may keep it in a reference cycle for the collector.
         import gc
         import weakref
 
@@ -113,14 +113,14 @@ class TestTransientGraphsFreedByRefcount:
         from repro.substrates import oracle as oracle_module
 
         lines = []
-        build = oracle_module.line_graph_with_cover
+        build = oracle_module.line_view
 
         def recording(graph):
-            line, cover = build(graph)
+            line = build(graph)
             lines.append(weakref.ref(line))
-            return line, cover
+            return line
 
-        monkeypatch.setattr(oracle_module, "line_graph_with_cover", recording)
+        monkeypatch.setattr(oracle_module, "line_view", recording)
         g = random_regular(24, 4, seed=3)
         gc.collect()
         gc.disable()

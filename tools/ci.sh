@@ -234,13 +234,15 @@ cmp "$SMOKE_DIR/kernel_vector.json" "$SMOKE_DIR/kernel_ref.json"
 echo "kernel smoke: kernel run byte-identical to reference"
 # The same on a pipeline-shaped input: a networkx line graph whose node
 # ids are edge tuples, colored by Linial and then one Kuhn-Wattenhofer
-# phase. The vector run must dispatch both kernels, not fall back.
+# phase, and then the whole edge oracle on the line view it builds once.
+# The vector runs must dispatch both kernels, never fall back.
 cat > "$SMOKE_DIR/kernel_nx_probe.py" <<'EOF'
 import json, sys
 from repro import obs
-from repro.engine import get_engine
+from repro.engine import get_engine, use_engine
 from repro.graphs import random_regular
 from repro.graphs.linegraph import line_graph_with_cover
+from repro.substrates import ColoringOracle
 from repro.substrates.linial import LinialAlgorithm
 from repro.substrates.reduction import BlockedReductionAlgorithm
 
@@ -272,13 +274,23 @@ for run in (linial, phase):
         "messages": run.messages,
         "round_messages": list(run.round_messages),
     })
+with obs.collect() as runtime, use_engine(engine):
+    oracle = ColoringOracle().edge_coloring(random_regular(60, 6, seed=0))
+counters = runtime.snapshot()["counters"]
+if engine == "vector":
+    for name in ("linial", "kw-phase"):
+        key = f"kernel.dispatch[kernel={name}]"
+        assert counters.get(key, 0) >= 1, f"{key} not counted: {sorted(counters)}"
+    fallbacks = [key for key in counters if key.startswith("kernel.fallback")]
+    assert not fallbacks, f"edge oracle fell back: {fallbacks}"
+payload.append([[repr(k), v] for k, v in sorted(oracle.items())])
 with open(out, "w") as handle:
     json.dump(payload, handle, sort_keys=True)
 EOF
 python "$SMOKE_DIR/kernel_nx_probe.py" vector "$SMOKE_DIR/kernel_nx_vector.json"
 python "$SMOKE_DIR/kernel_nx_probe.py" reference "$SMOKE_DIR/kernel_nx_ref.json"
 cmp "$SMOKE_DIR/kernel_nx_vector.json" "$SMOKE_DIR/kernel_nx_ref.json"
-echo "kernel smoke: tuple-id line graph dispatches kernels, byte-identical to reference"
+echo "kernel smoke: tuple-id line graph and edge oracle dispatch kernels, byte-identical to reference"
 
 echo "== obs smoke: traced campaign -> schema-valid JSONL, stats reports, traced == untraced =="
 # A small multi-worker campaign with --trace: every worker appends
