@@ -1,9 +1,8 @@
 """The campaign report: publication tables over the verdict-carrying store.
 
-``repro report`` turns one experiment store (plus the repo's
-``BENCH_*.json`` history and, optionally, a JSONL trace) into the
-paper-facing artifacts, rendered three ways from one deterministic
-payload:
+``repro report`` turns one experiment store (and, optionally, a JSONL
+trace) into the paper-facing artifacts, rendered three ways from one
+deterministic payload:
 
 * **frontier** — per (algorithm × workload): the worst observed palette
   and round counts next to the theoretical palette bound, recomputed
@@ -14,11 +13,6 @@ payload:
   an unknown bound instead of silently rebuilding graphs.
 * **verdicts** — the verification ledger per algorithm (ok/fail/skip/
   error/unverified), straight off the store's verdict column.
-* **benches** — the ``BENCH_*.json`` history through a shape-tolerant
-  loader that gives the pre-gate files (``engines``/``store``/
-  ``stream``/``verify``) the same ``gates``/``passed`` envelope the
-  newer benches already carry; any bench whose ``passed`` is false is
-  flagged.
 * **campaign** — wall/queue/utilization breakdowns from the schema-v3
   metrics blobs and the persisted ``last_campaign`` summary.
 
@@ -34,7 +28,6 @@ from __future__ import annotations
 import csv
 import html as _html
 import io
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -51,8 +44,6 @@ from repro.analysis.dataframes import (
 
 __all__ = [
     "build_report",
-    "bench_trends",
-    "load_bench",
     "palette_frontier",
     "verdict_summary",
     "campaign_breakdown",
@@ -74,7 +65,6 @@ VERDICT_COLUMNS = (
     "algorithm", "cells", "ok", "fail", "skip", "error", "unverified",
     "errored_rows",
 )
-BENCH_COLUMNS = ("bench", "gate", "direction", "required", "measured", "passed")
 
 
 def _num(value: Any) -> str:
@@ -264,139 +254,22 @@ def campaign_breakdown(
     return breakdown
 
 
-# -- BENCH_*.json history ----------------------------------------------------
-
-#: Gate synthesis for the pre-gate bench files: each entry is
-#: ``gate_name -> (measured_key, direction, required_key)``. The loader
-#: gives these files the exact ``gates``/``passed`` envelope the newer
-#: benches write natively, without rewriting anything on disk.
-_LEGACY_GATES: Dict[str, Dict[str, Tuple[str, str, str]]] = {
-    "engines": {
-        "largest_graph_speedup": ("largest_graph_speedup", ">=", "required_speedup"),
-    },
-    "store": {
-        "speedup": ("speedup", ">=", "require_speedup"),
-    },
-    "stream": {
-        "overhead_ratio": ("overhead_ratio", "<=", "max_overhead"),
-        "kill_loss": ("kill_loss", "<=", "kill_loss_budget"),
-    },
-    "verify": {
-        "overhead_fraction": ("overhead_fraction", "<=", "max_overhead"),
-    },
-}
-
-
-def _gate_passed(measured: Any, direction: str, required: Any) -> Optional[bool]:
-    if not isinstance(measured, (int, float)) or not isinstance(required, (int, float)):
-        return None
-    return measured >= required if direction == ">=" else measured <= required
-
-
-def load_bench(path: Any) -> Dict[str, Any]:
-    """One ``BENCH_*.json`` file, normalized to the gated envelope:
-    ``{"bench", "legacy", "passed", "gates": {name: {"direction",
-    "required", "measured", "passed"}}}``. Files that already carry
-    ``gates``/``passed`` pass through (with ``required_max`` folded into
-    ``direction="<="``); the pre-gate files get gates synthesized from
-    their ad-hoc threshold fields via :data:`_LEGACY_GATES`."""
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    name = path.stem
-    if name.startswith("BENCH_"):
-        name = name[len("BENCH_"):]
-    gates: Dict[str, Dict[str, Any]] = {}
-    if isinstance(payload.get("gates"), Mapping):
-        for gate_name, gate in sorted(payload["gates"].items()):
-            if not isinstance(gate, Mapping):
-                continue
-            direction = "<=" if "required_max" in gate else ">="
-            required = gate.get("required_max", gate.get("required"))
-            gates[gate_name] = {
-                "direction": direction,
-                "required": required,
-                "measured": gate.get("measured"),
-                "passed": bool(gate.get("passed")),
-            }
-        passed = bool(payload.get("passed", all(g["passed"] for g in gates.values())))
-        legacy = False
-    else:
-        for gate_name, (m_key, direction, r_key) in sorted(
-            _LEGACY_GATES.get(name, {}).items()
-        ):
-            measured = payload.get(m_key)
-            required = payload.get(r_key)
-            verdict = _gate_passed(measured, direction, required)
-            gates[gate_name] = {
-                "direction": direction,
-                "required": required,
-                "measured": measured,
-                "passed": bool(verdict),
-            }
-        passed = all(g["passed"] for g in gates.values()) if gates else True
-        legacy = True
-    return {
-        "bench": name,
-        "file": path.name,
-        "legacy": legacy,
-        "passed": passed,
-        "gates": gates,
-    }
-
-
-def bench_trends(bench_dir: Any) -> List[Dict[str, Any]]:
-    """Every ``BENCH_*.json`` under ``bench_dir`` through
-    :func:`load_bench`, sorted by bench name. Unreadable files surface
-    as failed pseudo-benches rather than vanishing from the history."""
-    out: List[Dict[str, Any]] = []
-    root = Path(bench_dir)
-    for path in sorted(root.glob("BENCH_*.json")):
-        try:
-            out.append(load_bench(path))
-        except (OSError, json.JSONDecodeError) as exc:
-            out.append({
-                "bench": path.stem[len("BENCH_"):],
-                "file": path.name,
-                "legacy": True,
-                "passed": False,
-                "gates": {},
-                "error": f"{type(exc).__name__}: {exc}",
-            })
-    return out
-
-
-def _gate_margin(gate: Mapping[str, Any]) -> Optional[float]:
-    """How far inside its threshold a gate sits, normalized so 1.0 is
-    exactly at the gate and larger is better for both directions."""
-    measured, required = gate.get("measured"), gate.get("required")
-    if not isinstance(measured, (int, float)) or not isinstance(required, (int, float)):
-        return None
-    if gate.get("direction") == "<=":
-        return round(required / measured, 3) if measured else None
-    return round(measured / required, 3) if required else None
-
-
 # -- assembly ----------------------------------------------------------------
 
 def build_report(
     rows: Sequence[Mapping[str, Any]],
     *,
     summary: Optional[Mapping[str, Any]] = None,
-    bench_dir: Optional[Any] = None,
     events: Optional[Sequence[Mapping[str, Any]]] = None,
     timestamp: str = "",
     store_label: str = "",
 ) -> Dict[str, Any]:
     """The one deterministic payload every renderer consumes. ``rows``
     are store query results; ``summary`` the persisted ``last_campaign``
-    meta; ``bench_dir`` the directory holding ``BENCH_*.json`` (skipped
-    when ``None``); ``events`` decoded trace events for the timeline;
+    meta; ``events`` decoded trace events for the timeline;
     ``timestamp`` the *injected* generation stamp — this function never
     reads a clock."""
     frame = cell_frame(rows)
-    benches = bench_trends(bench_dir) if bench_dir is not None else []
-    flagged = [b["bench"] for b in benches if not b["passed"]]
     counters: Dict[str, float] = {}
     for row in frame:
         for key, value in row["counters"].items():
@@ -409,8 +282,6 @@ def build_report(
         "frontier": palette_frontier(frame),
         "verdicts": verdict_summary(frame),
         "campaign": campaign_breakdown(frame, summary),
-        "benches": benches,
-        "flagged_benches": flagged,
         "counters": dict(sorted(counters.items())),
         "events": list(events) if events else [],
     }
@@ -426,27 +297,6 @@ def _md_table(columns: Sequence[str], records: Sequence[Mapping[str, Any]]) -> s
         for rec in records
     ]
     return "\n".join([header, rule, *body])
-
-
-def _bench_gate_records(benches: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
-    records: List[Dict[str, Any]] = []
-    for bench in benches:
-        if not bench["gates"]:
-            records.append({
-                "bench": bench["bench"], "gate": "(no gates)",
-                "direction": "", "required": None, "measured": None,
-                "passed": bench["passed"],
-            })
-        for gate_name, gate in bench["gates"].items():
-            records.append({
-                "bench": bench["bench"],
-                "gate": gate_name,
-                "direction": gate["direction"],
-                "required": gate["required"],
-                "measured": gate["measured"],
-                "passed": gate["passed"],
-            })
-    return records
 
 
 def _campaign_records(campaign: Mapping[str, Any]) -> List[Dict[str, Any]]:
@@ -519,21 +369,6 @@ def render_markdown(report: Mapping[str, Any]) -> str:
     lines.append("")
     lines.append(_md_table(("key", "value"), _campaign_records(report["campaign"])))
     lines.append("")
-    lines.append("## Bench history")
-    lines.append("")
-    if report["benches"]:
-        lines.append(_md_table(BENCH_COLUMNS, _bench_gate_records(report["benches"])))
-        lines.append("")
-        if report["flagged_benches"]:
-            lines.append(
-                "**FLAGGED** (passed=false): "
-                + ", ".join(report["flagged_benches"])
-            )
-        else:
-            lines.append("All benches passed.")
-    else:
-        lines.append("(no BENCH_*.json files)")
-    lines.append("")
     return "\n".join(lines)
 
 
@@ -553,9 +388,6 @@ def render_csv(report: Mapping[str, Any]) -> Dict[str, str]:
     return {
         "frontier.csv": _csv_text(FRONTIER_COLUMNS, report["frontier"]),
         "verdicts.csv": _csv_text(VERDICT_COLUMNS, report["verdicts"]),
-        "benches.csv": _csv_text(
-            BENCH_COLUMNS, _bench_gate_records(report["benches"])
-        ),
         "campaign.csv": _csv_text(
             ("key", "value"), _campaign_records(report["campaign"])
         ),
@@ -575,12 +407,8 @@ th, td { border: 1px solid #bbb; padding: 0.25rem 0.6rem; text-align: left; }
 th { background: #f0ede6; }
 td.num { text-align: right; font-variant-numeric: tabular-nums; }
 tr.flagged td { background: #fde8e8; }
-.flag { color: #a4262c; font-weight: 600; }
-.ok { color: #1b6e3a; }
 svg { display: block; margin: 0.75rem 0; }
 .bar { fill: #4a6fa5; }
-.bar.bound { fill: none; stroke: #a4262c; stroke-width: 2; }
-.bar.fail { fill: #a4262c; }
 .lane-label, .axis { font-family: monospace; font-size: 11px; fill: #333; }
 .span-rect { fill: #4a6fa5; opacity: 0.85; }
 .gate-line { stroke: #a4262c; stroke-width: 1.5; }
@@ -736,14 +564,6 @@ def render_html(report: Mapping[str, Any]) -> str:
         )
         for rec in report["frontier"]
     ]
-    bench_entries = []
-    for bench in report["benches"]:
-        for gate_name, gate in bench["gates"].items():
-            margin = _gate_margin(gate)
-            if margin is not None:
-                bench_entries.append(
-                    (f"{bench['bench']} · {gate_name}", margin, 1.0)
-                )
     parts = [
         "<!DOCTYPE html>",
         '<html lang="en"><head><meta charset="utf-8">',
@@ -775,27 +595,6 @@ def render_html(report: Mapping[str, Any]) -> str:
         parts.append("<p>(no rows)</p>")
     parts.append("<h2>Campaign breakdown</h2>")
     parts.append(_html_table(("key", "value"), _campaign_records(report["campaign"])))
-    parts.append("<h2>Bench history</h2>")
-    if report["benches"]:
-        if report["flagged_benches"]:
-            parts.append(
-                '<p class="flag">FLAGGED (passed=false): '
-                + _html.escape(", ".join(report["flagged_benches"]))
-                + "</p>"
-            )
-        else:
-            parts.append('<p class="ok">All benches passed.</p>')
-        parts.append(
-            _html_table(BENCH_COLUMNS, _bench_gate_records(report["benches"]),
-                        flag_key="passed")
-        )
-        parts.append(
-            "<p>Gate margins (normalized so 1.0 sits exactly on the gate; "
-            "longer is better for both gate directions):</p>"
-        )
-        parts.append(_svg_bars(bench_entries, unit="×"))
-    else:
-        parts.append("<p>(no BENCH_*.json files)</p>")
     parts.append("<h2>Span timeline</h2>")
     if report["events"]:
         parts.append(_svg_timeline(report["events"]))

@@ -12,6 +12,7 @@ from typing import Dict, Iterable, Optional
 import networkx as nx
 
 from repro.errors import ColoringError
+from repro.graphcore import CompactGraph
 from repro.graphs.properties import iter_edges
 from repro.types import Edge, EdgeColoring, NodeId, VertexColoring, edge_key
 
@@ -22,7 +23,7 @@ def greedy_vertex_coloring(
     """First-fit vertex coloring along ``order`` (default: sorted ids).
     Uses at most Delta+1 colors."""
     if order is None:
-        if hasattr(graph, "indptr") and hasattr(graph, "indices"):
+        if isinstance(graph, CompactGraph):
             # CSR sweep kernel: same repr order, same first-fit rule,
             # same dict insertion order — just no per-node Python sets.
             from repro.kernels.greedy import greedy_vertex_compact
@@ -44,7 +45,7 @@ def greedy_edge_coloring(
 ) -> EdgeColoring:
     """First-fit edge coloring; uses at most 2*Delta-1 colors."""
     if order is None:
-        if hasattr(graph, "indptr") and hasattr(graph, "indices"):
+        if isinstance(graph, CompactGraph):
             from repro.kernels.greedy import greedy_edge_compact
 
             return greedy_edge_compact(graph)

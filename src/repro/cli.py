@@ -822,8 +822,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Render the campaign report (frontier tables, verdict ledger,
-    bench history, campaign breakdown, optional span timeline) from a
-    store into a self-contained HTML/markdown/CSV bundle."""
+    campaign breakdown, optional span timeline) from a store into a
+    self-contained HTML/markdown/CSV bundle."""
     from repro.analysis.report import build_report, write_report
 
     with _open_store(args.store) as store:
@@ -845,7 +845,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     report = build_report(
         rows,
         summary=summary if isinstance(summary, dict) else None,
-        bench_dir=args.bench_dir,
         events=events,
         timestamp=timestamp,
         store_label=Path(args.store).name,
@@ -853,8 +852,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     written = write_report(report, args.out, fmt=args.format)
     for path in written:
         print(f"wrote {path}")
-    for bench in report["flagged_benches"]:
-        print(f"FLAGGED: BENCH_{bench}.json has passed=false")
     return 0
 
 
@@ -1464,7 +1461,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report",
         help="render the campaign report (frontier vs palette bounds, "
-        "verdict ledger, bench history, breakdowns) as self-contained "
+        "verdict ledger, breakdowns) as self-contained "
         "HTML / markdown / CSV",
     )
     report.add_argument("--store", required=True, help="experiment store path")
@@ -1476,11 +1473,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("html", "md", "csv", "all"),
         default="all",
         help="which rendering(s) to write (default: all)",
-    )
-    report.add_argument(
-        "--bench-dir",
-        default=".",
-        help="directory holding the BENCH_*.json history (default: .)",
     )
     report.add_argument(
         "--trace",

@@ -4,7 +4,8 @@ The observability layer of the pipeline. Everything hot — engines,
 kernels, the registry, the campaign runner — calls the module-level
 accessors unconditionally; with no runtime installed (the default) each
 call is a global load plus a ``None`` check, and :func:`span` hands back
-one shared no-op object (``benchmarks/bench_obs.py`` gates that cost).
+one shared no-op object (``tests/obs/test_core.py::TestDisabledPath``
+holds that path to no calls and to the cost of a no-op call).
 
 Three layers:
 

@@ -7,7 +7,8 @@ the module-level accessors (:func:`incr`, :func:`gauge`, :func:`span`,
 runtime installed, every accessor is one global load plus a ``None``
 check (and :func:`span` returns one shared no-op object), so the hot
 layers — engines, kernels, the registry — can call them unconditionally.
-``benchmarks/bench_obs.py`` gates that cost.
+``tests/obs/test_core.py::TestDisabledPath`` holds that path to no calls
+and to the cost of a no-op call.
 
 Counters are labeled: ``incr("kernel.dispatch", kernel="linial")``
 accumulates under the flat key ``kernel.dispatch[kernel=linial]``, which

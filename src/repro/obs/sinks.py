@@ -49,9 +49,10 @@ class JsonlTraceSink:
     """Append-mode JSONL writer; one event per line, flushed per event.
 
     Per-event flushing is deliberate: a trace exists to debug runs that
-    die, so the file must be current when the SIGKILL lands. The cost is
-    gated by ``benchmarks/bench_obs.py`` (tracing is opt-in; the
-    disabled path never constructs a sink at all).
+    die, so the file must be current when the SIGKILL lands. Tracing is
+    opt-in, so only traced runs pay that cost: the disabled path never
+    constructs a sink at all, and ``TestDisabledPath`` in
+    ``tests/obs/test_core.py`` holds it to no calls.
     """
 
     def __init__(self, path: Union[str, Path]):

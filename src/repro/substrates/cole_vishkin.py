@@ -30,6 +30,7 @@ from typing import Dict, List, Optional
 import networkx as nx
 
 from repro.errors import InvalidParameterError
+from repro.graphcore import CompactGraph
 from repro.local import Context, Message, Node, NodeAlgorithm, RoundLedger, run_on_graph
 from repro.local.costmodel import log_star
 from repro.types import NodeId, VertexColoring
@@ -44,7 +45,7 @@ def root_forest(forest: nx.Graph) -> Dict[NodeId, Optional[NodeId]]:
     O(diameter) distributedly — callers who already own an orientation
     (H-partitions, forest decompositions) pass their own parent map instead.
     """
-    if hasattr(forest, "indptr") and hasattr(forest, "indices"):
+    if isinstance(forest, CompactGraph):
         return _root_forest_csr(forest)
     if not nx.is_forest(forest):
         raise InvalidParameterError("root_forest requires a forest")

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Tuple
 import networkx as nx
 
 from repro.errors import InvalidParameterError
+from repro.graphcore import CompactGraph
 from repro.local import Context, Message, Node, NodeAlgorithm, RoundLedger, run_on_graph
 from repro.graphs.orientation import Orientation, orient_acyclic_by_order
 from repro.graphs.properties import arboricity_bounds
@@ -85,7 +86,7 @@ class HPartition:
         """Check the defining property: every v in H_i has at most
         ``threshold`` neighbors in H_i ∪ ... ∪ H_l."""
         graph = self.graph
-        if hasattr(graph, "indptr") and hasattr(graph, "indices"):
+        if isinstance(graph, CompactGraph):
             # CSR branch: one gather + bincount instead of a Python loop
             # over all adjacency (the loop would dwarf the kernel-backed
             # run itself at million-node scale). Same first-violation

@@ -1,7 +1,6 @@
-"""Tests for the campaign report layer: determinism, edge cases, the
-legacy-bench normalization, and the CLI surface."""
+"""Tests for the campaign report layer: determinism, edge cases and the
+CLI surface."""
 
-import json
 import sqlite3
 
 import pytest
@@ -9,9 +8,7 @@ import pytest
 from repro.analysis.campaign import CampaignCell, CampaignRunner
 from repro.analysis.dataframes import cell_frame
 from repro.analysis.report import (
-    bench_trends,
     build_report,
-    load_bench,
     render_csv,
     render_html,
     render_markdown,
@@ -47,7 +44,6 @@ def _report_for(path, **overrides):
         summary = store.get_meta("last_campaign")
     kwargs = dict(
         summary=summary,
-        bench_dir=None,
         events=None,
         timestamp=TIMESTAMP,
         store_label="runs.db",
@@ -68,8 +64,14 @@ class TestDeterminism:
         report = _report_for(campaign_store)
         paths_a = write_report(report, tmp_path / "a", fmt="all")
         paths_b = write_report(report, tmp_path / "b", fmt="all")
+        assert [p.name for p in paths_a] == [
+            "campaign.csv", "frontier.csv", "report.html", "report.md",
+            "verdicts.csv",
+        ]
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [
+            p.name for p in paths_a
+        ]
         assert [p.name for p in paths_a] == [p.name for p in paths_b]
-        assert len(paths_a) == 6
         for pa, pb in zip(paths_a, paths_b):
             assert pa.read_bytes() == pb.read_bytes()
 
@@ -91,8 +93,6 @@ class TestDeterminism:
                     str(tmp_path / out),
                     "--timestamp",
                     TIMESTAMP,
-                    "--bench-dir",
-                    str(tmp_path),
                 ]
             )
             assert code == 0
@@ -102,6 +102,17 @@ class TestDeterminism:
         html_b = (tmp_path / "cli_b" / "report.html").read_bytes()
         assert html_a == html_b
         assert b"</html>" in html_a
+
+    def test_removed_bench_history_flag_is_rejected(self, campaign_store, tmp_path):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "report", "--store", str(campaign_store),
+                "--out", str(tmp_path / "out"), "--bench-dir", str(tmp_path),
+            ])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestReportContent:
@@ -150,7 +161,6 @@ class TestEdgeCases:
         report = build_report(
             [],
             summary=None,
-            bench_dir=None,
             events=None,
             timestamp=TIMESTAMP,
             store_label="empty.db",
@@ -159,75 +169,6 @@ class TestEdgeCases:
         assert "(no rows)" in html
         assert "</html>" in html
         assert "(no rows)" in render_markdown(report)
-
-
-class TestLoadBench:
-    def test_modern_envelope_passes_through(self, tmp_path):
-        path = tmp_path / "BENCH_obs.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "gates": {
-                        "overhead": {"required_max": 5.0, "measured": 1.0, "passed": True}
-                    },
-                    "passed": True,
-                }
-            )
-        )
-        bench = load_bench(path)
-        assert bench["legacy"] is False
-        assert bench["passed"] is True
-        assert bench["gates"]["overhead"]["direction"] == "<="
-
-    def test_legacy_engines_shape_normalized(self, tmp_path):
-        path = tmp_path / "BENCH_engines.json"
-        path.write_text(
-            json.dumps({"largest_graph_speedup": 12.0, "required_speedup": 4.0})
-        )
-        bench = load_bench(path)
-        assert bench["legacy"] is True
-        assert bench["gates"]
-        assert bench["passed"] is True
-
-    def test_failing_legacy_bench_flagged(self, tmp_path):
-        path = tmp_path / "BENCH_engines.json"
-        path.write_text(
-            json.dumps({"largest_graph_speedup": 2.0, "required_speedup": 4.0})
-        )
-        bench = load_bench(path)
-        assert bench["passed"] is False
-        report = build_report(
-            [],
-            summary=None,
-            bench_dir=tmp_path,
-            events=None,
-            timestamp=TIMESTAMP,
-            store_label="x",
-        )
-        assert "engines" in report["flagged_benches"]
-        assert "FLAGGED" in render_html(report)
-
-    def test_malformed_bench_becomes_failed_pseudo_bench(self, tmp_path):
-        (tmp_path / "BENCH_broken.json").write_text("{not json")
-        benches = bench_trends(tmp_path)
-        assert len(benches) == 1
-        assert benches[0]["passed"] is False
-        assert "error" in benches[0]
-
-    def test_repo_legacy_benches_all_normalize(self):
-        # The four pre-gate files shipped in the repo must load with a
-        # synthesized gates envelope.
-        from pathlib import Path
-
-        repo = Path(__file__).resolve().parents[2]
-        for name in ("engines", "store", "stream", "verify"):
-            path = repo / f"BENCH_{name}.json"
-            if not path.exists():
-                continue
-            bench = load_bench(path)
-            assert bench["legacy"] is True, name
-            assert bench["gates"], name
-            assert isinstance(bench["passed"], bool), name
 
 
 class TestCellRowsMarkdown:

@@ -2,13 +2,19 @@
 clean under its own static-analysis pass, and every exception it carries
 is an explicit, rationale-bearing waiver."""
 
+import time
+
 from repro.checks import detect_root, run_checks
 
 
 def test_repo_tree_passes_its_own_checks():
+    started = time.perf_counter()
     report = run_checks()
+    elapsed = time.perf_counter() - started
     unwaived = [v.describe() for v in report.violations if not v.waived]
     assert unwaived == [], "\n".join(unwaived)
+    # CI runs the full scan before every test pass: it has to stay cheap
+    assert elapsed <= 10.0, f"full scan took {elapsed:.2f} s (bound 10 s)"
 
 
 def test_self_scan_covers_the_real_tree():

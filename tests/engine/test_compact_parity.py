@@ -16,6 +16,7 @@ import pytest
 
 from repro import obs, registry, workloads
 from repro.analysis.campaign import default_cells
+from repro.baselines.greedy import greedy_edge_coloring, greedy_vertex_coloring
 from repro.engine import get_engine
 from repro.graphcore import CompactGraph
 from repro.kernels.segments import repr_rank_order
@@ -82,6 +83,39 @@ def test_repr_sorted_nodes_ranks_a_views_own_ids():
     assert linial_coloring(view) == linial_coloring(graph)
     compact = CompactGraph.from_networkx(graph)
     assert repr_sorted_nodes(compact) == sorted(range(12), key=repr)
+
+
+@pytest.mark.parametrize("fn,csr_path,view_refused", [
+    (root_forest, "repro.substrates.cole_vishkin._root_forest_csr", True),
+    (greedy_vertex_coloring, "repro.kernels.greedy.greedy_vertex_compact", True),
+    # reads only nodes() and edges(), which a view lists in its own ids
+    (greedy_edge_coloring, "repro.kernels.greedy.greedy_edge_compact", False),
+])
+def test_csr_branches_take_only_compact_graphs(fn, csr_path, view_refused, monkeypatch):
+    # an Interned view has indptr/indices over dense 0..n-1, not over its
+    # ids: read as a CompactGraph it would answer under the wrong ids
+    import importlib
+
+    import networkx as nx
+
+    from repro.graphcore import Interned
+
+    module, name = csr_path.rsplit(".", 1)
+    real = getattr(importlib.import_module(module), name)
+    calls = []
+    monkeypatch.setattr(csr_path, lambda graph: calls.append(graph) or real(graph))
+    tree = nx.balanced_tree(2, 3)
+    compact = CompactGraph.from_networkx(tree)
+    assert fn(compact) == fn(tree)
+    assert calls == [compact]
+    graph = nx.relabel_nodes(tree, {v: ("t", v) for v in tree})
+    view = Interned(graph)
+    if view_refused:
+        with pytest.raises(TypeError):
+            fn(view)
+    else:
+        assert fn(view) == fn(graph)
+    assert calls == [compact]
 
 
 class TestRegistryParityOnDefaultGrid:

@@ -46,15 +46,18 @@ class Broadcast(NodeAlgorithm):
 
 
 class TestBandwidthTracking:
-    def test_linial_is_congest_compatible(self):
+    @pytest.mark.parametrize("engine", ["reference", "vector"])
+    def test_linial_is_congest_compatible(self, engine):
+        from repro.engine import get_engine
         from repro.graphs import random_regular
         from repro.substrates.linial import LinialAlgorithm
 
         g = random_regular(40, 4, seed=1)
-        net = Network(g)
         initial = {v: i * 100 for i, v in enumerate(sorted(g.nodes()))}
-        ctx = net.make_context(initial_coloring=initial, m0=max(initial.values()) + 1)
-        result = net.run(LinialAlgorithm(), ctx, track_bandwidth=True)
+        extras = {"initial_coloring": initial, "m0": max(initial.values()) + 1}
+        result = get_engine(engine).run(
+            g, LinialAlgorithm(), extras=extras, track_bandwidth=True
+        )
         assert result.max_message_bits > 0
         assert is_congest_width(result.max_message_bits, n=40)
 

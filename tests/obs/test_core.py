@@ -1,6 +1,9 @@
 """The ObsRuntime: counters, timers, spans, the disabled path, and the
 collect() install/restore contract."""
 
+import sys
+import time
+
 import pytest
 
 from repro import obs
@@ -60,6 +63,28 @@ class TestRuntime:
         assert rt.snapshot()["counters"] == {"x": 1}
 
 
+class _NoOpAccessors:
+    """``obs.incr``/``obs.span`` with every body removed: the floor a
+    disabled accessor is measured against."""
+
+    class _Span:
+        __slots__ = ()
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+    _SPAN = _Span()
+
+    def incr(self, name, value=1, **fields):
+        return None
+
+    def span(self, name, **fields):
+        return self._SPAN
+
+
 class TestDisabledPath:
     def test_accessors_are_noops_without_runtime(self):
         assert obs.active() is None
@@ -72,6 +97,67 @@ class TestDisabledPath:
 
     def test_disabled_span_is_shared_instance(self):
         assert obs.span("a") is obs.span("b")
+
+    def test_disabled_accessors_call_nothing(self):
+        # The disabled path is one global load and a None check, paid
+        # unconditionally by every engine, kernel and registry hot loop:
+        # beyond the accessor itself (and the shared null span's
+        # enter/exit) it makes no call at all, Python or C.
+        def accessors():
+            obs.incr("probe.counter", 1, label="x")
+            with obs.span("probe.span"):
+                pass
+
+        calls = []
+
+        def record(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+            elif event == "c_call":
+                calls.append(arg.__name__)
+
+        assert obs.active() is None
+        previous = sys.getprofile()
+        sys.setprofile(record)
+        try:
+            accessors()
+        finally:
+            sys.setprofile(previous)
+        assert calls == [
+            "accessors", "incr", "span", "__enter__", "__exit__", "setprofile",
+        ]
+
+    def test_disabled_accessors_cost_no_more_than_a_noop_call(self):
+        # Each accessor is timed against a do-nothing twin of the same
+        # call shape, in 100 interleaved batches of 1,000 calls; the
+        # fastest batch of each is the one no other process slowed down.
+        # Absolute times move 2x with host load (a bare no-op ``with``
+        # takes 250-550 ns on a shared 2-vCPU host); the ratio does not.
+        assert obs.active() is None
+        batch = 1_000
+        noop = _NoOpAccessors()
+
+        def incrs(api):
+            for _ in range(batch):
+                api.incr("probe.counter", 1, label="x")
+
+        def spans(api):
+            for _ in range(batch):
+                with api.span("probe.span"):
+                    pass
+
+        for body in (incrs, spans):
+            best = [float("inf"), float("inf")]
+            for _ in range(100):
+                for i, api in enumerate((obs, noop)):
+                    started = time.perf_counter()
+                    body(api)
+                    best[i] = min(best[i], time.perf_counter() - started)
+            ratio = best[0] / best[1]
+            assert ratio <= 1.5, (
+                f"disabled {body.__name__}: {best[0] / batch * 1e9:.0f} ns per "
+                f"call, {ratio:.2f}x a no-op call"
+            )
 
 
 class TestCollect:

@@ -66,7 +66,7 @@ class TestRegistry:
 
     def test_scale_tier_builds_shrunk(self):
         """Every scale factory works mechanically at a shrunk size; the
-        full-size builds run in the streaming bench, not the unit suite."""
+        full-size builds run only in campaigns that name them."""
         shrunk = {
             "scale-regular": {"n": 40, "d": 4},
             "scale-power-law": {"n": 40, "attach": 2},
@@ -79,7 +79,8 @@ class TestRegistry:
 
     def test_xl_tier_builds_shrunk_and_compact(self):
         """The xl factories work mechanically at a shrunk size and return
-        CompactGraph; the 1M-node builds run in bench_graphcore."""
+        CompactGraph; perfbench's xl-linial workload builds the 1M-node
+        grid."""
         from repro.graphcore import CompactGraph
 
         shrunk = {

@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== compileall (import-time registry safety) =="
-python -m compileall -q src tests benchmarks examples tools
+python -m compileall -q src tests examples tools
 
 echo "== registry loads and is populated =="
 python -c "
@@ -81,7 +81,7 @@ echo "== streaming smoke: out-of-order durability under SIGKILL =="
 # cell the instant its future resolves, so they are all durable when the
 # SIGKILL lands; the old pool.map executor buffered every one of them
 # behind the slow head (head-of-line ordering) and this smoke fails with
-# zero durable rows. The driver is shared with benchmarks/bench_stream.py.
+# zero durable rows.
 touch "$SMOKE_DIR/flag"
 python tools/stream_kill_driver.py \
   "$SMOKE_DIR/stream_killed.db" "$SMOKE_DIR/flag" 4 24 &
@@ -322,20 +322,19 @@ echo "== report smoke: campaign store -> self-contained HTML, byte-deterministic
 # traced store, with the trace timeline embedded and a pinned timestamp.
 # The HTML must be non-empty, self-contained (inline SVG, closing tag),
 # and a second render of the same store must be byte-identical on every
-# artifact — the report is a pure function of (store, benches, trace,
-# timestamp).
+# artifact — the report is a pure function of (store, trace, timestamp).
 REPORT_ARGS=(--store "$SMOKE_DIR/obs_traced.db" --trace "$SMOKE_DIR/obs_trace.jsonl"
-             --bench-dir . --timestamp 1970-01-01T00:00:00+00:00)
+             --timestamp 1970-01-01T00:00:00+00:00)
 python -m repro report "${REPORT_ARGS[@]}" --out "$SMOKE_DIR/report_a" > "$SMOKE_DIR/report.out"
 grep -q "report.html" "$SMOKE_DIR/report.out"
 test -s "$SMOKE_DIR/report_a/report.html"
 grep -q "<svg" "$SMOKE_DIR/report_a/report.html"
 grep -q "</html>" "$SMOKE_DIR/report_a/report.html"
 python -m repro report "${REPORT_ARGS[@]}" --out "$SMOKE_DIR/report_b" >/dev/null
-for artifact in report.html report.md frontier.csv verdicts.csv benches.csv campaign.csv; do
+for artifact in report.html report.md frontier.csv verdicts.csv campaign.csv; do
   cmp "$SMOKE_DIR/report_a/$artifact" "$SMOKE_DIR/report_b/$artifact"
 done
-echo "report smoke: HTML self-contained, all six artifacts byte-deterministic"
+echo "report smoke: HTML self-contained, all five artifacts byte-deterministic"
 
 echo "== shard smoke: partition -> sharded run == unsharded run =="
 # Partition the graph smoke's .csrg, run the same cell sharded (process
@@ -397,31 +396,3 @@ for script in examples/*.py; do
   python "$script" >/dev/null || { echo "FAIL: $script exited nonzero"; exit 1; }
 done
 echo "examples smoke: $(ls examples/*.py | wc -l) scripts ran cleanly"
-
-# Bench list (opt-in: RUN_BENCH=1 tools/ci.sh). bench_stream gates the
-# streaming executor's kill-loss and overhead (BENCH_stream.json);
-# bench_verify gates invariant-verification overhead (BENCH_verify.json);
-# bench_graphcore gates the CSR conversion-skip speedup and the 1M-node
-# build's peak RSS (BENCH_graphcore.json); bench_obs gates the
-# instrumentation layer
-# (BENCH_obs.json: disabled accessors <= 500ns/call, campaign overhead
-# <= 5%, traced campaign emits a schema-valid JSONL file); bench_checks
-# gates the static-analysis pass (BENCH_checks.json: full-repo repro
-# check <= 10s and clean); bench_shard gates the out-of-core layer
-# (BENCH_shard.json: on a ~1M-node grid, peak worker RSS <= 1/2 of the
-# unsharded process, wall overhead <= 4x, outputs bit-identical);
-# bench_report gates the campaign report layer (BENCH_report.json: full
-# report over the default grid renders in <= 5s, twice byte-identically,
-# and the tolerant loader normalizes every legacy bench envelope).
-if [ "${RUN_BENCH:-0}" = "1" ]; then
-  echo "== benches =="
-  python benchmarks/bench_verify.py
-  python benchmarks/bench_stream.py
-  python benchmarks/bench_store_cache.py
-  python benchmarks/bench_engine_comparison.py
-  python benchmarks/bench_graphcore.py
-  python benchmarks/bench_obs.py
-  python benchmarks/bench_checks.py
-  python benchmarks/bench_shard.py
-  python benchmarks/bench_report.py
-fi

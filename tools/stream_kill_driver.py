@@ -1,6 +1,5 @@
 #!/usr/bin/env python3
-"""Kill/resume campaign driver shared by ``tools/ci.sh`` (streaming
-smoke) and ``benchmarks/bench_stream.py`` (kill-loss gate).
+"""Kill/resume campaign driver for the streaming smoke in ``tools/ci.sh``.
 
 Runs one ``--jobs`` cached campaign whose deliberately slow HEAD cell
 blocks while the flag file exists, ahead of ``fast_cells`` fast cells.
