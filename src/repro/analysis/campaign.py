@@ -233,7 +233,7 @@ def _execute_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
                     )
             wall_ms = (time.perf_counter() - started) * 1000.0
             # Provenance honesty: if the cell pinned an engine but a different
-            # scheduler actually executed (the vector engine's tracer fallback),
+            # scheduler actually executed (a vector engine delegation),
             # say so in the row — the store's ``engine`` column must keep the
             # run-key's pinned value, so the disclosure lives in ``extra``.
             effective = "+".join(engines_ran)

@@ -10,9 +10,7 @@ measured scaling next to the paper's exponent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
-
-import networkx as nx
+from typing import List, Sequence
 
 from repro.analysis.stats import PowerLawFit, fit_power_law
 from repro.core.star_partition import star_partition_edge_coloring
@@ -51,33 +49,6 @@ class DeltaSweep:
         """Worst-case colors_used / paper bound over the ladder (must be
         <= 1 for a sound reproduction)."""
         return max(p.colors_used / p.colors_bound for p in self.points)
-
-
-def fit_modeled_rounds_from_rows(rows: Sequence[dict]) -> PowerLawFit:
-    """Fit the modeled-rounds power law over experiment-store query rows.
-
-    ``rows`` are plain dicts (the output of
-    :meth:`repro.store.ExperimentStore.query`) for one algorithm across a
-    Delta ladder of ``random-regular`` cells — the cached-campaign
-    counterpart of :func:`star_partition_delta_sweep`. Delta is read from
-    each row's ``workload_params['d']`` and the ``log*`` additive term is
-    removed before fitting, exactly as :meth:`DeltaSweep.fit_modeled_rounds`
-    does.
-    """
-    points: List[Tuple[int, int, float]] = []
-    for row in rows:
-        if row.get("error") is not None or row.get("rounds_modeled") is None:
-            continue
-        delta = (row.get("workload_params") or {}).get("d")
-        if delta is None:
-            continue
-        points.append((int(delta), int(row["n"]), float(row["rounds_modeled"])))
-    if len(points) < 2:
-        raise ValueError("need at least two clean Delta-ladder rows to fit")
-    offset = min(log_star(n) for _, n, _ in points)
-    xs = [delta for delta, _, _ in points]
-    ys = [max(rounds - offset, 1e-9) for _, _, rounds in points]
-    return fit_power_law(xs, ys)
 
 
 def star_partition_delta_sweep(

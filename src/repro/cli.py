@@ -1114,7 +1114,7 @@ def _add_engine_jobs(parser: argparse.ArgumentParser) -> None:
         metavar="{" + ",".join(available_engines()) + "}",
         default=None,
         help="execution engine for every simulated round (default: reference; "
-        "vector is the CSR/event-driven engine, identical results, faster at scale)",
+        "vector runs the registered array programs, identical results, faster at scale)",
     )
     parser.add_argument(
         "--jobs",

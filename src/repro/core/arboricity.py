@@ -47,7 +47,7 @@ from repro.graphs.properties import (
 from repro.local import Context, Message, Node, NodeAlgorithm, RoundLedger, run_on_graph
 from repro.core.connectors import OrientationConnector, build_orientation_connector
 from repro.core.params import Section5Params, choose_section5_params
-from repro.core.star_partition import star_partition_edge_coloring
+from repro.core.star_partition import _edge_subgraph, star_partition_edge_coloring
 from repro.substrates.hpartition import HPartition, h_partition
 from repro.substrates.oracle import ColoringOracle
 from repro.types import Edge, EdgeColoring, NodeId, edge_key, num_colors
@@ -88,20 +88,12 @@ class CrossMergeAlgorithm(NodeAlgorithm):
                 node.halt()
                 return
             self._send_request(node, 1)
-            # Replies arrive on even rounds; between them (and on every odd
-            # round) the step is a no-op, so only mail or the final halt
-            # round at 2*max(labels) needs a wake-up.
-            node.sleep_until(2 * max(labels))
         else:
             has_cross = any(
                 ctx.extras["side"].get(u) == "A" for u in node.neighbors
             )
             if not has_cross:
                 node.halt()
-            else:
-                # B acts only when requests arrive (odd rounds, with mail)
-                # and finally halts at round 2d - 1.
-                node.sleep_until(2 * ctx.extras["d"] - 1)
 
     def _send_request(self, node: Node, label: int) -> None:
         neighbor = node.state["labels"].get(label)
@@ -255,12 +247,6 @@ def _resolve_arboricity(graph: nx.Graph, arboricity: Optional[int]) -> int:
             raise InvalidParameterError("arboricity bound must be >= 1")
         return arboricity
     return max(1, arboricity_bounds(graph).upper)
-
-
-def _edge_subgraph(edges: List[Edge]) -> nx.Graph:
-    sub = nx.Graph()
-    sub.add_edges_from(edges)
-    return sub
 
 
 # --------------------------------------------------------------------------

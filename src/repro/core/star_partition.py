@@ -28,7 +28,7 @@ from repro.core.connectors import build_edge_connector
 from repro.core.params import choose_t_star, star_palette_bound, star_target_colors
 from repro.substrates.oracle import ColoringOracle
 from repro.substrates.reduction import basic_color_reduction
-from repro.types import Edge, EdgeColoring, VertexColoring, edge_key, num_colors
+from repro.types import Edge, EdgeColoring, VertexColoring, num_colors
 
 
 def reduce_edge_coloring(
@@ -74,7 +74,7 @@ class StarPartitionResult:
         return self.ledger.total_modeled
 
 
-def _edge_subgraph(graph: nx.Graph, edges: List[Edge]) -> nx.Graph:
+def _edge_subgraph(edges: List[Edge]) -> nx.Graph:
     sub = nx.Graph()
     sub.add_edges_from(edges)
     return sub
@@ -109,7 +109,7 @@ def _recurse(
     with ledger.parallel(f"star-classes(x={x})") as scope:
         for c, edges in sorted(classes.items()):
             branch = scope.branch(f"class-{c}")
-            sub = _edge_subgraph(graph, edges)
+            sub = _edge_subgraph(edges)
             psi = _recurse(sub, x - 1, oracle, branch, None)
             for e in edges:
                 combined[e] = (c,) + psi[e]

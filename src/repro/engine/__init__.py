@@ -5,8 +5,8 @@ Public surface:
 * :class:`~repro.engine.base.Engine` — the abstract engine contract.
 * :class:`~repro.engine.reference.ReferenceEngine` — the original
   :class:`~repro.local.network.Network` scheduler (bit-for-bit).
-* :class:`~repro.engine.vector.VectorEngine` — CSR adjacency, batched
-  delivery, event-driven stepping of sleep-hinted algorithms.
+* :class:`~repro.engine.vector.VectorEngine` — registered array
+  programs over CSR arrays; every other run delegated to the reference.
 * :func:`~repro.engine.base.use_engine` / :func:`~repro.engine.base.current_engine`
   / :func:`~repro.engine.base.set_default_engine` — dynamically scoped
   engine selection honored by every ``run_on_graph`` call.

@@ -7,9 +7,10 @@ library:
 * ``reference`` — :class:`~repro.engine.reference.ReferenceEngine`, a thin
   wrapper around :class:`~repro.local.network.Network` that preserves the
   original scheduler bit for bit (including tracer and crash support).
-* ``vector`` — :class:`~repro.engine.vector.VectorEngine`, a CSR-backed
-  scheduler with batched inbox delivery and an event-driven fast path for
-  algorithms that publish :meth:`~repro.local.node.Node.sleep_until` hints.
+* ``vector`` — :class:`~repro.engine.vector.VectorEngine`, program or
+  delegate: a registered array program replays the run over the CSR
+  arrays, and every other run is delegated to the reference engine,
+  disclosed.
 
 Engine selection is dynamically scoped: :func:`use_engine` installs an
 engine for a ``with`` block (thread/process local via ``contextvars``), and
@@ -40,10 +41,10 @@ DEFAULT_ENGINE = "reference"
 
 
 class EngineFallbackWarning(RuntimeWarning):
-    """Emitted when an engine delegates a run to a different engine (the
-    vector engine's tracer fallback): the caller asked for one scheduler
-    and got another — correct results, but different provenance. The
-    effective engine is recorded on the returned
+    """Emitted when an engine delegates a run to a different engine (a
+    vector-engine run with no array path): the caller asked for one
+    scheduler and got another — correct results, but different
+    provenance. The effective engine is recorded on the returned
     :class:`~repro.local.network.RunResult` (``result.engine``) and, for
     campaign cells, in the row's ``extra['effective_engine']``."""
 
@@ -125,8 +126,8 @@ _default_engine = DEFAULT_ENGINE
 # ---- effective-engine accounting -----------------------------------------
 # Engines report each run they actually schedule via note_engine_run; a
 # record_engine_runs() scope collects those names so callers (the campaign
-# worker) can compare what *executed* against what was *requested* — the
-# tracer fallback must not let a store row claim "vector" for a
+# worker) can compare what *executed* against what was *requested* — a
+# delegated run must not let a store row claim "vector" for a
 # reference-executed run.
 
 _run_sink: contextvars.ContextVar[Optional[List[str]]] = contextvars.ContextVar(
@@ -140,6 +141,24 @@ def note_engine_run(name: str) -> None:
     sink = _run_sink.get()
     if sink is not None and name not in sink:
         sink.append(name)
+
+
+def note_run_result(name: str, result: "RunResult") -> None:
+    """Fold one executed run into the active :mod:`repro.obs` runtime:
+    the ``engine.runs``/``rounds``/``messages`` counters and, with a
+    trace sink, the per-round message profile as ``engine.round``
+    points."""
+    from repro import obs
+
+    rt = obs.active()
+    if rt is None:
+        return
+    rt.incr("engine.runs", engine=name)
+    rt.incr("engine.rounds", result.rounds, engine=name)
+    rt.incr("engine.messages", result.messages, engine=name)
+    if rt.trace is not None:
+        for round_no, sent in enumerate(result.round_messages, start=1):
+            rt.emit("point", "engine.round", engine=name, round=round_no, sent=sent)
 
 
 @contextlib.contextmanager

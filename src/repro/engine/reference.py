@@ -14,7 +14,7 @@ from typing import Any, Dict, Optional
 import networkx as nx
 
 from repro import obs
-from repro.engine.base import Engine, note_engine_run
+from repro.engine.base import Engine, note_engine_run, note_run_result
 from repro.local.algorithm import NodeAlgorithm
 from repro.local.network import DEFAULT_MAX_ROUNDS, Network, RunResult
 from repro.local.trace import Tracer
@@ -27,7 +27,7 @@ class ReferenceEngine(Engine):
     :class:`~repro.graphcore.CompactGraph` and
     :class:`~repro.graphcore.Interned` inputs are converted to networkx
     transparently (the reference scheduler is defined over nx adjacency),
-    so parity suites can hold the CSR fast path of
+    so parity suites can hold the array programs of
     :class:`~repro.engine.vector.VectorEngine` against this engine on the
     *same* compact instance or view.
     """
@@ -60,22 +60,8 @@ class ReferenceEngine(Engine):
                 crashes=crashes,
                 tracer=tracer,
             )
-        rt = obs.active()
-        if rt is not None:
-            # The reference scheduler is opaque per round; its aggregate
-            # counters come from the result, and the per-round message
-            # profile becomes trace events when a sink is attached.
-            rt.incr("engine.runs", engine=self.name)
-            rt.incr("engine.rounds", result.rounds, engine=self.name)
-            rt.incr("engine.messages", result.messages, engine=self.name)
-            if rt.trace is not None:
-                for round_no, sent in enumerate(result.round_messages, start=1):
-                    rt.emit(
-                        "point",
-                        "engine.round",
-                        engine=self.name,
-                        round=round_no,
-                        sent=sent,
-                    )
+        # The reference scheduler is opaque per round: its counters and
+        # round points come from the result.
+        note_run_result(self.name, result)
         result.engine = self.name
         return result

@@ -60,7 +60,7 @@ class CompactGraph:
     views (memory-mapped files), so nothing in the library mutates them.
     """
 
-    __slots__ = ("indptr", "indices", "labels", "node_attrs", "_adj", "_max_degree")
+    __slots__ = ("indptr", "indices", "labels", "node_attrs", "_max_degree")
 
     def __init__(
         self,
@@ -82,7 +82,6 @@ class CompactGraph:
         self.indices = indices
         self.labels = list(labels) if labels is not None else None
         self.node_attrs = dict(node_attrs) if node_attrs else None
-        self._adj: Optional[List[Any]] = None
         self._max_degree: Optional[int] = None
 
     @staticmethod
@@ -250,18 +249,6 @@ class CompactGraph:
                 if data:
                     sub.nodes[v].update(data)
         return sub
-
-    def adjacency_lists(self) -> List[Tuple[int, ...]]:
-        """Per-node neighbor tuples of Python ints, computed once and
-        cached — the bulk form of :meth:`neighbors` the vector engine's
-        native path consumes (repeat runs on one instance reuse it)."""
-        if self._adj is None:
-            flat = self.indices.tolist()
-            bounds = self.indptr.tolist()
-            self._adj = [
-                tuple(flat[bounds[i] : bounds[i + 1]]) for i in range(self.n)
-            ]
-        return self._adj
 
     # ---------------------------------------------------------- conversion
 

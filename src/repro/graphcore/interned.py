@@ -28,7 +28,7 @@ class Interned:
     (:meth:`from_arrays`), the dense CSR is the input. Either form
     derives the other on first read and keeps it: ``indptr``/``indices``
     are the dense CSR a program runs over, ``neighbors``/``bounds`` the
-    original-id rows the per-node path steps over.
+    original-id rows :meth:`to_networkx` rebuilds the graph from.
 
     Self-loops are recorded (``loops``), not refused: a view stands for
     its graph exactly, and the engines refuse looped views the way they

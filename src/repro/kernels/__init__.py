@@ -1,13 +1,13 @@
 """Batched numpy round kernels over CSR graphs.
 
-The per-node simulators (:class:`~repro.local.network.Network` and the
-vector engine's event-driven loop) dispatch a Python ``step`` per node per
-round. For the bounded-round LOCAL procedures this library reproduces —
+The per-node simulator (:class:`~repro.local.network.Network`, run by
+the reference engine) dispatches a Python ``step`` per node per round.
+For the bounded-round LOCAL procedures this library reproduces —
 Linial's cover-free relabeling, Cole–Vishkin bit reduction, the iterated
-color reductions, H-partition peeling — every node of a round applies the
-*same* pure function of (own state, neighbor states), which makes the
-whole round one fused array operation over the CSR ``indptr``/``indices``
-arrays. A kernel executes the entire run that way: one ``colors``/state
+color reductions, H-partition peeling, Lemma 5.1's label-round merge —
+every node of a round applies the *same* function of (own state,
+received state), which makes the whole round a few fused array
+operations over the CSR ``indptr``/``indices`` arrays. A kernel executes the entire run that way: one ``colors``/state
 vector per graph, one pass of numpy segment ops per synchronous round,
 zero per-node Python dispatch.
 
@@ -21,9 +21,9 @@ Contract (the reason kernels may exist at all):
 * **Decline, don't approximate.** A kernel that cannot reproduce the
   per-node semantics for a given input (exotic extras, inputs that would
   raise mid-run in node order, palettes outside its vectorized range)
-  raises :class:`KernelUnsupported`; the engine falls back to the
-  per-node path, which remains the semantic authority, and discloses the
-  decline through the ``kernel.fallback`` counter.
+  raises :class:`KernelUnsupported`; the engine delegates the run to the
+  reference scheduler, which remains the semantic authority, and
+  discloses the decline through the ``kernel.fallback`` counter.
 * **Engines opt in.** Only :class:`~repro.engine.vector.VectorEngine`
   consults this registry, for every crash-free, untraced,
   bandwidth-untracked run — on a ``CompactGraph`` as it is, and on an nx
@@ -74,6 +74,7 @@ _KERNEL_MODULES: Dict[str, str] = {
     "kw-phase": "repro.kernels.reduction",
     "cole-vishkin": "repro.kernels.cole_vishkin",
     "h-partition": "repro.kernels.peeling",
+    "cross-merge": "repro.kernels.cross_merge",
 }
 
 #: algorithm name -> ShardProgram.

@@ -27,7 +27,7 @@ import numpy as np
 from repro.errors import InvalidParameterError, RoundLimitExceeded
 from repro.kernels import KernelUnsupported, register_program
 from repro.kernels.program import DenseExtra, ShardProgram, local_values
-from repro.kernels.segments import dense_int_table, edge_endpoints, require_int
+from repro.kernels.segments import dense_int_table, edge_endpoints, local_ids, require_int
 from repro.local.network import RunResult
 
 
@@ -50,20 +50,6 @@ def _parent_array(parent: Any, n: int) -> np.ndarray:
             raise KernelUnsupported("parent outside the graph")
         par[k] = v
     return par
-
-
-def _local_ids(shard: Any, gids: np.ndarray) -> np.ndarray:
-    """Global node ids as ``shard``'s local ids: -1 for roots and for
-    nodes the shard neither owns nor sees in its halo."""
-    own = (gids >= shard.lo) & (gids < shard.hi)
-    local = np.where(own, gids - shard.lo, -1)
-    halo = np.asarray(shard.halo)
-    if halo.size:
-        pos = np.searchsorted(halo, gids)
-        seen = ~own & (pos < halo.size)
-        seen[seen] = halo[pos[seen]] == gids[seen]
-        local[seen] = shard.n_own + pos[seen]
-    return local
 
 
 class ColeVishkinProgram(ShardProgram):
@@ -142,7 +128,7 @@ class ColeVishkinProgram(ShardProgram):
         n_own = shard.n_own
         state = {"colors": np.asarray(payload["own"], dtype=np.int64)}
         own_parent = np.asarray(payload["parent"], dtype=np.int64)
-        par = _local_ids(
+        par = local_ids(
             shard, local_values(shard, own_parent, payload["halo_parent"])
         )
         src, dst = edge_endpoints(shard)

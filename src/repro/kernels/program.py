@@ -34,8 +34,9 @@ outputs back.
 Inputs a program cannot reproduce exactly (exotic extras, palettes
 outside its vectorized range) raise
 :class:`~repro.kernels.KernelUnsupported` from ``plan``; the caller
-falls back to the per-node path, disclosed through ``kernel.fallback``
-or ``shard.fallback``. A decline only the CSR can detect (a parent that
+falls back (the vector engine to the reference scheduler, the sharded
+runtime to the engine), disclosed through ``kernel.fallback`` or
+``shard.fallback``. A decline only the CSR can detect (a parent that
 is not a neighbor) is reported by the worker as ``decline`` in its
 ``init_state`` stats, and the caller falls back before the first round.
 Worker-side failures the per-node semantics define (an uncovered

@@ -38,12 +38,13 @@ import numpy as np
 from repro.errors import ColoringError, RoundLimitExceeded
 from repro.kernels import KernelUnsupported, register_program
 from repro.kernels.program import ShardProgram, local_values
-from repro.kernels.segments import dense_int_table, require_int, segment_gather
+from repro.kernels.segments import (
+    MAX_MASK_CELLS,
+    dense_int_table,
+    require_int,
+    segment_gather,
+)
 from repro.local.network import RunResult
-
-#: Cap on the (members x limit) mex mask; inputs past it fall back to
-#: the event-driven per-node path rather than risk a memory spike.
-_MAX_MEX_CELLS = 64_000_000
 
 
 def _mex(
@@ -97,7 +98,7 @@ class _ClassSweep(ShardProgram):
             raise RoundLimitExceeded(max_rounds, int((wake > max_rounds).sum()))
         sizes = np.bincount(wake)
         sizes[0] = 0
-        if int(sizes.max()) * limit > _MAX_MEX_CELLS:
+        if int(sizes.max()) * limit > MAX_MASK_CELLS:
             raise KernelUnsupported("mex mask too large; per-node path instead")
         plan = {
             "colors": colors,

@@ -27,6 +27,10 @@ import numpy as np
 from repro.kernels import KernelUnsupported
 from repro.kernels.program import DenseExtra
 
+#: Cap on a program's (nodes x palette) bool mask; inputs past it run on
+#: the reference scheduler rather than risk a memory spike.
+MAX_MASK_CELLS = 64_000_000
+
 
 def edge_endpoints(graph: Any) -> Tuple[np.ndarray, np.ndarray]:
     """All directed edges of the CSR rows as ``(src, dst)`` int64 arrays,
@@ -91,6 +95,21 @@ def segment_gather(
     shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
     neighbors = indices[np.arange(owner.size, dtype=np.int64) + shift]
     return neighbors.astype(np.int64, copy=False), owner
+
+
+def local_ids(shard: Any, gids: np.ndarray) -> np.ndarray:
+    """Global node ids as ``shard``'s local ids: -1 for a negative id (a
+    root's parent) and for nodes the shard neither owns nor sees in its
+    halo."""
+    own = (gids >= shard.lo) & (gids < shard.hi)
+    local = np.where(own, gids - shard.lo, -1)
+    halo = np.asarray(shard.halo)
+    if halo.size:
+        pos = np.searchsorted(halo, gids)
+        seen = ~own & (pos < halo.size)
+        seen[seen] = halo[pos[seen]] == gids[seen]
+        local[seen] = shard.n_own + pos[seen]
+    return local
 
 
 def repr_rank_order(n: int) -> np.ndarray:

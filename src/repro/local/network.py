@@ -16,7 +16,7 @@ non-halting algorithm is a bug, never a silent hang.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 import networkx as nx
 
@@ -42,7 +42,7 @@ class RunResult:
     ``engine`` names the engine that *actually* scheduled the run (set by
     the engine layer; ``None`` for direct :class:`Network` use). It can
     differ from the engine the caller requested — the vector engine's
-    tracer fallback executes on the reference scheduler and says so here.
+    delegated runs execute on the reference scheduler and say so here.
     """
 
     rounds: int
@@ -115,7 +115,6 @@ class Network:
             node.state = {}
             node.inbox = []
             node.halted = False
-            node._wake_at = 0
             node.drain_outbox()
             algorithm.initialize(node, ctx)
 

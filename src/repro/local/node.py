@@ -24,7 +24,7 @@ class Node:
     they need into ``state``.
     """
 
-    __slots__ = ("id", "neighbors", "state", "inbox", "halted", "_outbox", "_wake_at")
+    __slots__ = ("id", "neighbors", "state", "inbox", "halted", "_outbox")
 
     def __init__(self, node_id: NodeId, neighbors: Tuple[NodeId, ...]):
         self.id = node_id
@@ -33,7 +33,6 @@ class Node:
         self.inbox: List[Message] = []
         self.halted = False
         self._outbox: Dict[NodeId, Any] = {}
-        self._wake_at = 0
 
     @property
     def degree(self) -> int:
@@ -53,23 +52,6 @@ class Node:
     def halt(self) -> None:
         """Announce local termination; the node takes no further steps."""
         self.halted = True
-
-    def sleep_until(self, round_no: int) -> None:
-        """Publish a scheduling hint: this node's steps before ``round_no``
-        are no-ops unless a message arrives for it.
-
-        The hint is a promise about the *algorithm*, not a request to the
-        simulator: engines may step the node anyway (the reference engine
-        always does), and an event-driven engine steps it early whenever it
-        receives a message. An algorithm that would act in a mail-less round
-        before ``round_no`` must not publish the hint for that span.
-        """
-        self._wake_at = round_no
-
-    @property
-    def wake_round(self) -> int:
-        """The round this node asked to be woken at (0 = every round)."""
-        return self._wake_at
 
     def drain_outbox(self) -> Dict[NodeId, Any]:
         out, self._outbox = self._outbox, {}

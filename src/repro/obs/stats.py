@@ -29,7 +29,7 @@ __all__ = ["campaign_stats", "render_stats"]
 FALLBACK_PREFIXES = (
     "kernel.fallback",
     "registry.compact_fallback",
-    "engine.tracer_fallback",
+    "engine.fallback",
     "warnings.",
 )
 

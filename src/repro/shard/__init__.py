@@ -22,12 +22,14 @@ Layering:
   :func:`~repro.local.network.run_on_graph` consults.
 
 Every registered kernel is a program (:func:`kernel_names`), so every
-kernel shards. Algorithms without one (centralized baselines, the
-per-node-only procedures), runs on graphs other than the partitioned
-parent, and inputs a program declines transparently fall through to the
-normal engine path; every such fallthrough is disclosed through the
-``shard.fallback`` counter, so a campaign can never silently claim
-sharded execution it did not get.
+kernel shards — cross-merge only on shards with an empty halo, since its
+multi-valued exchange does not fit the scalar halo exchange. Algorithms
+without a program (centralized baselines), runs on graphs other than
+the partitioned parent, and inputs a program declines transparently fall
+through to the normal engine path (the vector engine runs the
+whole-graph program or delegates to the reference); every such
+fallthrough is disclosed through the ``shard.fallback`` counter, so a
+campaign can never silently claim sharded execution it did not get.
 """
 
 from repro.kernels import get_program, kernel_names

@@ -53,10 +53,6 @@ class BasicReductionAlgorithm(NodeAlgorithm):
         node.broadcast(color)
         if color < ctx.extras["target"]:
             node.halt()
-        else:
-            # Round m - color is this node's re-pick slot; every earlier
-            # mail-less step is a no-op (event-driven engines skip them).
-            node.sleep_until(ctx.extras["m"] - color)
 
     def step(self, node: Node, inbox: List[Message], round_no: int, ctx: Context) -> None:
         nbr_colors: Dict[NodeId, int] = node.state["nbr_colors"]
@@ -93,10 +89,6 @@ class BlockedReductionAlgorithm(NodeAlgorithm):
         node.broadcast(color)
         if color % ctx.extras["block"] < ctx.extras["palette"]:
             node.halt()
-        else:
-            # In-block class rel re-picks at round block - rel; idle until
-            # then except when neighbors announce their re-picks.
-            node.sleep_until(ctx.extras["block"] - color % ctx.extras["block"])
 
     def step(self, node: Node, inbox: List[Message], round_no: int, ctx: Context) -> None:
         nbr_colors: Dict[NodeId, int] = node.state["nbr_colors"]

@@ -5,8 +5,8 @@ Two independent lines of defense beyond the per-run oracles:
 * :func:`differential_check` executes one cell under *every* engine
   (ReferenceEngine vs VectorEngine by default) and compares the resulting
   :class:`~repro.registry.AlgorithmRun`s field by field — coloring,
-  colors_used, rounds, and every ``extra`` key. Any divergence means a
-  sleep-hint or batching shortcut changed semantics.
+  colors_used, rounds, and every ``extra`` key. Any divergence means an
+  array program changed semantics.
 * :func:`recheck_row` takes a persisted experiment-store row, rebuilds its
   workload instance from the stored (workload, params, seed), re-executes
   the algorithm under the stored engine, re-runs the oracles, and compares

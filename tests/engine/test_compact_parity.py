@@ -17,6 +17,7 @@ import pytest
 from repro import obs, registry, workloads
 from repro.analysis.campaign import default_cells
 from repro.baselines.greedy import greedy_edge_coloring, greedy_vertex_coloring
+from repro.core.arboricity import CrossMergeAlgorithm
 from repro.engine import get_engine
 from repro.graphcore import CompactGraph
 from repro.kernels.segments import repr_rank_order
@@ -342,11 +343,26 @@ def _relabel(form, compact, extras, node_keyed=(), node_valued=()):
     for key in node_keyed:
         extras[key] = {label(v): c for v, c in extras[key].items()}
     for key in node_valued:
+        # a node, None for a root, or a {label: node} row
         extras[key] = {
-            label(v): (None if p is None else label(p))
+            label(v): (
+                None if p is None
+                else {i: label(q) for i, q in p.items()} if isinstance(p, dict)
+                else label(p)
+            )
             for v, p in extras[key].items()
         }
     return graph, extras
+
+
+def _ordered(outputs):
+    """``outputs`` as (node, value) pairs in graph order, a dict value
+    (the merge's per-node assignments, which ``merge_cross_edges`` folds
+    in that order) listed in its insertion order too."""
+    return [
+        (v, list(out.items()) if isinstance(out, dict) else out)
+        for v, out in outputs.items()
+    ]
 
 
 def _outcome(engine, graph, algorithm, extras):
@@ -356,7 +372,7 @@ def _outcome(engine, graph, algorithm, extras):
         return ("raised", type(exc), str(exc))
     return (
         "ran",
-        list(result.outputs.items()),
+        _ordered(result.outputs),
         result.rounds,
         result.messages,
         list(result.round_messages),
@@ -400,27 +416,55 @@ class TestEngineLevelParity:
         }
         return tree, ColeVishkinAlgorithm(), extras
 
+    def _merge_extras(self, graph, first_label_only=False, palette=None):
+        """Lemma 5.1 extras: every third node is an A node labelling its
+        B neighbors in repr order (so A nodes with few B neighbors stop
+        before ``d``, and B nodes at row ends of a grid see no A node),
+        and every fourth node already uses two colors."""
+        side = {v: "A" if v % 3 == 0 else "B" for v in graph.nodes()}
+        labels = {}
+        for v in graph.nodes():
+            partners = sorted(
+                (u for u in graph.neighbors(v) if side[u] == "B"), key=repr
+            )[: 1 if first_label_only else None]
+            if side[v] == "A" and partners:
+                labels[v] = dict(enumerate(partners, start=1))
+        # two used colors at each end plus one per other cross edge:
+        # 2 * Delta + 4 never runs out
+        if palette is None:
+            palette = 2 * graph.max_degree + 4
+        used = {
+            v: [(3 * v) % palette, (5 * v + 1) % palette]
+            for v in graph.nodes()
+            if v % 4 == 1
+        }
+        return {
+            "side": side,
+            "labels": labels,
+            "used": used,
+            "palette": palette,
+            "d": max(len(row) for row in labels.values()),
+        }
+
     @pytest.mark.parametrize("workload,params", XL_PARITY)
     def test_full_runresult_parity_on_compact(self, workload, params):
         compact = workloads.build(workload, params, seed=1)
-        for graph, algorithm, extras in (
-            (compact, LinialAlgorithm(), self._linial_extras(compact)),
-            # the sleep-hinted reductions: many rounds, event-driven path
-            (compact, BasicReductionAlgorithm(), self._reduction_extras(compact)),
-            (compact, BlockedReductionAlgorithm(), self._kw_extras(compact)),
-            self._cole_vishkin_case(compact.n),
-        ):
+        for algorithm, graph, extras, _keyed, _valued in self._program_cases(compact):
             ref = get_engine("reference").run(graph, algorithm, extras=extras)
-            vec = get_engine("vector").run(graph, algorithm, extras=extras)
-            assert vec.outputs == ref.outputs
+            with obs.collect() as runtime:
+                vec = get_engine("vector").run(graph, algorithm, extras=extras)
+            assert _ordered(vec.outputs) == _ordered(ref.outputs)
             assert vec.rounds == ref.rounds
             assert vec.messages == ref.messages
             assert vec.round_messages == ref.round_messages
             assert ref.engine == "reference" and vec.engine == "vector"
+            counters = runtime.snapshot()["counters"]
+            assert counters.get(f"kernel.dispatch[kernel={algorithm.name}]") == 1
 
     def _program_cases(self, compact):
         """(algorithm, compact instance, dense extras, node-keyed extras,
-        node-valued extras) for all six registered programs."""
+        node-valued extras) for all seven registered programs, cross-merge
+        with all labels and with one label per A node (d = 1)."""
         import networkx as nx
 
         from repro.substrates.defective import DefectiveRefinementAlgorithm
@@ -440,6 +484,10 @@ class TestEngineLevelParity:
              ("coloring",), ()),
             (cv, tree, cv_extras, ("initial_coloring",), ("parent",)),
             (_Peeler(), compact, {"threshold": degeneracy}, (), ()),
+            (CrossMergeAlgorithm(), compact, self._merge_extras(compact),
+             ("side", "used"), ("labels",)),
+            (CrossMergeAlgorithm(), compact, self._merge_extras(compact, True),
+             ("side", "used"), ("labels",)),
         ]
 
     @pytest.mark.parametrize("form", NX_FORMS)
@@ -455,7 +503,7 @@ class TestEngineLevelParity:
             with obs.collect() as runtime:
                 vec = get_engine("vector").run(graph, algorithm, extras=extras)
             # outputs keyed by the original ids, in graph order
-            assert list(vec.outputs.items()) == list(ref.outputs.items())
+            assert _ordered(vec.outputs) == _ordered(ref.outputs)
             assert vec.rounds == ref.rounds
             assert vec.messages == ref.messages
             assert vec.round_messages == ref.round_messages
@@ -485,6 +533,50 @@ class TestEngineLevelParity:
             assert vector == reference
             counters = runtime.snapshot()["counters"]
             assert not any(k.startswith("kernel.fallback") for k in counters)
+
+    @pytest.mark.parametrize("form", NX_FORMS)
+    @pytest.mark.parametrize("workload,params", XL_PARITY)
+    def test_merge_palette_exhausted_matches_reference(self, workload, params, form):
+        # a palette of 2 runs out in the first label round: the program
+        # raises the per-node error at the first failing B in graph order
+        compact = workloads.build(workload, params, seed=1)
+        extras = self._merge_extras(compact, palette=2)
+        extras["used"] = {v: [c % 2 for c in used] for v, used in extras["used"].items()}
+        for graph, case in (
+            (compact, extras),
+            _relabel(form, compact, extras, ("side", "used"), ("labels",)),
+        ):
+            reference = _outcome("reference", graph, CrossMergeAlgorithm(), case)
+            assert reference[0] == "raised"
+            assert reference[2].startswith("merge palette 2 exhausted at ")
+            with obs.collect() as runtime:
+                vector = _outcome("vector", graph, CrossMergeAlgorithm(), case)
+            assert vector == reference
+            counters = runtime.snapshot()["counters"]
+            assert not any(k.startswith("kernel.fallback") for k in counters)
+
+    def test_merge_cases_cover_the_protocol_shapes(self):
+        # guard against silently-trivial cross-merge cases: over the
+        # parity instances, each protocol shape occurs somewhere
+        shapes = set()
+        for workload, params in XL_PARITY:
+            compact = workloads.build(workload, params, seed=1)
+            extras = self._merge_extras(compact)
+            side, labels = extras["side"], extras["labels"]
+            if any(
+                side[v] == "B" and all(side[u] == "B" for u in compact.neighbors(v))
+                for v in range(compact.n)
+            ):
+                shapes.add("B node with no cross edge")
+            if any(len(row) < extras["d"] for row in labels.values()):
+                shapes.add("labels stop before d")
+            # a B asked twice in one round: one sweep per inbox position
+            requests = [(i, b) for row in labels.values() for i, b in row.items()]
+            if len(set(requests)) < len(requests):
+                shapes.add("two requests in one inbox")
+            if self._merge_extras(compact, first_label_only=True)["d"] == 1:
+                shapes.add("d = 1")
+        assert len(shapes) == 4, shapes
 
     def test_linial_actually_rounds_on_the_grid_case(self):
         # guard against a silently-trivial parity case: 225 ids on a

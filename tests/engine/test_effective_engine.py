@@ -1,5 +1,6 @@
-"""Effective-engine provenance: the tracer fallback may not let any row
-claim a vector execution that ran on the reference scheduler."""
+"""Effective-engine provenance: the vector engine's delegations (tracer
+runs, algorithms with no program) may not let any row claim a vector
+execution that ran on the reference scheduler."""
 
 import warnings
 
@@ -14,6 +15,10 @@ from repro.engine import (
 )
 from repro.local import NodeAlgorithm
 from repro.local.trace import Tracer
+from repro.substrates.linial import LinialAlgorithm
+
+#: a path on 4 nodes, dispatched to the linial program
+_LINIAL = {"initial_coloring": {v: v for v in range(4)}, "m0": 4}
 
 
 class _OneShot(NodeAlgorithm):
@@ -33,15 +38,24 @@ class TestTracerFallback:
         assert any(issubclass(w.category, EngineFallbackWarning) for w in caught)
         assert result.engine == "reference"
 
-    def test_no_warning_without_tracer(self):
+    def test_no_warning_for_a_dispatched_run(self):
         graph = nx.path_graph(4)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = get_engine("vector").run(graph, _OneShot())
+            result = get_engine("vector").run(graph, LinialAlgorithm(), extras=_LINIAL)
         assert not any(
             issubclass(w.category, EngineFallbackWarning) for w in caught
         )
         assert result.engine == "vector"
+
+    def test_unprogrammed_algorithm_warns_and_labels_reference(self):
+        # no program, no array path: the run is delegated, like a tracer run
+        graph = nx.path_graph(4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = get_engine("vector").run(graph, _OneShot())
+        assert any(issubclass(w.category, EngineFallbackWarning) for w in caught)
+        assert result.engine == "reference"
 
     def test_reference_engine_labels_itself(self):
         result = get_engine("reference").run(nx.path_graph(3), _OneShot())
@@ -50,11 +64,11 @@ class TestTracerFallback:
 
 class TestRecordEngineRuns:
     def test_collects_in_first_run_order(self):
-        graph = nx.path_graph(3)
+        graph = nx.path_graph(4)
         with record_engine_runs() as ran:
-            get_engine("vector").run(graph, _OneShot())
+            get_engine("vector").run(graph, LinialAlgorithm(), extras=_LINIAL)
             get_engine("reference").run(graph, _OneShot())
-            get_engine("vector").run(graph, _OneShot())
+            get_engine("vector").run(graph, LinialAlgorithm(), extras=_LINIAL)
         assert ran == ["vector", "reference"]
 
     def test_fallback_records_the_delegate(self):
@@ -75,8 +89,8 @@ class TestRecordEngineRuns:
 class TestCampaignRowDisclosure:
     @pytest.fixture
     def traced_algorithm(self):
-        """A registered algorithm whose runner insists on a tracer — the
-        one legitimate way a vector cell executes on reference."""
+        """A registered algorithm whose runner insists on a tracer, so a
+        vector cell executes on reference."""
         name = "_test-traced"
 
         def runner(graph):
@@ -133,3 +147,41 @@ class TestCampaignRowDisclosure:
         )
         assert row["error"] is None
         assert "effective_engine" not in row["extra"]
+
+
+class TestSection5CellsRunOnPrograms:
+    """A Section 5 cell under the vector engine runs array code only:
+    every Lemma 5.1 merge dispatches to the cross-merge program."""
+
+    @staticmethod
+    def _cell(algorithm, engine):
+        from repro.analysis.campaign import _execute_cell
+
+        return _execute_cell(
+            {
+                "algorithm": algorithm,
+                "workload": "star-forest-stack",
+                # large enough that thm53's connector has cross edges
+                "workload_params": {"n_centers": 12, "leaves_per_center": 20, "a": 3},
+                "seed": 0,
+                "algo_params": {},
+                "engine": engine,
+                "verify": True,
+            }
+        )
+
+    @pytest.mark.parametrize("algorithm", ["thm52", "thm53"])
+    def test_vector_cell_dispatches_every_run(self, algorithm):
+        vector = self._cell(algorithm, "vector")
+        reference = self._cell(algorithm, "reference")
+        assert vector["error"] is None and vector["verdict"] == "ok"
+        counters = vector["metrics"]["counters"]
+        assert counters.get("kernel.dispatch[kernel=cross-merge]", 0) >= 1
+        assert not any(key.startswith("engine.steps") for key in counters)
+        assert not any(
+            key.startswith(("kernel.fallback", "engine.fallback", "warnings."))
+            for key in counters
+        ), sorted(counters)
+        assert "effective_engine" not in vector["extra"]
+        for column in ("colors_used", "rounds_actual", "rounds_modeled", "extra"):
+            assert vector[column] == reference[column]

@@ -17,6 +17,7 @@ import networkx as nx
 import pytest
 
 from repro import obs
+from repro.core.arboricity import CrossMergeAlgorithm
 from repro.engine import get_engine
 from repro.graphcore import build_grid
 from repro.substrates.cole_vishkin import ColeVishkinAlgorithm, cv_iterations
@@ -34,6 +35,15 @@ ROWS = {v: (v - 1 if v % 20 else None) for v in range(N)}
 _CV = {"parent": ROWS, "initial_coloring": DENSE, "iterations": cv_iterations(N)}
 # a stalled peel runs to the round budget on the per-node path
 MAX_ROUNDS = 50
+# Lemma 5.1 on the grid's checkerboard: every edge is a cross edge, and
+# every A node labels its neighbors in repr order (d = 4)
+_SIDE = {v: "AB"[(v // 20 + v % 20) % 2] for v in range(N)}
+_LABELS = {
+    v: dict(enumerate(sorted(GRAPH.neighbors(v), key=repr), start=1))
+    for v in range(N)
+    if _SIDE[v] == "A"
+}
+_MERGE = {"side": _SIDE, "labels": _LABELS, "used": {}, "palette": 8, "d": 4}
 
 # (algorithm, extras, the decline reason the kernel must disclose)
 CASES = [
@@ -83,6 +93,30 @@ CASES = [
                  "color >= m", id="basic-color-at-least-m"),
     pytest.param(BlockedReductionAlgorithm(), {"coloring": DENSE, "block": 4, "palette": 5},
                  "degenerate (block, palette)", id="kw-degenerate"),
+    pytest.param(CrossMergeAlgorithm(), {k: v for k, v in _MERGE.items() if k != "d"},
+                 "missing cross-merge extras", id="merge-missing-extras"),
+    pytest.param(CrossMergeAlgorithm(), {**_MERGE, "side": {**_SIDE, 7: "C"}},
+                 "side is not A or B", id="merge-side-not-a-or-b"),
+    pytest.param(CrossMergeAlgorithm(), {**_MERGE, "palette": -1},
+                 "palette is not a non-negative int", id="merge-negative-palette"),
+    pytest.param(CrossMergeAlgorithm(), {**_MERGE, "used": {1: [3], 2: [8]}},
+                 "used color is not an int below the palette", id="merge-used-out-of-range"),
+    pytest.param(CrossMergeAlgorithm(), {**_MERGE, "labels": {**_LABELS, 0: {2: 1}}},
+                 "label keys are not 1..k", id="merge-label-keys"),
+    # node 0's first partner turned A: its request would go unanswered
+    pytest.param(CrossMergeAlgorithm(), {**_MERGE, "side": {**_SIDE, 1: "A"}},
+                 "label partner is not a B-side neighbor", id="merge-partner-a-side"),
+    # a far-away B partner: only the CSR shows the decline
+    pytest.param(CrossMergeAlgorithm(), {**_MERGE, "labels": {**_LABELS, 0: {1: 1, 2: 300}}},
+                 "label partner is not a B-side neighbor", id="merge-partner-not-neighbor"),
+    pytest.param(CrossMergeAlgorithm(), {**_MERGE, "d": 5},
+                 "d is not the largest label count", id="merge-d-too-large"),
+    pytest.param(CrossMergeAlgorithm(), {**_MERGE, "d": 30},
+                 "2d exceeds max_rounds", id="merge-2d-over-max-rounds"),
+    pytest.param(CrossMergeAlgorithm(), {**_MERGE, "palette": 10 ** 6},
+                 "merge mask too large", id="merge-mask-too-large"),
+    pytest.param(CrossMergeAlgorithm(), {**_MERGE, "labels": {}, "d": 0},
+                 "no labelled A node", id="merge-no-labels"),
 ]
 
 
@@ -130,14 +164,19 @@ NX_GRID = nx.relabel_nodes(GRAPH.to_networkx(), _label)
 
 def _relabeled(extras):
     """``extras`` for ``NX_GRID``: every key of a node table relabeled
-    (ids outside the grid too), and the parent map's values as well."""
+    (ids outside the grid too), and the parent map's and the label rows'
+    values as well."""
     out = dict(extras)
-    for key in ("initial_coloring", "coloring", "parent"):
+    for key in ("initial_coloring", "coloring", "parent", "side", "used", "labels"):
         if isinstance(out.get(key), dict):
             out[key] = {_label(v): c for v, c in out[key].items()}
     if isinstance(out.get("parent"), dict):
         out["parent"] = {
             v: (None if p is None else _label(p)) for v, p in out["parent"].items()
+        }
+    if isinstance(out.get("labels"), dict):
+        out["labels"] = {
+            v: {i: _label(p) for i, p in row.items()} for v, row in out["labels"].items()
         }
     return out
 
@@ -149,6 +188,7 @@ def test_decline_on_nx_matches_compact(algorithm, extras, reason):
 
 _NX_IDS = {_label(v): v for v in range(N)}
 _NX_CV = _relabeled(_CV)
+_NX_MERGE = _relabeled(_MERGE)
 
 #: Declines only an nx input can show: the tables are read by node id,
 #: so a key set that is not exactly the graph's nodes, or a parent that
@@ -176,6 +216,13 @@ NX_CASES = [
     pytest.param(ColeVishkinAlgorithm(),
                  {**_NX_CV, "parent": {**_NX_CV["parent"], (0, 5): [0, 4]}},
                  "parent outside the graph", id="parent-unhashable"),
+    pytest.param(CrossMergeAlgorithm(),
+                 {**_NX_MERGE, "labels": {**_NX_MERGE["labels"],
+                                          (0, 0): {1: (0, 1), 2: ("elsewhere", 0)}}},
+                 "label partner is not a B-side neighbor", id="merge-partner-outside-graph"),
+    pytest.param(CrossMergeAlgorithm(),
+                 {**_NX_MERGE, "labels": {**_NX_MERGE["labels"], (0, 0): {1: [0, 1]}}},
+                 "label partner is not a B-side neighbor", id="merge-partner-unhashable"),
 ]
 
 

@@ -2,9 +2,10 @@
 outputs, round counts, and message counts under ``ReferenceEngine`` and
 ``VectorEngine``.
 
-This is the contract that lets the vector engine skip sleep-hinted no-op
-steps: if a hint ever lies (a skipped step would have acted), outputs or
-message profiles diverge and these tests fail.
+The vector engine runs every registered program as array code and
+delegates everything else to the reference scheduler; a program that
+ever diverged from the per-node semantics would show here as different
+outputs or message profiles.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class TestRegistryParity:
 
 class TestEngineLevelParity:
     """Full RunResult equality (outputs, rounds, messages, per-round
-    profile) on the protocols that publish sleep hints."""
+    profile) on the class-scheduled protocols."""
 
     def assert_runs_equal(self, graph, algorithm, extras):
         ref = get_engine("reference").run(graph, algorithm, extras=extras)
@@ -150,11 +151,11 @@ class TestEngineLevelParity:
 
 
 class TestCrashAndBandwidthParity:
-    """The vector engine's own crash path (`engine/vector.py`) against the
+    """Crash-scheduled and bandwidth-tracked vector runs against the
     reference fail-stop semantics: identical outputs, `crashed` sets,
     round counts, per-round message profiles, and bandwidth accounting
-    under mid-run crashes — including crashes of *sleeping* nodes, which
-    only the vector engine schedules specially."""
+    under mid-run crashes. The vector engine delegates these runs to the
+    reference scheduler, so this holds the delegation to the spec."""
 
     def assert_crash_parity(self, graph, algorithm, extras, crashes):
         ref = get_engine("reference").run(
@@ -185,8 +186,8 @@ class TestCrashAndBandwidthParity:
         graph = small_graph(graph_name)
         ordered, extras = self.reduction_extras(graph)
         # every third node fail-stops at a staggered mid-run round; under
-        # the reduction schedule most of these nodes are sleeping when
-        # their crash round arrives
+        # the reduction schedule most of these nodes are still waiting for
+        # their class's round when they crash
         crashes = {v: (i % 4) + 2 for i, v in enumerate(ordered[::3])}
         ref = self.assert_crash_parity(graph, BasicReductionAlgorithm(), extras, crashes)
         if ref.rounds >= 5:
@@ -225,9 +226,9 @@ class TestCrashAndBandwidthParity:
         ref = self.assert_crash_parity(graph, BasicReductionAlgorithm(), extras, crashes)
         assert ref.crashed == frozenset()
 
-    def test_crash_at_exact_wake_round(self):
-        """Crash a node in the round its sleep hint would have woken it:
-        the vector engine must not step (or count) it."""
+    def test_crash_in_the_repick_round(self):
+        """Crash a node in the round its color class re-picks (and in
+        every round around it): the crashed node must not step or count."""
         graph = small_graph("regular-24-6")
         ordered, extras = self.reduction_extras(graph)
         baseline = get_engine("reference").run(
@@ -266,8 +267,8 @@ class TestCrashAndBandwidthParity:
 
 
 class TestParityAtModerateScale:
-    """One larger instance per hot path, so the event-driven skipping is
-    actually exercised at depth (hundreds of rounds, mostly-idle nodes)."""
+    """One larger instance per hot path, so the programs' class sweeps
+    are exercised at depth (hundreds of rounds, mostly-idle nodes)."""
 
     def test_basic_reduction_large_palette(self):
         line, _ = line_graph_with_cover(random_regular(40, 6, seed=3))

@@ -1,94 +1,120 @@
-"""VectorEngine scheduler semantics: sleep/wake bookkeeping, crash
-schedules, round limits, bandwidth tracking, and engine selection."""
+"""VectorEngine semantics: runs with no array path (crash schedules,
+round limits, bandwidth tracking, tracers, algorithms with no program,
+declined inputs) are delegated to the reference scheduler and disclosed;
+engine selection."""
 
 from __future__ import annotations
 
 import networkx as nx
 import pytest
 
+from repro import obs
 from repro.engine import (
+    EngineFallbackWarning,
     ReferenceEngine,
     VectorEngine,
     available_engines,
     current_engine,
     current_engine_name,
     get_engine,
+    record_engine_runs,
     use_engine,
 )
 from repro.errors import InvalidParameterError, RoundLimitExceeded, SimulationError
-from repro.local import Context, Message, Node, NodeAlgorithm, Tracer, run_on_graph
-from repro.local.network import Network
+from repro.core.arboricity import CrossMergeAlgorithm
+from repro.local import NodeAlgorithm, Tracer, run_on_graph
+from repro.substrates.linial import LinialAlgorithm
 
 
-class CountingSleeper(NodeAlgorithm):
-    """Waits (as a no-op) until round ``wake``, then halts; counts how many
-    times the engine actually stepped each node."""
+class OneShot(NodeAlgorithm):
+    """No registered program: every vector run of it is delegated."""
 
-    name = "counting-sleeper"
-
-    def __init__(self, wake: int, hint: bool):
-        self.wake = wake
-        self.hint = hint
-        self.steps = 0
-
-    def initialize(self, node: Node, ctx: Context) -> None:
+    def initialize(self, node, ctx):
         node.state["output"] = node.id
-        if self.hint:
-            node.sleep_until(self.wake)
+        node.broadcast(node.id)
 
-    def step(self, node: Node, inbox, round_no: int, ctx: Context) -> None:
-        self.steps += 1
-        if round_no >= self.wake:
-            node.halt()
+    def step(self, node, inbox, round_no, ctx):
+        node.halt()
 
 
-class PingOnce(NodeAlgorithm):
-    """Node 0 sends one message to node 1 at round k; node 1 sleeps far in
-    the future but must still wake on delivery, record, and halt."""
-
-    name = "ping-once"
-
-    def initialize(self, node: Node, ctx: Context) -> None:
-        node.state["output"] = None
-        if node.id == 0:
-            node.sleep_until(3)
-        else:
-            node.sleep_until(10_000)
-
-    def step(self, node: Node, inbox, round_no: int, ctx: Context) -> None:
-        if node.id == 0 and round_no == 3:
-            node.send(1, "ping")
-            node.halt()
-        if node.id == 1 and inbox:
-            node.state["output"] = (round_no, inbox[0].payload)
-            node.halt()
+def _linial_extras(graph):
+    return {"initial_coloring": {v: v for v in graph}, "m0": graph.number_of_nodes()}
 
 
-class TestSleepScheduling:
-    def test_hinted_steps_are_skipped(self):
+_MERGE_D_TOO_LARGE = {
+    "side": {v: "AB"[v % 2] for v in range(6)},
+    "labels": {0: {1: 1}, 2: {1: 1, 2: 3}, 4: {1: 3, 2: 5}},
+    "palette": 4,
+    "d": 3,
+}
+
+
+class TestDelegation:
+    """Every run without an array path executes on the reference
+    scheduler, disclosed four ways: the warning, the
+    ``engine.fallback[reason=...]`` counter, ``result.engine`` and the
+    recorded engine runs."""
+
+    @pytest.mark.parametrize(
+        "algorithm,extras,kwargs,reason",
+        [
+            (OneShot(), None, {"tracer": Tracer()}, "tracer"),
+            (OneShot(), None, {"crashes": {1: 1}}, "crashes"),
+            (OneShot(), None, {"track_bandwidth": True}, "bandwidth"),
+            (OneShot(), None, {}, "no-program"),
+            # d above every A node's label count: the program declines
+            (CrossMergeAlgorithm(), _MERGE_D_TOO_LARGE, {}, "declined"),
+            # a program's own algorithm, but a per-node-only run
+            (LinialAlgorithm(), _linial_extras(nx.path_graph(6)), {"crashes": {2: 1}},
+             "crashes"),
+        ],
+        ids=["tracer", "crashes", "bandwidth", "no-program", "declined",
+             "programmed-crashes"],
+    )
+    def test_delegation_is_disclosed(self, algorithm, extras, kwargs, reason):
         graph = nx.path_graph(6)
-        hinted = CountingSleeper(wake=50, hint=True)
-        get_engine("vector").run(graph, hinted)
-        # one step per node, at the wake round only
-        assert hinted.steps == 6
+        with obs.collect() as runtime, record_engine_runs() as ran:
+            with pytest.warns(EngineFallbackWarning, match=f"\\({reason}\\)"):
+                result = get_engine("vector").run(graph, algorithm, extras=extras, **kwargs)
+        reference = get_engine("reference").run(graph, algorithm, extras=extras, **kwargs)
+        assert result.engine == "reference"
+        assert ran == ["reference"]
+        assert result.outputs == reference.outputs
+        assert result.round_messages == reference.round_messages
+        counters = runtime.snapshot()["counters"]
+        assert counters.get(f"engine.fallback[reason={reason}]") == 1
+        assert not any(k.startswith("kernel.dispatch") for k in counters)
 
-        unhinted = CountingSleeper(wake=50, hint=False)
-        get_engine("vector").run(graph, unhinted)
-        assert unhinted.steps == 6 * 50
-
-    def test_reference_ignores_hints_same_result(self):
+    def test_dispatch_is_not_a_delegation(self):
         graph = nx.path_graph(6)
-        ref = get_engine("reference").run(graph, CountingSleeper(wake=20, hint=True))
-        vec = get_engine("vector").run(graph, CountingSleeper(wake=20, hint=True))
-        assert ref.rounds == vec.rounds == 20
-        assert ref.outputs == vec.outputs
+        with obs.collect() as runtime, record_engine_runs() as ran:
+            result = get_engine("vector").run(graph, LinialAlgorithm(), extras=_linial_extras(graph))
+        assert result.engine == "vector"
+        assert ran == ["vector"]
+        counters = runtime.snapshot()["counters"]
+        assert counters.get("kernel.dispatch[kernel=linial]") == 1
+        assert not any(k.startswith("engine.fallback") for k in counters)
+        assert "engine.steps[engine=vector]" not in counters
 
-    def test_message_wakes_sleeper(self):
-        graph = nx.path_graph(2)
-        ref = get_engine("reference").run(graph, PingOnce())
-        vec = get_engine("vector").run(graph, PingOnce())
-        assert ref.outputs == vec.outputs == {0: None, 1: (4, "ping")}
-        assert ref.rounds == vec.rounds == 4
+    def test_dispatched_run_traces_its_rounds_like_the_reference(self):
+        # the per-round message profile becomes engine.round points on
+        # both engines, so a vector cell's timeline keeps its round lanes
+        graph = nx.cycle_graph(30)
+        # ids from a 30^2 space: Linial has rounds to do
+        extras = {"initial_coloring": {v: 30 * v for v in graph}, "m0": 900}
+        points = {}
+        for engine in ("reference", "vector"):
+            sink = obs.MemorySink()
+            with obs.collect(trace=sink):
+                result = get_engine(engine).run(graph, LinialAlgorithm(), extras=extras)
+            points[engine] = [
+                (e["fields"]["round"], e["fields"]["sent"])
+                for e in sink.events
+                if e.get("name") == "engine.round"
+            ]
+        assert points["vector"] == points["reference"]
+        assert points["vector"] == list(enumerate(result.round_messages, start=1))
+        assert result.rounds > 0
 
 
 class TestFeatureParity:
@@ -126,19 +152,6 @@ class TestFeatureParity:
 
         with pytest.raises(RoundLimitExceeded):
             get_engine("vector").run(graph, Forever(), max_rounds=25)
-
-    def test_round_limit_with_sleepers(self):
-        graph = nx.path_graph(4)
-
-        class SleepForever(NodeAlgorithm):
-            def initialize(self, node, ctx):
-                node.sleep_until(10**9)
-
-            def step(self, node, inbox, round_no, ctx):
-                pass
-
-        with pytest.raises(RoundLimitExceeded):
-            get_engine("vector").run(graph, SleepForever(), max_rounds=25)
 
     def test_track_bandwidth(self):
         graph = nx.path_graph(3)
@@ -228,30 +241,3 @@ class TestEngineSelection:
         ref = run_on_graph(graph, OneShot(), engine="reference")
         vec = run_on_graph(graph, OneShot(), engine="vector")
         assert ref.outputs == vec.outputs
-
-    def test_network_reset_clears_wake_hint(self):
-        graph = nx.path_graph(3)
-        network = Network(graph)
-
-        class Hinter(NodeAlgorithm):
-            def initialize(self, node, ctx):
-                node.state["output"] = node.id
-                node.sleep_until(2)
-
-            def step(self, node, inbox, round_no, ctx):
-                if round_no >= 2:
-                    node.halt()
-
-        network.run(Hinter(), network.make_context())
-        for node in network.nodes.values():
-            assert node.wake_round == 2
-        # A fresh run resets hints before initialize.
-        network.run(NodeAlgorithmHaltNow(), network.make_context())
-        for node in network.nodes.values():
-            assert node.wake_round == 0
-
-
-class NodeAlgorithmHaltNow(NodeAlgorithm):
-    def initialize(self, node, ctx):
-        node.state["output"] = None
-        node.halt()

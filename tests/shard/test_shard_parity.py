@@ -4,7 +4,8 @@ algorithm on every builtin workload family.
 
 Every registered kernel is a shard program (linial,
 defective-refinement, h-partition, cole-vishkin, basic-reduction,
-kw-phase) and executes shard-by-shard; everything else falls through to
+kw-phase, cross-merge) and executes shard-by-shard — cross-merge only on
+a shard with no halo; everything else falls through to
 the normal engine path with a disclosed ``shard.fallback`` — either way
 the observable result must not change. The dispatch tests pin down that
 the programmed algorithms really do take the sharded path (parity alone
@@ -14,7 +15,9 @@ import pytest
 
 from repro import obs, registry, workloads
 from repro.errors import ColoringError
+from repro.core.arboricity import CrossMergeAlgorithm
 from repro.graphcore import CompactGraph
+from repro.local import NodeAlgorithm
 from repro.local.network import run_on_graph
 from repro.shard import get_program, kernel_names, partition, sharding
 from repro.substrates.cole_vishkin import (
@@ -104,6 +107,7 @@ class TestProgramsActuallyDispatch:
         assert names == [
             "basic-reduction",
             "cole-vishkin",
+            "cross-merge",
             "defective-refinement",
             "h-partition",
             "kw-phase",
@@ -178,38 +182,71 @@ class TestProgramsActuallyDispatch:
         assert scope.last_stats["worker_peak_rss_kb"] > 0
 
     def test_unprogrammed_algorithm_falls_back_disclosed(self, tmp_path):
-        from repro.core.arboricity import CrossMergeAlgorithm
+        class OneShot(NodeAlgorithm):
+            name = "one-shot"
+
+            def initialize(self, node, ctx):
+                node.state["output"] = node.id
+                node.broadcast(node.id)
+
+            def step(self, node, inbox, round_no, ctx):
+                node.halt()
 
         graph = workloads.build("xl-grid", {"rows": 6, "cols": 6}, seed=0)
-        # the grid's checkerboard sides: every edge is a cross edge
-        side = {v: "AB"[(v // 6 + v % 6) % 2] for v in range(graph.n)}
-        labels = {
-            v: dict(enumerate(sorted(graph.neighbors(v), key=repr), start=1))
-            for v in range(graph.n)
-            if side[v] == "A"
-        }
-        extras = {
-            "side": side,
-            "labels": labels,
-            "used": {},
-            "palette": 2 * graph.max_degree,
-            "d": max(len(row) for row in labels.values()),
-        }
-        plain = run_on_graph(
-            graph, CrossMergeAlgorithm(), extras=extras, engine="vector"
+        plain = run_on_graph(graph, OneShot(), engine="vector")
+        with obs.collect() as runtime:
+            with _sharded_scope(graph, tmp_path):
+                run = run_on_graph(graph, OneShot(), engine="vector")
+        assert run.outputs == plain.outputs
+        # no program anywhere: the engine delegates to the reference
+        assert run.engine == plain.engine == "reference"
+        counters = runtime.snapshot()["counters"]
+        assert any(
+            "shard.fallback" in key and "no-program" in key for key in counters
+        )
+        assert not any("shard.dispatch" in key for key in counters)
+
+    def test_cross_merge_on_a_haloed_shard_falls_back_to_the_whole_graph(self, tmp_path):
+        # a used set travels to B and one reply per requester travels
+        # back: the scalar halo exchange cannot carry that, so a shard
+        # with a halo declines and the vector engine runs the program
+        graph = workloads.build("xl-grid", {"rows": 6, "cols": 6}, seed=0)
+        extras = _checkerboard_merge_extras(graph)
+        reference = run_on_graph(
+            graph, CrossMergeAlgorithm(), extras=extras, engine="reference"
         )
         with obs.collect() as runtime:
             with _sharded_scope(graph, tmp_path):
                 run = run_on_graph(
                     graph, CrossMergeAlgorithm(), extras=extras, engine="vector"
                 )
-        assert run.outputs == plain.outputs
+        assert list(run.outputs.items()) == list(reference.outputs.items())
+        assert run.round_messages == reference.round_messages
         assert run.engine == "vector"
         counters = runtime.snapshot()["counters"]
-        assert any(
-            "shard.fallback" in key and "no-program" in key for key in counters
-        )
+        key = "shard.fallback[algorithm=cross-merge,reason=non-empty halo]"
+        assert counters.get(key) == 1, sorted(counters)
         assert not any("shard.dispatch" in key for key in counters)
+        assert counters.get("kernel.dispatch[kernel=cross-merge]") == 1
+
+    @pytest.mark.parametrize("palette", [8, 3], ids=["colors", "exhausted"])
+    def test_cross_merge_runs_sharded_on_one_shard(self, palette, tmp_path):
+        graph = workloads.build("xl-grid", {"rows": 6, "cols": 6}, seed=0)
+        extras = dict(_checkerboard_merge_extras(graph), palette=palette)
+        plain = _decline_outcome(CrossMergeAlgorithm(), extras, graph)
+        reference = _decline_outcome(CrossMergeAlgorithm(), extras, graph, "reference")
+        with obs.collect() as runtime:
+            with _sharded_scope(graph, tmp_path, num_shards=1):
+                sharded = _decline_outcome(CrossMergeAlgorithm(), extras, graph)
+        if palette == 8:
+            # a result tuple ends in the engine that ran it
+            assert sharded[:-1] == plain[:-1] == reference[:-1]
+            assert sharded[-1] == "sharded"
+        else:
+            assert sharded == plain == reference
+            assert sharded[2].startswith("merge palette 3 exhausted at ")
+        counters = runtime.snapshot()["counters"]
+        assert any("shard.dispatch" in key for key in counters)
 
     def test_foreign_graph_falls_back_disclosed(self, tmp_path):
         graph = workloads.build("xl-grid", {"rows": 6, "cols": 6}, seed=0)
@@ -274,14 +311,32 @@ class TestProgramsActuallyDispatch:
         assert not any(k.startswith("shard.dispatch") for k in counters)
 
 
-def _decline_outcome(algorithm, extras):
+def _checkerboard_merge_extras(graph):
+    """Cross-merge extras for a 6-column grid: the checkerboard sides make
+    every edge a cross edge, each A labels its neighbors in repr order."""
+    side = {v: "AB"[(v // 6 + v % 6) % 2] for v in range(graph.n)}
+    labels = {
+        v: dict(enumerate(sorted(graph.neighbors(v), key=repr), start=1))
+        for v in range(graph.n)
+        if side[v] == "A"
+    }
+    return {
+        "side": side,
+        "labels": labels,
+        "used": {},
+        "palette": 2 * graph.max_degree,
+        "d": max(len(row) for row in labels.values()),
+    }
+
+
+def _decline_outcome(algorithm, extras, graph=DECLINE_GRAPH, engine="vector"):
     try:
         result = run_on_graph(
-            DECLINE_GRAPH,
+            graph,
             algorithm,
             extras=dict(extras),
             max_rounds=DECLINE_MAX_ROUNDS,
-            engine="vector",
+            engine=engine,
         )
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome under test
         return ("raised", type(exc), str(exc))

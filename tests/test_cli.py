@@ -138,7 +138,7 @@ class TestKernelsCommand:
         assert payload["compact_fallback"] == []
         # every kernel is a shard program, so no separate sharded list
         assert "sharded" not in payload
-        assert len(payload["kernels"]) == 6
+        assert len(payload["kernels"]) == 7
 
     def test_algorithms_shows_compact_marker(self, capsys):
         assert main(["algorithms"]) == 0

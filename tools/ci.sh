@@ -234,11 +234,15 @@ cmp "$SMOKE_DIR/kernel_vector.json" "$SMOKE_DIR/kernel_ref.json"
 echo "kernel smoke: kernel run byte-identical to reference"
 # The same on a pipeline-shaped input: a networkx line graph whose node
 # ids are edge tuples, colored by Linial and then one Kuhn-Wattenhofer
-# phase, and then the whole edge oracle on the line view it builds once.
-# The vector runs must dispatch both kernels, never fall back.
+# phase, then the whole edge oracle on the line view it builds once, and
+# then Lemma 5.1's cross merge on the line graph. The vector runs must
+# dispatch every kernel, never fall back.
 cat > "$SMOKE_DIR/kernel_nx_probe.py" <<'EOF'
 import json, sys
+import networkx as nx
 from repro import obs
+from repro.baselines.greedy import greedy_edge_coloring
+from repro.core.arboricity import merge_cross_edges
 from repro.engine import get_engine, use_engine
 from repro.graphs import random_regular
 from repro.graphs.linegraph import line_graph_with_cover
@@ -284,13 +288,29 @@ if engine == "vector":
     fallbacks = [key for key in counters if key.startswith("kernel.fallback")]
     assert not fallbacks, f"edge oracle fell back: {fallbacks}"
 payload.append([[repr(k), v] for k, v in sorted(oracle.items())])
+# Lemma 5.1's merge on the line graph: alternate nodes in graph order
+# are A and B, the non-cross edges are pre-colored first-fit, and the
+# cross edges merge on 2 * Delta colors
+side = {v: "AB"[i % 2] for i, v in enumerate(line.nodes())}
+same = nx.Graph([(u, v) for u, v in line.edges() if side[u] == side[v]])
+with obs.collect() as runtime, use_engine(engine):
+    merged = merge_cross_edges(
+        line, side, greedy_edge_coloring(same), palette=2 * palette - 2
+    )
+counters = runtime.snapshot()["counters"]
+if engine == "vector":
+    key = "kernel.dispatch[kernel=cross-merge]"
+    assert counters.get(key) == 1, f"{key} not counted: {sorted(counters)}"
+    fallbacks = [key for key in counters if key.startswith("kernel.fallback")]
+    assert not fallbacks, f"cross merge fell back: {fallbacks}"
+payload.append([[repr(e), c] for e, c in merged.items()])
 with open(out, "w") as handle:
     json.dump(payload, handle, sort_keys=True)
 EOF
 python "$SMOKE_DIR/kernel_nx_probe.py" vector "$SMOKE_DIR/kernel_nx_vector.json"
 python "$SMOKE_DIR/kernel_nx_probe.py" reference "$SMOKE_DIR/kernel_nx_ref.json"
 cmp "$SMOKE_DIR/kernel_nx_vector.json" "$SMOKE_DIR/kernel_nx_ref.json"
-echo "kernel smoke: tuple-id line graph and edge oracle dispatch kernels, byte-identical to reference"
+echo "kernel smoke: tuple-id line graph, edge oracle and cross merge dispatch kernels, byte-identical to reference"
 
 echo "== obs smoke: traced campaign -> schema-valid JSONL, stats reports, traced == untraced =="
 # A small multi-worker campaign with --trace: every worker appends
