@@ -188,6 +188,7 @@ def _execute_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     from repro import obs, registry
     from repro.engine import record_engine_runs
+    from repro.kernels.program import release_heap
 
     row: Dict[str, Any] = _row_base(payload)
     cell_started = time.perf_counter()
@@ -218,6 +219,7 @@ def _execute_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
                     seed=payload["seed"],
                 )
             build_ms = (time.perf_counter() - cell_started) * 1000.0
+            release_heap()  # the build's temporaries, before the run
             started = time.perf_counter()
             with contextlib.ExitStack() as stack:
                 if payload.get("shards"):
@@ -749,8 +751,12 @@ class CampaignRunner:
         (completion order, not cell order — callers index by ``index``)."""
         tasks = iter(tasks)
         if self.jobs == 1 or count <= 1:
+            from repro.kernels.program import release_heap
+
             for index, payload in tasks:
                 on_row(index, self._execute_inline(payload, tracker, index=index))
+                # the next cell starts on a heap this one left nothing in
+                release_heap()
             return
 
         window = self.window or max(2 * self.jobs, 2)

@@ -28,7 +28,7 @@ from repro.graphs.properties import degeneracy_ordering, max_degree, number_of_e
 from repro.local import RoundLedger
 from repro.local.costmodel import log_star
 from repro.substrates.cole_vishkin import cole_vishkin_forest_coloring
-from repro.types import Edge, EdgeColoring, NodeId, edge_key
+from repro.types import Edge, EdgeColoring, NodeId, dense_colors, edge_key
 
 
 @dataclass
@@ -93,9 +93,7 @@ def forest_edge_coloring(
                 per_parent[par] = per_parent.get(par, 0) + 1
                 coloring[edge_key(child, par)] = (per_parent[par], cv[par], idx)
 
-    palette = sorted(set(coloring.values()))
-    index = {p: i for i, p in enumerate(palette)}
-    flat: EdgeColoring = {e: index[p] for e, p in coloring.items()}
+    flat: EdgeColoring = dense_colors(coloring)
     own.add("labeling", actual=1, modeled=1)
     if ledger is not None:
         ledger.add(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import networkx as nx
 
@@ -31,7 +31,7 @@ from repro.substrates.defective import defective_coloring
 from repro.substrates.linial import linial_coloring
 from repro.substrates.oracle import ColoringOracle
 from repro.substrates.primes import next_prime
-from repro.types import EdgeColoring, NodeId, VertexColoring, num_colors
+from repro.types import NodeId, VertexColoring, dense_colors, num_colors
 
 
 @dataclass
@@ -79,15 +79,13 @@ def _recurse(
     refined = defective_coloring(
         graph, q, initial={v: seed[v] for v in graph.nodes()}, ledger=ledger
     )
-    combined: Dict[NodeId, Tuple[int, ...]] = {}
-    with ledger.parallel("weak-classes") as scope:
-        for c, members in sorted(refined.classes().items()):
-            branch = scope.branch(f"class-{c}")
-            subgraph = graph.subgraph(members)
-            sub = _recurse(subgraph, exponent, threshold, seed, oracle, branch)
-            for v in members:
-                combined[v] = (c,) + sub[v]
-    return combined
+    return ledger.per_class(
+        "weak-classes",
+        refined.classes(),
+        lambda members, branch: _recurse(
+            graph.subgraph(members), exponent, threshold, seed, oracle, branch
+        ),
+    )
 
 
 def weak_vertex_coloring(
@@ -115,9 +113,7 @@ def weak_vertex_coloring(
         )
     seed = linial_coloring(graph, ledger=own)
     tuples = _recurse(graph, exponent, threshold, seed, oracle, own)
-    palette = sorted(set(tuples.values()))
-    index = {t: i for i, t in enumerate(palette)}
-    coloring = {v: index[t] for v, t in tuples.items()}
+    coloring = dense_colors(tuples)
     levels = max((len(t) for t in tuples.values()), default=1) - 1
     if ledger is not None:
         ledger.add("weak-coloring", actual=own.total_actual, modeled=own.total_modeled)

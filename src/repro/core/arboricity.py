@@ -50,7 +50,7 @@ from repro.core.params import Section5Params, choose_section5_params
 from repro.core.star_partition import _edge_subgraph, star_partition_edge_coloring
 from repro.substrates.hpartition import HPartition, h_partition
 from repro.substrates.oracle import ColoringOracle
-from repro.types import Edge, EdgeColoring, NodeId, edge_key, num_colors
+from repro.types import Edge, EdgeColoring, NodeId, dense_colors, edge_key, num_colors
 
 
 # --------------------------------------------------------------------------
@@ -370,27 +370,21 @@ def edge_color_orientation_connector(
     phi = edge_color_bounded_arboricity(
         connector.graph, arboricity=g_out, q=q, oracle=oracle, ledger=own
     )
-    classes = connector.classes(phi.coloring)
-
     class_arboricity = max(1, math.ceil(dhat / g_out))
-    combined: Dict[Edge, Tuple[int, int]] = {}
-    widths: Dict[int, int] = {}
-    with own.parallel("thm-5.3-classes") as scope:
-        for c, edges in sorted(classes.items()):
-            branch = scope.branch(f"class-{c}")
-            sub = _edge_subgraph(edges)
-            psi = edge_color_bounded_arboricity(
-                sub, arboricity=class_arboricity, q=q, oracle=oracle, ledger=branch
-            )
-            widths[c] = max(psi.coloring.values(), default=0) + 1
-            for e in edges:
-                combined[e] = (c, psi.coloring[e])
-    # Flatten the product coloring densely.
-    palette = sorted(set(combined.values()))
-    index = {p: i for i, p in enumerate(palette)}
-    coloring = {e: index[p] for e, p in combined.items()}
 
-    bound = phi.palette_bound * max(widths.values(), default=1)
+    def color_class(edges: List[Edge], branch: RoundLedger) -> Dict[Edge, Tuple[int]]:
+        psi = edge_color_bounded_arboricity(
+            _edge_subgraph(edges), arboricity=class_arboricity, q=q, oracle=oracle,
+            ledger=branch,
+        )
+        return {e: (c,) for e, c in psi.coloring.items()}
+
+    product = own.per_class(
+        "thm-5.3-classes", connector.classes(phi.coloring), color_class
+    )
+    coloring = dense_colors(product)
+    width = max((psi for _, psi in product.values()), default=0) + 1
+    bound = phi.palette_bound * width
     if ledger is not None:
         ledger.add("thm-5.3", actual=own.total_actual, modeled=own.total_modeled)
     return ArboricityColoringResult(
@@ -478,23 +472,18 @@ def edge_color_recursive(
             bipartite=True,
         )
         phi = _bipartite_connector_coloring(connector, g_in, g_out, sub_ledger)
-        classes = connector.classes(phi)
-        combined: Dict[Edge, Tuple[int, ...]] = {}
         new_beta = max(1, math.ceil(max(beta, 1) / g_out))
-        with sub_ledger.parallel(f"thm-5.4-classes(l={levels})") as scope:
-            for c, edges in sorted(classes.items()):
-                branch = scope.branch(f"class-{c}")
-                class_graph = _edge_subgraph(edges)
-                class_orientation = sub_orientation.restrict(class_graph)
-                psi = recurse(class_graph, class_orientation, new_beta, levels - 1, branch)
-                for e in edges:
-                    combined[e] = (c,) + psi[e]
-        return combined
 
-    tuples = recurse(graph, orientation, dhat, x - 1, own)
-    palette = sorted(set(tuples.values()))
-    index = {p: i for i, p in enumerate(palette)}
-    coloring = {e: index[p] for e, p in tuples.items()}
+        def color_class(edges: List[Edge], branch: RoundLedger) -> Dict[Edge, Tuple[int, ...]]:
+            class_graph = _edge_subgraph(edges)
+            class_orientation = sub_orientation.restrict(class_graph)
+            return recurse(class_graph, class_orientation, new_beta, levels - 1, branch)
+
+        return sub_ledger.per_class(
+            f"thm-5.4-classes(l={levels})", connector.classes(phi), color_class
+        )
+
+    coloring = dense_colors(recurse(graph, orientation, dhat, x - 1, own))
 
     factor = math.ceil(delta ** (1.0 / x)) + math.ceil(dhat ** (1.0 / x)) + 3
     if ledger is not None:

@@ -36,7 +36,14 @@ from repro.core.params import (
 from repro.substrates.linial import linial_coloring
 from repro.substrates.oracle import ColoringOracle
 from repro.substrates.reduction import basic_color_reduction
-from repro.types import EdgeColoring, NodeId, VertexColoring, num_colors
+from repro.types import (
+    EdgeColoring,
+    NodeId,
+    VertexColoring,
+    color_classes,
+    dense_colors,
+    num_colors,
+)
 
 
 @dataclass
@@ -85,30 +92,20 @@ def _recurse(
         ledger=ledger,
         label=f"connector-coloring(x={x})",
     )
-    classes: Dict[int, List[NodeId]] = {}
-    for v, c in phi.items():
-        classes.setdefault(c, []).append(v)
 
-    combined: Dict[NodeId, Tuple[int, ...]] = {}
-    with ledger.parallel(f"classes(x={x})") as scope:
-        for c, members in sorted(classes.items()):
-            branch = scope.branch(f"class-{c}")
-            subgraph = graph.subgraph(members)
-            if x > 1:
-                sub_cover = cover.restricted(members)
-                psi = _recurse(subgraph, sub_cover, t, x - 1, seed, oracle, branch)
-                for v in members:
-                    combined[v] = (phi[v],) + psi[v]
-            else:
-                base = oracle.vertex_coloring(
-                    subgraph,
-                    initial=_restrict(seed, subgraph),
-                    ledger=branch,
-                    label="base-coloring",
-                )
-                for v in members:
-                    combined[v] = (phi[v], base[v])
-    return combined
+    def color_class(members: List[NodeId], branch: RoundLedger) -> Dict[NodeId, Tuple[int, ...]]:
+        subgraph = graph.subgraph(members)
+        if x > 1:
+            return _recurse(subgraph, cover.restricted(members), t, x - 1, seed, oracle, branch)
+        base = oracle.vertex_coloring(
+            subgraph,
+            initial=_restrict(seed, subgraph),
+            ledger=branch,
+            label="base-coloring",
+        )
+        return {v: (base[v],) for v in members}
+
+    return ledger.per_class(f"classes(x={x})", color_classes(phi), color_class)
 
 
 def cd_coloring(
@@ -151,10 +148,7 @@ def cd_coloring(
         coloring: VertexColoring = {}
     else:
         seed = linial_coloring(graph, ledger=own_ledger)
-        tuples = _recurse(graph, cover, t, x, seed, oracle, own_ledger)
-        palette = sorted(set(tuples.values()))
-        index = {tup: i for i, tup in enumerate(palette)}
-        coloring = {v: index[tup] for v, tup in tuples.items()}
+        coloring = dense_colors(_recurse(graph, cover, t, x, seed, oracle, own_ledger))
 
     bound = cd_palette_bound(diversity, clique_size, t, x)
     target = cd_target_colors(diversity, clique_size, x)

@@ -22,7 +22,7 @@ A *connector* re-wires a graph so that the structure that makes coloring hard
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
@@ -31,7 +31,7 @@ from repro.errors import InvalidParameterError
 from repro.graphs.cliques import CliqueCover
 from repro.graphs.orientation import Orientation
 from repro.graphs.properties import iter_edges
-from repro.types import Edge, EdgeColoring, NodeId, edge_key
+from repro.types import Edge, EdgeColoring, NodeId, color_classes, edge_key
 
 
 # --------------------------------------------------------------------------
@@ -57,24 +57,15 @@ def build_clique_connector(graph: nx.Graph, cover: CliqueCover, t: int) -> nx.Gr
     return connector
 
 
-# --------------------------------------------------------------------------
-# Edge-connector (Section 4)
-# --------------------------------------------------------------------------
-
-
 @dataclass
-class EdgeConnector:
-    """The virtual graph of Section 4 plus the edge correspondence.
-
-    ``graph`` has virtual vertices ``(v, i)`` (the i-th edge-group of original
-    vertex ``v``, 1-based) and one edge per original edge; ``edge_map`` sends
-    each original (canonical) edge to its connector (canonical) edge.
-    """
+class _EdgeMappedConnector:
+    """A connector graph whose edges stand one-for-one for the base edges:
+    ``edge_map`` sends each base (canonical) edge to its connector
+    (canonical) edge."""
 
     base: nx.Graph
     graph: nx.Graph
     edge_map: Dict[Edge, Edge]
-    t: int
 
     def project_edge_coloring(self, connector_coloring: EdgeColoring) -> EdgeColoring:
         """Pull an edge coloring of the connector back to the base graph."""
@@ -82,10 +73,23 @@ class EdgeConnector:
 
     def classes(self, connector_coloring: EdgeColoring) -> Dict[int, List[Edge]]:
         """Group base edges by the connector color of their image."""
-        groups: Dict[int, List[Edge]] = {}
-        for e, ce in self.edge_map.items():
-            groups.setdefault(connector_coloring[ce], []).append(e)
-        return groups
+        return color_classes(self.project_edge_coloring(connector_coloring))
+
+
+# --------------------------------------------------------------------------
+# Edge-connector (Section 4)
+# --------------------------------------------------------------------------
+
+
+@dataclass
+class EdgeConnector(_EdgeMappedConnector):
+    """The virtual graph of Section 4 plus the edge correspondence.
+
+    ``graph`` has virtual vertices ``(v, i)`` (the i-th edge-group of original
+    vertex ``v``, 1-based) and one edge per original edge.
+    """
+
+    t: int
 
 
 def build_edge_connector(graph: nx.Graph, t: int) -> EdgeConnector:
@@ -118,29 +122,17 @@ def build_edge_connector(graph: nx.Graph, t: int) -> EdgeConnector:
 
 
 @dataclass
-class OrientationConnector:
+class OrientationConnector(_EdgeMappedConnector):
     """A connector built from an acyclically oriented graph.
 
     ``graph`` contains virtual vertices; ``orientation`` orients its edges
-    consistently with the base orientation (hence acyclically); ``edge_map``
-    is the base-edge -> connector-edge correspondence. For the bipartite
-    variant, ``side`` maps every virtual vertex to ``"in"`` or ``"out"``.
+    consistently with the base orientation (hence acyclically). For the
+    bipartite variant, ``side`` maps every virtual vertex to ``"in"`` or
+    ``"out"``.
     """
 
-    base: nx.Graph
-    graph: nx.Graph
     orientation: Orientation
-    edge_map: Dict[Edge, Edge]
     side: Optional[Dict[NodeId, str]] = None
-
-    def project_edge_coloring(self, connector_coloring: EdgeColoring) -> EdgeColoring:
-        return {e: connector_coloring[ce] for e, ce in self.edge_map.items()}
-
-    def classes(self, connector_coloring: EdgeColoring) -> Dict[int, List[Edge]]:
-        groups: Dict[int, List[Edge]] = {}
-        for e, ce in self.edge_map.items():
-            groups.setdefault(connector_coloring[ce], []).append(e)
-        return groups
 
 
 def _grouped(edges: List[Edge], group_size: int) -> Dict[Edge, int]:

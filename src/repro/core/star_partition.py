@@ -28,7 +28,7 @@ from repro.core.connectors import build_edge_connector
 from repro.core.params import choose_t_star, star_palette_bound, star_target_colors
 from repro.substrates.oracle import ColoringOracle
 from repro.substrates.reduction import basic_color_reduction
-from repro.types import Edge, EdgeColoring, VertexColoring, num_colors
+from repro.types import Edge, EdgeColoring, VertexColoring, dense_colors, num_colors
 
 
 def reduce_edge_coloring(
@@ -103,17 +103,11 @@ def _recurse(
     phi_connector = oracle.edge_coloring(
         connector.graph, ledger=ledger, label=f"edge-connector-coloring(x={x})"
     )
-    classes = connector.classes(phi_connector)
-
-    combined: Dict[Edge, Tuple[int, ...]] = {}
-    with ledger.parallel(f"star-classes(x={x})") as scope:
-        for c, edges in sorted(classes.items()):
-            branch = scope.branch(f"class-{c}")
-            sub = _edge_subgraph(edges)
-            psi = _recurse(sub, x - 1, oracle, branch, None)
-            for e in edges:
-                combined[e] = (c,) + psi[e]
-    return combined
+    return ledger.per_class(
+        f"star-classes(x={x})",
+        connector.classes(phi_connector),
+        lambda edges, branch: _recurse(_edge_subgraph(edges), x - 1, oracle, branch, None),
+    )
 
 
 def star_partition_edge_coloring(
@@ -144,10 +138,7 @@ def star_partition_edge_coloring(
     own = RoundLedger(label="star-partition")
     delta = max_degree(graph)
 
-    tuples = _recurse(graph, x, oracle, own, t)
-    palette = sorted(set(tuples.values()))
-    index = {tup: i for i, tup in enumerate(palette)}
-    coloring: EdgeColoring = {e: index[tup] for e, tup in tuples.items()}
+    coloring: EdgeColoring = dense_colors(_recurse(graph, x, oracle, own, t))
 
     target = star_target_colors(delta, x)
     if (

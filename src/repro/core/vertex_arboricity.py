@@ -22,7 +22,7 @@ exactly the regime [6] claims.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Optional
 
 import networkx as nx
 
@@ -31,7 +31,7 @@ from repro.graphs.properties import max_degree
 from repro.local import RoundLedger
 from repro.substrates.hpartition import HPartition, h_partition
 from repro.substrates.oracle import ColoringOracle
-from repro.types import NodeId, VertexColoring, num_colors
+from repro.types import VertexColoring, color_classes, num_colors
 
 
 @dataclass
@@ -86,9 +86,7 @@ def vertex_color_bounded_arboricity(
         local = oracle.vertex_coloring(
             subgraph, ledger=own, label=f"level-{level}-local"
         )
-        classes: Dict[int, List[NodeId]] = {}
-        for v, c in local.items():
-            classes.setdefault(c, []).append(v)
+        classes = color_classes(local)
         # One round per local class: classmates are independent within the
         # level, and every already-colored neighbor is visible.
         for c in sorted(classes):

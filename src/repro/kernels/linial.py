@@ -24,7 +24,7 @@ messages.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -53,6 +53,31 @@ def _eval_point(planes: np.ndarray, i: int, q: int) -> np.ndarray:
         vals += planes[k]
         vals %= q
     return vals
+
+
+#: Edges compared per pass of :func:`_equal_ends`.
+_CHUNK = 1 << 18
+
+
+def _equal_ends(
+    values: np.ndarray, src: np.ndarray, dst: np.ndarray,
+    gathered: Tuple[np.ndarray, np.ndarray], out: np.ndarray,
+) -> np.ndarray:
+    """``values[src] == values[dst]``, written to the front of ``out``.
+
+    The endpoint values are gathered a chunk at a time into the two
+    reused ``gathered`` buffers, not into two edge-sized temporaries: on
+    a million-node grid those are 32 MB each, allocated and freed once
+    per evaluation point."""
+    k = src.size
+    for lo in range(0, k, _CHUNK):
+        hi = min(lo + _CHUNK, k)
+        a, b = gathered[0][: hi - lo], gathered[1][: hi - lo]
+        # "clip" never fires (ids are in range); "raise" would buffer out
+        np.take(values, src[lo:hi], out=a, mode="clip")
+        np.take(values, dst[lo:hi], out=b, mode="clip")
+        np.equal(a, b, out=out[lo:hi])
+    return out[:k]
 
 
 def _check_encodable(colors: np.ndarray, q: int, d: int) -> None:
@@ -144,18 +169,26 @@ class LinialProgram(ShardProgram):
         colors = local_values(shard, state["colors"], halo_vals)
         planes = _digit_planes(colors, q, d)
         src, dst = edge_endpoints(shard)
+        same = np.empty(src.size, dtype=bool)
+        gathered = (np.empty(min(src.size, _CHUNK), dtype=np.int64),
+                    np.empty(min(src.size, _CHUNK), dtype=np.int64))
         # only edges whose endpoints hold *different* colors constrain;
         # every edge leaving an owned node is present locally, so the
-        # cover test sees the full neighborhood.
-        live = colors[src] != colors[dst]
-        e_src, e_dst = src[live], dst[live]
-        del src, dst, live  # the full edge list is dead weight in the point loop
+        # cover test sees the full neighborhood. A proper coloring keeps
+        # them all: no copy of the edge list then.
+        if _equal_ends(colors, src, dst, gathered, same).any():
+            live = ~same
+            e_src, e_dst = src[live], dst[live]
+            del live
+        else:
+            e_src, e_dst = src, dst
+        del src, dst  # the full edge list is dead weight in the point loop
         undecided = np.ones(n_own, dtype=bool)
         new_colors = np.empty(n_own, dtype=np.int64)
         for i in range(q):
             vals = _eval_point(planes, i, q)
             covered = np.zeros(n_own, dtype=bool)
-            covered[e_src[vals[e_src] == vals[e_dst]]] = True
+            covered[e_src[_equal_ends(vals, e_src, e_dst, gathered, same)]] = True
             pick = undecided & ~covered
             if pick.any():
                 new_colors[pick] = i * q + vals[:n_own][pick]

@@ -9,13 +9,16 @@ oracle the paper cites — and composes them with the LOCAL-model semantics:
 * sequential phases add,
 * parallel branches cost the maximum over branches (they run simultaneously
   on disjoint parts of the network).
+
+:meth:`RoundLedger.per_class` is that composition written once: every
+class recursion of the library goes through it.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 
 @dataclass
@@ -58,17 +61,27 @@ class RoundLedger:
         self.entries.append(LedgerEntry(label=label, actual=actual, modeled=modeled))
         self.children.extend(scope.branches)
 
-    def subledger(self, label: str) -> "RoundLedger":
-        """A nested sequential phase, merged into this ledger on account()."""
-        child = RoundLedger(label=label)
-        self.children.append(child)
-        return child
+    def per_class(
+        self,
+        label: str,
+        classes: Mapping[Any, List[Any]],
+        color_class: Callable[[List[Any], "RoundLedger"], Mapping[Any, Tuple[Any, ...]]],
+    ) -> Dict[Any, Tuple[Any, ...]]:
+        """Recurse on every color class in parallel and combine.
 
-    def account_subledger(self, child: "RoundLedger") -> None:
-        """Fold a subledger created with :meth:`subledger` into the totals."""
-        self.entries.append(
-            LedgerEntry(label=child.label, actual=child.total_actual, modeled=child.total_modeled)
-        )
+        The paper's one composition: ``color_class(members, branch)`` colors
+        the class ``c`` on its own branch ledger ``class-{c}`` (classes are
+        visited in sorted order) and returns a tuple per member; the result
+        prefixes each with its class, giving ``(c,) + inner[k]``.
+        """
+        product: Dict[Any, Tuple[Any, ...]] = {}
+        with self.parallel(label) as scope:
+            for c in sorted(classes):
+                members = classes[c]
+                inner = color_class(members, scope.branch(f"class-{c}"))
+                for k in members:
+                    product[k] = (c,) + inner[k]
+        return product
 
     @property
     def total_actual(self) -> float:

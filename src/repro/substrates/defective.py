@@ -28,7 +28,7 @@ from repro.graphs.properties import max_degree
 from repro.local import Context, Message, Node, NodeAlgorithm, RoundLedger, run_on_graph
 from repro.substrates.linial import _encode, _poly_eval
 from repro.substrates.primes import next_prime
-from repro.types import NodeId, VertexColoring
+from repro.types import NodeId, VertexColoring, color_classes
 
 
 @dataclass
@@ -42,10 +42,7 @@ class DefectiveColoring:
     d: int
 
     def classes(self) -> Dict[int, List[NodeId]]:
-        groups: Dict[int, List[NodeId]] = {}
-        for v, c in self.coloring.items():
-            groups.setdefault(c, []).append(v)
-        return groups
+        return color_classes(self.coloring)
 
     def measured_defect(self, graph: nx.Graph) -> int:
         worst = 0

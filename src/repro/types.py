@@ -8,7 +8,7 @@ same edge always hashes identically regardless of traversal direction.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Tuple
 
 NodeId = Hashable
 Color = int
@@ -41,3 +41,19 @@ def normalize_edge_coloring(coloring: Dict[Any, Color]) -> EdgeColoring:
 def num_colors(coloring: Dict[Any, Color]) -> int:
     """Number of distinct colors used by a coloring (0 for empty)."""
     return len(set(coloring.values())) if coloring else 0
+
+
+def color_classes(coloring: Mapping[Any, Any]) -> Dict[Any, List[Any]]:
+    """Group a coloring's keys by color; each class keeps the coloring's
+    insertion order."""
+    classes: Dict[Any, List[Any]] = {}
+    for key, value in coloring.items():
+        classes.setdefault(value, []).append(key)
+    return classes
+
+
+def dense_colors(product: Mapping[Any, Tuple[Any, ...]]) -> Dict[Any, Color]:
+    """Number the distinct product colors ``0..k-1`` in ``sorted`` order —
+    the flattening of a hierarchical color ``<phi_1, ..., phi_x, psi>``."""
+    index = {tup: i for i, tup in enumerate(sorted(set(product.values())))}
+    return {key: index[tup] for key, tup in product.items()}

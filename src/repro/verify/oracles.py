@@ -28,6 +28,7 @@ import networkx as nx
 
 from repro.errors import ColoringError, InvalidParameterError
 from repro.graphs.properties import max_degree, number_of_edges
+from repro.types import color_classes
 from repro.verify.checkers import (
     verify_edge_coloring,
     verify_h_partition,
@@ -287,9 +288,7 @@ def _check_star_partition(ctx: OracleContext) -> Optional[str]:
     the q = 1 endpoint of the (p, q)-star-partition recursion."""
     if ctx.kind != "edge-coloring":
         return f"expected an edge coloring, got kind {ctx.kind!r}"
-    classes: Dict[int, List[Any]] = {}
-    for edge, color in ctx.coloring.items():
-        classes.setdefault(color, []).append(edge)
+    classes = color_classes(ctx.coloring)
     return _strict_message(lambda: verify_star_partition(ctx.graph, classes, q=1))
 
 
@@ -313,9 +312,7 @@ def _check_clique_decomposition(ctx: OracleContext) -> Optional[str]:
     from repro.verify.checkers import verify_clique_decomposition
 
     line, cover = line_graph_with_cover(ctx.graph)
-    classes: Dict[int, List[Any]] = {}
-    for edge, color in ctx.coloring.items():
-        classes.setdefault(color, []).append(edge)
+    classes = color_classes(ctx.coloring)
     return _strict_message(
         lambda: verify_clique_decomposition(line, cover, classes, max_clique=1)
     )

@@ -71,6 +71,20 @@ class TestCampaignRunner:
         assert all(r["colors_used"] > 0 for r in rows)
         assert all("wall_ms" in r for r in rows)
 
+    def test_inline_cells_release_heap(self, monkeypatch):
+        # The heap is handed back after each cell's build and after each
+        # inline cell, so every run phase starts on the same heap (these
+        # reference-engine cells run no kernel, which trims on its own).
+        from repro.kernels import program
+
+        calls = []
+        monkeypatch.setattr(program, "release_heap", lambda: calls.append(1))
+        rows = CampaignRunner(self.CELLS, jobs=1).run()
+        assert [r["error"] for r in rows] == [None, None, None]
+        assert len(calls) == 2 * len(rows)
+        monkeypatch.undo()
+        program.release_heap()  # a no-op off glibc, never an error
+
     def test_pool_matches_inline(self):
         inline = CampaignRunner(self.CELLS, engine="vector", jobs=1).run()
         pooled = CampaignRunner(self.CELLS, engine="vector", jobs=2).run()

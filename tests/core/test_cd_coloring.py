@@ -25,7 +25,7 @@ from repro.core import (
     choose_t_clique,
 )
 from repro.substrates import ColoringOracle
-from repro.types import edge_key
+from repro.types import color_classes, edge_key
 
 
 def line_graph_instance(d=8, n=24, seed=1):
@@ -102,9 +102,7 @@ class TestDecompositionLemmas:
         connector = build_clique_connector(graph, cover, t)
         coloring = ColoringOracle().vertex_coloring(connector)
         k = math.ceil(cover.max_clique_size() / t)
-        classes = {}
-        for v, c in coloring.items():
-            classes.setdefault(c, []).append(v)
+        classes = color_classes(coloring)
         for members in classes.values():
             sub = graph.subgraph(members)
             assert max_degree(sub) <= (k - 1) * cover.diversity()
@@ -115,9 +113,7 @@ class TestDecompositionLemmas:
         connector = build_clique_connector(graph, cover, t)
         coloring = ColoringOracle().vertex_coloring(connector)
         k = math.ceil(cover.max_clique_size() / t)
-        classes = {}
-        for v, c in coloring.items():
-            classes.setdefault(c, []).append(v)
+        classes = color_classes(coloring)
         for members in classes.values():
             mset = set(members)
             for clique in cover.cliques:
@@ -127,9 +123,7 @@ class TestDecompositionLemmas:
         graph, cover = line_graph_instance(d=8, n=24, seed=7)
         connector = build_clique_connector(graph, cover, 3)
         coloring = ColoringOracle().vertex_coloring(connector)
-        classes = {}
-        for v, c in coloring.items():
-            classes.setdefault(c, []).append(v)
+        classes = color_classes(coloring)
         for members in classes.values():
             assert cover.restricted(members).diversity() <= cover.diversity()
 

@@ -29,6 +29,7 @@ from repro.substrates.reduction import (
     BasicReductionAlgorithm,
     BlockedReductionAlgorithm,
 )
+from repro.types import color_classes
 
 
 def _isolated_plus_edges() -> nx.Graph:
@@ -320,9 +321,7 @@ class TestPipelineOutputParity:
         assert vec.target_colors == ref.target_colors
         assert vec.rounds_actual == ref.rounds_actual
         # The shared output is a valid (p, 1)-star-partition of E(G).
-        classes = {}
-        for edge, color in ref.coloring.items():
-            classes.setdefault(color, []).append(edge)
+        classes = color_classes(ref.coloring)
         assert verify_star_partition(graph, classes, q=1)
 
     def test_four_delta_pipeline_outputs(self):

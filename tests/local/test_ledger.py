@@ -79,6 +79,30 @@ class TestParallel:
             branch.add("tail", 1)
         assert ledger.total_actual == 7
 
+    def test_per_class_prefixes_class_and_charges_max(self):
+        ledger = RoundLedger()
+        classes = {2: ["b"], 0: ["a", "c"]}
+        visited = []
+
+        def color_class(members, branch):
+            visited.append((branch.label, members))
+            branch.add("w", actual=len(members) * 3, modeled=1)
+            return {k: (i,) for i, k in enumerate(members)}
+
+        product = ledger.per_class("p", classes, color_class)
+        assert product == {"a": (0, 0), "c": (0, 1), "b": (2, 0)}
+        assert list(product) == ["a", "c", "b"]
+        assert visited == [("p/class-0", ["a", "c"]), ("p/class-2", ["b"])]
+        assert [e.label for e in ledger.entries] == ["p"]
+        assert ledger.total_actual == 6
+        assert ledger.total_modeled == 1
+        assert [c.label for c in ledger.children] == ["p/class-0", "p/class-2"]
+
+    def test_per_class_without_classes(self):
+        ledger = RoundLedger()
+        assert ledger.per_class("p", {}, lambda members, branch: {}) == {}
+        assert ledger.total_actual == 0
+
     def test_summary_mentions_entries(self):
         ledger = RoundLedger()
         ledger.add("phase-1", 3)

@@ -13,11 +13,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import verify_edge_coloring, verify_vertex_coloring
 from repro.graphs import CliqueCover, line_graph_with_cover, max_degree
+from repro.baselines import weak_vertex_coloring
 from repro.core import (
     build_clique_connector,
     build_edge_connector,
     cd_coloring,
     edge_color_bounded_arboricity,
+    edge_color_orientation_connector,
+    edge_color_recursive,
     star_partition_edge_coloring,
 )
 from repro.substrates import (
@@ -58,6 +61,11 @@ def sparse_graphs(draw, max_n=30):
             u = rng.randrange(v)
             graph.add_edge(v, u)
     return graph
+
+
+def assert_dense(result):
+    """Flattened product colors are exactly 0..colors_used-1."""
+    assert set(result.coloring.values()) == set(range(result.colors_used))
 
 
 class TestLinialProperties:
@@ -173,3 +181,27 @@ class TestEndToEndProperties:
             return
         result = edge_color_bounded_arboricity(graph, arboricity=2)
         verify_edge_coloring(graph, result.coloring, palette=result.palette_bound)
+
+    @pytest.mark.parametrize(
+        "color",
+        [
+            lambda g: edge_color_orientation_connector(g, arboricity=2),
+            lambda g: edge_color_recursive(g, x=2, arboricity=2),
+        ],
+        ids=["thm53", "thm54-x2"],
+    )
+    @SETTINGS
+    @given(sparse_graphs(max_n=24))
+    def test_section5_products_proper_and_dense(self, color, graph):
+        if graph.number_of_edges() == 0:
+            return
+        result = color(graph)
+        verify_edge_coloring(graph, result.coloring)
+        assert_dense(result)
+
+    @SETTINGS
+    @given(gnp_graphs(max_n=24))
+    def test_weak_vertex_proper_and_dense(self, graph):
+        result = weak_vertex_coloring(graph, threshold=3)
+        verify_vertex_coloring(graph, result.coloring)
+        assert_dense(result)

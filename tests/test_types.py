@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.types import edge_key, normalize_edge_coloring, num_colors
+from repro.types import (
+    color_classes,
+    dense_colors,
+    edge_key,
+    normalize_edge_coloring,
+    num_colors,
+)
 
 
 class TestEdgeKey:
@@ -45,3 +51,31 @@ class TestNumColors:
 
     def test_single(self):
         assert num_colors({"a": 7}) == 1
+
+
+class TestColorClasses:
+    def test_groups_in_insertion_order(self):
+        coloring = {"c": 1, "a": 0, "b": 1, "d": 0}
+        assert color_classes(coloring) == {1: ["c", "b"], 0: ["a", "d"]}
+        assert list(color_classes(coloring)) == [1, 0]
+
+    def test_empty(self):
+        assert color_classes({}) == {}
+
+
+class TestDenseColors:
+    def test_numbers_in_sorted_order(self):
+        product = {"x": (2, 0), "y": (0, 5), "z": (2, 0), "w": (0, 1)}
+        assert dense_colors(product) == {"x": 2, "y": 1, "z": 2, "w": 0}
+
+    def test_mixed_lengths_sort_as_tuples(self):
+        # a shorter tuple sorts before its extensions: (1,) < (1, 0) < (2,)
+        product = {"a": (2,), "b": (1, 0), "c": (1,)}
+        assert dense_colors(product) == {"a": 2, "b": 1, "c": 0}
+
+    def test_keeps_key_order(self):
+        product = {3: (1,), 1: (0,), 2: (1,)}
+        assert list(dense_colors(product)) == [3, 1, 2]
+
+    def test_empty(self):
+        assert dense_colors({}) == {}
