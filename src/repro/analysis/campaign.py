@@ -176,10 +176,10 @@ def _execute_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     Every cell executes under its own :func:`repro.obs.collect` scope:
     phase timings (build/compute/verify), the cell's counter snapshot
-    (kernel dispatches and declines, engine rounds, compact-fallback
-    conversions) and any warnings the run raised are folded into a
-    ``metrics`` blob on the row — observation only; nothing in the blob
-    feeds back into the deterministic columns or the run key. With
+    (kernel dispatches and declines, engine rounds and delegations) and
+    any warnings the run raised are folded into a ``metrics`` blob on the
+    row — observation only; nothing in the blob feeds back into the
+    deterministic columns or the run key. With
     ``REPRO_TRACE`` set (inherited by forked pool workers) the scope also
     streams span/point events to the per-run JSONL trace file.
     """
@@ -351,18 +351,16 @@ def _cell_metrics(
 def _reemit_warning(category: str, message: str) -> None:
     """Surface one deduped worker warning from the runner process.
 
-    Cells capture their warnings into the metrics blob (a campaign over a
-    compact workload with a non-compact algorithm would otherwise print
-    one identical ``PerformanceWarning`` per cell); the runner re-raises
+    Cells capture their warnings into the metrics blob (a vector campaign
+    over an algorithm with no program would otherwise print one identical
+    ``EngineFallbackWarning`` per cell); the runner re-raises
     each distinct (category, message) pair exactly once per campaign,
     mapped back to its real category where the library defines it."""
     import warnings as _warnings
 
     from repro.engine import EngineFallbackWarning
-    from repro.errors import PerformanceWarning
 
     categories = {
-        "PerformanceWarning": PerformanceWarning,
         "EngineFallbackWarning": EngineFallbackWarning,
         "DeprecationWarning": DeprecationWarning,
         "RuntimeWarning": RuntimeWarning,

@@ -13,17 +13,15 @@ figure, so the structural claims pictured in the appendix are checkable:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List
 
 import networkx as nx
 
 from repro.graphs.cliques import CliqueCover
 from repro.graphs.generators import shared_vertex_cliques
-from repro.graphs.orientation import Orientation, orient_acyclic_by_order
+from repro.graphs.orientation import orient_acyclic_by_order
 from repro.graphs.properties import max_degree
 from repro.core.connectors import (
-    EdgeConnector,
-    OrientationConnector,
     build_clique_connector,
     build_edge_connector,
     build_orientation_connector,

@@ -10,10 +10,7 @@ tables are stated in. ``python -m repro.analysis.tables`` prints everything.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence
-
-import networkx as nx
+from typing import Dict, List, Sequence
 
 from repro.analysis.metrics import ExperimentRecord
 from repro.baselines import (
@@ -32,7 +29,6 @@ from repro.core import (
     star_partition_edge_coloring,
 )
 from repro.graphs import (
-    forest_union,
     line_graph_with_cover,
     max_degree,
     random_regular,

@@ -11,7 +11,7 @@ executable split here is centralized, as documented in DESIGN.md.
 
 The split consumes only the duck read API (``nodes``/``neighbors``/
 ``degree``), so :class:`~repro.graphcore.CompactGraph` inputs run
-natively (``compact_ok``) — and because the Euler walk is
+natively — and because the Euler walk is
 order-canonical, CSR and networkx representations of the same graph
 color identically.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import networkx as nx
 
@@ -29,7 +29,7 @@ from repro.graphs.properties import max_degree, number_of_edges
 from repro.local import RoundLedger
 from repro.local.costmodel import log_star
 from repro.baselines.greedy import greedy_edge_coloring
-from repro.types import Edge, EdgeColoring, edge_key
+from repro.types import EdgeColoring
 
 
 def euler_split(graph) -> Tuple[nx.Graph, nx.Graph]:
@@ -221,6 +221,5 @@ _registry.register(
         runner=_run_split,
         invariants=("proper-edge-coloring", "palette-bound"),
         params=("threshold",),
-        compact_ok=True,
     )
 )

@@ -138,8 +138,5 @@ _registry.register(
         rounds_bound="O(log* n)",
         runner=_run_forest,
         invariants=("proper-edge-coloring", "palette-bound"),
-        # Reads the input duck-typed; the per-forest CV runs happen on
-        # freshly built networkx forests either way.
-        compact_ok=True,
     )
 )

@@ -11,7 +11,6 @@ from typing import Dict, Iterable, Optional
 
 import networkx as nx
 
-from repro.errors import ColoringError
 from repro.graphcore import CompactGraph
 from repro.graphs.properties import iter_edges
 from repro.types import Edge, EdgeColoring, NodeId, VertexColoring, edge_key
@@ -102,8 +101,6 @@ _registry.register(
         rounds_bound="centralized",
         runner=_run_greedy,
         invariants=("proper-edge-coloring", "palette-bound"),
-        distributed=False,
-        compact_ok=True,  # nodes()/edges()/neighbors() only
     )
 )
 _registry.register(
@@ -116,7 +113,5 @@ _registry.register(
         rounds_bound="centralized",
         runner=_run_greedy_vertex,
         invariants=("proper-vertex-coloring", "palette-bound"),
-        distributed=False,
-        compact_ok=True,  # nodes()/neighbors() only
     )
 )

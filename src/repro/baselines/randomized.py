@@ -147,6 +147,5 @@ _registry.register(
         runner=_run_randomized,
         invariants=("proper-edge-coloring", "palette-bound"),
         params=("palette_factor", "seed"),
-        compact_ok=True,  # degree()/nodes()/edges()/neighbors() only
     )
 )

@@ -184,7 +184,5 @@ _registry.register(
         rounds_bound="centralized",
         runner=_run_vizing,
         invariants=("proper-edge-coloring", "palette-bound"),
-        distributed=False,
-        compact_ok=True,  # nodes()/edges()/neighbors()/degree() only
     )
 )

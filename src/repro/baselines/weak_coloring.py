@@ -193,7 +193,6 @@ _registry.register(
         runner=_run_weak,
         invariants=("proper-edge-coloring", "palette-bound"),
         params=("exponent",),
-        compact_ok=True,  # works on the line graph (built from reads)
     )
 )
 _registry.register(
@@ -207,6 +206,5 @@ _registry.register(
         runner=_run_weak_vertex,
         invariants=("proper-vertex-coloring", "palette-bound"),
         params=("exponent",),
-        compact_ok=True,  # recursion uses CompactGraph.subgraph
     )
 )

@@ -19,12 +19,12 @@ rules make the contracts mechanical:
   whose name is the program class's ``name = "..."`` attribute. A
   program outside the map is dead code neither the vector engine nor
   the sharded runtime will ever dispatch.
-* ``reg-compact-parity`` — when any spec declares ``compact_ok=True``,
-  the compact-parity suite (``tests/engine/test_compact_parity.py``)
-  must exist and derive its case list from the live registry (it
-  references ``compact_ok``), so a newly compact-capable algorithm is
-  parity-tested by construction rather than by remembering to add it to
-  a hand-written list.
+* ``reg-compact-parity`` — every ``AlgorithmSpec(...)`` registration
+  requires the compact-parity suite (``tests/engine/test_compact_parity.py``)
+  to exist and to enumerate ``registry.names()``, so a newly registered
+  algorithm is parity-tested on CompactGraph and networkx inputs by
+  construction rather than by remembering to add it to a hand-written
+  list.
 """
 
 from __future__ import annotations
@@ -199,26 +199,36 @@ class KernelModuleRegistered(ProjectChecker):
                 continue
 
 
+def _calls_registry_names(tree: ast.AST) -> bool:
+    """True when ``tree`` calls ``registry.names()`` (any qualified
+    ``...registry.names`` attribute)."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        owner = node.func.value
+        if node.func.attr == "names" and (
+            (isinstance(owner, ast.Name) and owner.id == "registry")
+            or (isinstance(owner, ast.Attribute) and owner.attr == "registry")
+        ):
+            return True
+    return False
+
+
 @register_checker
 class CompactParityCoverage(ProjectChecker):
     rule = CheckRule(
         name="reg-compact-parity",
         family="registry",
-        summary="compact_ok=True requires the compact-parity suite to "
-        "exist and derive its cases from the live registry (references "
-        "compact_ok), so coverage cannot silently go stale",
+        summary="every AlgorithmSpec(...) registration requires the "
+        "compact-parity suite to exist and enumerate registry.names(), so "
+        "coverage cannot silently go stale",
     )
 
     def check(self, project) -> Iterator[Tuple[str, int, str]]:
-        compact_sites: List[Tuple[str, int, str]] = []
+        sites: List[Tuple[str, int, str]] = []
         for file in project.files:
             for node in ast.walk(file.tree):
                 if not (isinstance(node, ast.Call) and _is_algorithm_spec(node)):
-                    continue
-                kw = _keyword(node, "compact_ok")
-                if kw is None or not (
-                    isinstance(kw.value, ast.Constant) and kw.value.value is True
-                ):
                     continue
                 name_kw = _keyword(node, "name")
                 label = (
@@ -226,29 +236,23 @@ class CompactParityCoverage(ProjectChecker):
                     if name_kw is not None and isinstance(name_kw.value, ast.Constant)
                     else "<unnamed>"
                 )
-                compact_sites.append((file.pkg_rel, node.lineno, label))
-        if not compact_sites:
+                sites.append((file.pkg_rel, node.lineno, label))
+        if not sites:
             return
         suite = project.read_outside(COMPACT_PARITY_SUITE)
         if suite is None:
-            for pkg_rel, line, label in compact_sites:
+            for pkg_rel, line, label in sites:
                 yield pkg_rel, line, (
-                    f"algorithm {label} declares compact_ok=True but the "
+                    f"algorithm {label} is registered but the "
                     f"compact-parity suite ({COMPACT_PARITY_SUITE}) is "
                     "missing — nothing proves CSR and networkx inputs agree"
                 )
             return
-        tree = ast.parse(suite)
-        registry_driven = any(
-            (isinstance(node, ast.Attribute) and node.attr == "compact_ok")
-            or (isinstance(node, ast.Name) and node.id == "compact_ok")
-            for node in ast.walk(tree)
-        )
-        if not registry_driven:
-            for pkg_rel, line, label in compact_sites:
+        if not _calls_registry_names(ast.parse(suite)):
+            for pkg_rel, line, label in sites:
                 yield pkg_rel, line, (
-                    f"algorithm {label} declares compact_ok=True but "
-                    f"{COMPACT_PARITY_SUITE} never references compact_ok — "
-                    "the suite must enumerate compact-capable algorithms "
-                    "from the live registry, not a hand-written list"
+                    f"algorithm {label} is registered but "
+                    f"{COMPACT_PARITY_SUITE} never calls registry.names() — "
+                    "the suite must enumerate the algorithms from the live "
+                    "registry, not a hand-written list"
                 )

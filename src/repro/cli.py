@@ -5,13 +5,10 @@ Subcommands:
 * ``info --graph FILE`` — structural parameters (n, m, Delta, arboricity
   bounds, degeneracy) of an edge-list or ``.csrg`` graph.
 * ``algorithms`` — the unified algorithm registry: every runnable
-  algorithm with its family, kind, color bound and parameters
-  (compact-capable algorithms carry a ``[compact]`` marker).
+  algorithm with its family, kind, color bound and parameters.
 * ``kernels`` — the whole-round CSR kernel layer: which per-node
   algorithms have a registered kernel (each a shard program, so each
-  also runs sharded under ``run --shards``), and which registry
-  algorithms consume ``CompactGraph`` natively vs. through the
-  conversion fallback.
+  also runs sharded under ``run --shards``).
 * ``run`` — run any registered algorithm on a graph file or a named
   workload; ``--seeds`` + ``--jobs`` fan a seed batch across processes,
   ``--engine`` picks the execution engine.
@@ -125,10 +122,9 @@ def cmd_algorithms(args: argparse.Namespace) -> int:
     for spec in specs:
         params = f" params: {', '.join(spec.params)}" if spec.params else ""
         requires = f" requires: {', '.join(spec.requires)}" if spec.requires else ""
-        compact = " [compact]" if spec.compact_ok else ""
         print(
             f"{spec.name:<{width}}  [{spec.family}/{spec.kind}] "
-            f"{spec.color_bound} colors, {spec.rounds_bound}{params}{requires}{compact}"
+            f"{spec.color_bound} colors, {spec.rounds_bound}{params}{requires}"
         )
         if args.verbose:
             print(f"{'':<{width}}  {spec.summary}")
@@ -137,18 +133,10 @@ def cmd_algorithms(args: argparse.Namespace) -> int:
 
 def cmd_kernels(args: argparse.Namespace) -> int:
     """The kernel layer's introspection surface: which per-node algorithms
-    have a whole-round CSR kernel (every kernel is a shard program), and
-    which registry algorithms consume CompactGraph natively."""
+    have a whole-round CSR kernel (every kernel is a shard program)."""
     from repro import kernels
 
-    compact_specs = [spec for spec in registry.specs() if spec.compact_ok]
-    payload = {
-        "kernels": kernels.kernel_names(),
-        "compact_ok": sorted(spec.name for spec in compact_specs),
-        "compact_fallback": sorted(
-            spec.name for spec in registry.specs() if not spec.compact_ok
-        ),
-    }
+    payload = {"kernels": kernels.kernel_names()}
     if args.json:
         json.dump(payload, sys.stdout, indent=1)
         print()
@@ -156,15 +144,6 @@ def cmd_kernels(args: argparse.Namespace) -> int:
     print("whole-round CSR kernels (VectorEngine, CompactGraph input, --shards):")
     for name in payload["kernels"]:
         print(f"  {name}")
-    print(
-        f"compact-capable algorithms ({len(payload['compact_ok'])}"
-        f"/{len(registry.names())}): {', '.join(payload['compact_ok'])}"
-    )
-    if payload["compact_fallback"]:
-        print(
-            "conversion fallback (PerformanceWarning on CompactGraph input): "
-            + ", ".join(payload["compact_fallback"])
-        )
     return 0
 
 
@@ -1152,7 +1131,7 @@ def build_parser() -> argparse.ArgumentParser:
     kernels = sub.add_parser(
         "kernels",
         help="the whole-round CSR kernel layer: registered kernels "
-        "(each also runs sharded) and compact-capable algorithms",
+        "(each also runs sharded)",
     )
     kernels.add_argument("--json", action="store_true")
     kernels.set_defaults(func=cmd_kernels)

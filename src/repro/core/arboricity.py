@@ -594,7 +594,6 @@ _registry.register(
         runner=_run_thm52,
         invariants=("proper-edge-coloring", "palette-bound"),
         requires=("bounded-arboricity",),
-        compact_ok=True,  # subgraph/has_edge + the CSR core-number branch
         params=("arboricity", "q"),
     )
 )
@@ -609,7 +608,6 @@ _registry.register(
         runner=_run_thm53,
         invariants=("proper-edge-coloring", "palette-bound"),
         requires=("bounded-arboricity",),
-        compact_ok=True,  # subgraph/has_edge + the CSR core-number branch
         params=("arboricity", "q"),
     )
 )
@@ -624,7 +622,6 @@ _registry.register(
         runner=_run_thm54,
         invariants=("proper-edge-coloring", "palette-bound"),
         requires=("bounded-arboricity",),
-        compact_ok=True,  # subgraph/has_edge + the CSR core-number branch
         params=("x", "arboricity", "q"),
     )
 )
@@ -639,7 +636,6 @@ _registry.register(
         runner=_run_cor55,
         invariants=("proper-edge-coloring", "palette-bound"),
         requires=("bounded-arboricity",),
-        compact_ok=True,  # subgraph/has_edge + the CSR core-number branch
         params=("arboricity",),
     )
 )

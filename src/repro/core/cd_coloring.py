@@ -263,6 +263,5 @@ _registry.register(
         runner=_run_cd,
         params=("x",),
         invariants=("proper-edge-coloring", "palette-bound", "clique-decomposition"),
-        compact_ok=True,  # works on the line graph (built from reads)
     )
 )

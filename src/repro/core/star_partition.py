@@ -215,7 +215,6 @@ _registry.register(
         rounds_bound="O~(Delta^(1/4) + log* n)",
         runner=_run_star4,
         invariants=("proper-edge-coloring", "palette-bound", "star-partition"),
-        compact_ok=True,  # connectors are built from duck-typed reads
     )
 )
 _registry.register(
@@ -229,6 +228,5 @@ _registry.register(
         runner=_run_star,
         params=("x", "t"),
         invariants=("proper-edge-coloring", "palette-bound", "star-partition"),
-        compact_ok=True,  # connectors are built from duck-typed reads
     )
 )

@@ -150,6 +150,5 @@ _registry.register(
         invariants=("proper-vertex-coloring", "palette-bound"),
         requires=("bounded-arboricity",),
         params=("arboricity", "q"),
-        compact_ok=True,  # level sweeps use CompactGraph.subgraph
     )
 )

@@ -44,8 +44,3 @@ class CheckError(ReproError):
     error in a scanned file, missing/corrupt schema baseline). Distinct
     from a rule *firing* — findings are data, this is a failure."""
 
-
-class PerformanceWarning(UserWarning):
-    """A supported-but-slow path was taken (e.g. a CompactGraph converted
-    to networkx for a non-``compact_ok`` algorithm). Results are correct;
-    the warning exists so large campaigns disclose the cost."""

@@ -20,8 +20,8 @@ The read API deliberately duck-types the slice of ``networkx.Graph`` the
 algorithms, checkers, and invariant oracles actually consume —
 ``nodes()``, ``edges()``, ``neighbors()``, ``degree()``,
 ``number_of_nodes()``, ``number_of_edges()``, iteration, containment —
-so compact-capable algorithms (``AlgorithmSpec.compact_ok``) and every
-verifier run on either representation unchanged. Anything needing the
+so every registered algorithm and every verifier runs on either
+representation unchanged. Anything needing the
 full networkx surface converts explicitly via :meth:`to_networkx`.
 
 :meth:`digest` is the graph's content address: a sha256 over the

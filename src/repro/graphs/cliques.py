@@ -16,7 +16,7 @@ problems themselves — exactly as the paper assumes for these graph families.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 import networkx as nx
 

@@ -17,7 +17,6 @@ pins the exact node/edge sets.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
 
 import networkx as nx
 

@@ -10,7 +10,7 @@ restriction to subgraphs, and acyclicity checking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List
 
 import networkx as nx
 

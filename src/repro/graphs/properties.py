@@ -217,9 +217,3 @@ def forest_decomposition(graph: nx.Graph) -> List[nx.Graph]:
         if not nx.is_forest(f):
             raise AssertionError("forest decomposition produced a cycle")
     return forests
-
-
-def is_proper_minor_free_like(graph: nx.Graph) -> bool:  # pragma: no cover - helper
-    """Heuristic used only by examples: planar => arboricity <= 3."""
-    result, _ = nx.check_planarity(graph)
-    return result

@@ -12,8 +12,6 @@ degeneracy and every k-core's Nash-Williams density for
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 

@@ -2,8 +2,8 @@
 
 The campaign runner persists a compact metrics blob per computed cell
 (the store's schema-v3 ``metrics`` column): phase timings, the cell's
-counter snapshot (kernel dispatches and declines, engine rounds/steps,
-compact-fallback conversions, warnings), queue latency and in-flight
+counter snapshot (kernel dispatches and declines, engine rounds and
+delegations, warnings), queue latency and in-flight
 window occupancy at submit. This module turns a set of store rows back
 into answers — which cells are slow, how often kernels declined, what
 the per-algorithm round/time distributions look like — without re-running
@@ -28,7 +28,6 @@ __all__ = ["campaign_stats", "render_stats"]
 #: Counter-name prefixes that mean "the fast path was not taken".
 FALLBACK_PREFIXES = (
     "kernel.fallback",
-    "registry.compact_fallback",
     "engine.fallback",
     "warnings.",
 )

@@ -65,11 +65,11 @@ class AlgorithmSpec:
     ``invariants`` names the :mod:`repro.verify` oracles this algorithm's
     output must satisfy; an empty tuple falls back to the kind-level
     defaults (properness + claimed palette bound) at verification time.
-    ``compact_ok`` marks runners that consume the duck-typed read API of
-    :class:`~repro.graphcore.CompactGraph` directly (no networkx surface
-    beyond nodes/edges/neighbors/degree): :func:`run` hands them compact
-    inputs as-is, while every other runner gets a transparent
-    ``to_networkx`` conversion — correct everywhere, fast where it counts.
+
+    A runner receives the workload's graph as built — a networkx graph or
+    a :class:`~repro.graphcore.CompactGraph` — and reads it only through
+    the shared read API (nodes/edges/neighbors/degree, ``subgraph``,
+    ``has_edge``); :func:`run` never converts it.
     """
 
     name: str
@@ -81,9 +81,7 @@ class AlgorithmSpec:
     runner: Callable[..., AlgorithmRun] = field(repr=False)
     requires: Tuple[str, ...] = ()
     params: Tuple[str, ...] = ()
-    distributed: bool = True
     invariants: Tuple[str, ...] = ()
-    compact_ok: bool = False
 
 
 _REGISTRY: Dict[str, AlgorithmSpec] = {}
@@ -173,31 +171,7 @@ def run(
         )
     from repro import obs
     from repro.engine import use_engine
-    from repro.graphcore import CompactGraph
 
-    compact_fallback = False
-    if isinstance(graph, CompactGraph) and not spec.compact_ok:
-        # Runners that need the full networkx surface get a transparent
-        # conversion; compact-capable runners skip it (the whole point of
-        # the CSR data layer at scale). The conversion is disclosed — a
-        # warning at call time, a flag in the result — so campaigns over
-        # compact workloads can't silently pay the slow path (the same
-        # contract as the engine layer's ``effective_engine``).
-        import warnings
-
-        from repro.errors import PerformanceWarning
-
-        obs.incr("registry.compact_fallback", algorithm=name)
-        obs.incr("warnings.performance")
-        warnings.warn(
-            f"algorithm {name!r} is not compact-capable: converting the "
-            "CompactGraph input to networkx for this run (slow path; "
-            "result.extra['compact_fallback'] records it)",
-            PerformanceWarning,
-            stacklevel=2,
-        )
-        graph = graph.to_networkx()
-        compact_fallback = True
     with use_engine(engine), obs.span("registry.run", algorithm=name):
         result = spec.runner(graph, **params)
     if result.name != name or result.kind != spec.kind:
@@ -205,6 +179,4 @@ def run(
             f"runner for {name!r} returned mislabeled run "
             f"({result.name!r}, {result.kind!r})"
         )
-    if compact_fallback:
-        result.extra["compact_fallback"] = True
     return result

@@ -144,12 +144,29 @@ class ExperimentStore:
         self.path = str(path)
         self._conn = sqlite3.connect(self.path, timeout=timeout)
         self._conn.row_factory = sqlite3.Row
-        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._enable_wal(timeout)
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute(f"PRAGMA busy_timeout={int(timeout * 1000)}")
         self._init_schema()
 
     # -- lifecycle ---------------------------------------------------------
+
+    def _enable_wal(self, timeout: float) -> None:
+        """Switch the file to WAL, retrying until ``timeout`` while another
+        connection holds it: SQLite answers ``PRAGMA journal_mode=WAL``
+        with BUSY without calling the busy handler, so processes opening
+        a fresh file together would otherwise fail at once."""
+        deadline = time.monotonic() + timeout
+        delay = 0.001
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() >= deadline:
+                    raise
+            time.sleep(delay)
+            delay = min(2 * delay, 0.05)
 
     def _init_schema(self) -> None:
         with self._conn:

@@ -267,8 +267,5 @@ _registry.register(
         runner=_run_cole_vishkin,
         invariants=("proper-vertex-coloring", "palette-bound"),
         requires=("forest",),
-        # root_forest has a CSR branch; everything else is duck-typed
-        # reads + run_on_graph (the cole-vishkin kernel at scale).
-        compact_ok=True,
     )
 )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import networkx as nx
 
@@ -188,8 +188,5 @@ _registry.register(
         invariants=("h-partition",),
         requires=("bounded-arboricity",),
         params=("arboricity", "q"),
-        # arboricity_bounds and HPartition.validate carry CSR branches;
-        # the peeling itself runs through the h-partition kernel.
-        compact_ok=True,
     )
 )

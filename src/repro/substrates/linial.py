@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import networkx as nx
 
@@ -27,7 +27,7 @@ from repro.graphs.properties import max_degree
 from repro.local import Context, Message, Node, NodeAlgorithm, RoundLedger, run_on_graph
 from repro.local.costmodel import linial_rounds
 from repro.substrates.primes import next_prime
-from repro.types import NodeId, VertexColoring
+from repro.types import VertexColoring
 
 
 @dataclass(frozen=True)
@@ -234,8 +234,5 @@ _registry.register(
         rounds_bound="O(log* n)",
         runner=_run_linial,
         invariants=("proper-vertex-coloring", "palette-bound"),
-        # Touches only nodes()/degree()/run_on_graph — runs on CompactGraph
-        # natively; the million-node walkthrough leans on this.
-        compact_ok=True,
     )
 )

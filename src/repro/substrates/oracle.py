@@ -21,7 +21,7 @@ the top level.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 import networkx as nx
 import numpy as np
@@ -34,7 +34,7 @@ from repro.local.costmodel import fhk_edge_rounds, fhk_vertex_rounds
 from repro.graphs.linegraph import line_view
 from repro.substrates.linial import linial_coloring
 from repro.substrates.reduction import kuhn_wattenhofer_reduction
-from repro.types import Edge, EdgeColoring, NodeId, VertexColoring, edge_key
+from repro.types import EdgeColoring, VertexColoring, edge_key
 
 
 def _view(graph: Any) -> Any:
@@ -228,8 +228,6 @@ _registry.register(
         rounds_bound="measured O(Delta*log Delta + log* n); modeled O~(sqrt(Delta)) + O(log* n)",
         runner=_run_oracle_vertex,
         invariants=("proper-vertex-coloring", "palette-bound"),
-        # Linial + KW both have round kernels; the checker only reads edges().
-        compact_ok=True,
     )
 )
 _registry.register(
@@ -242,7 +240,5 @@ _registry.register(
         rounds_bound="measured O(Delta*log Delta + log* n); modeled O~(sqrt(Delta)) + O(log* n)",
         runner=_run_oracle_edge,
         invariants=("proper-edge-coloring", "palette-bound"),
-        # The line graph is built fresh from edges()/neighbors() reads.
-        compact_ok=True,
     )
 )

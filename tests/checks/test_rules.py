@@ -241,32 +241,34 @@ def test_reg_kernel_module_clean_mapping_passes(make_project):
     assert _hits(run_checks(root), "reg-kernel-module") == []
 
 
-_COMPACT_SPEC = """\
+_SPEC = """\
 from repro.registry import AlgorithmSpec, register
 
 
 register(AlgorithmSpec(name="demo", family="f", kind="vertex",
                        summary="s", color_bound="3", runner=None,
-                       invariants=(), compact_ok=True))
+                       invariants=()))
 """
 
 
 def test_reg_compact_parity_fires_without_suite(make_project):
-    root = make_project({"substrates/algo.py": _COMPACT_SPEC})
+    root = make_project({"substrates/algo.py": _SPEC})
     hits = _hits(run_checks(root), "reg-compact-parity")
     assert hits == [("src/repro/substrates/algo.py", 4)]
 
 
 def test_reg_compact_parity_fires_on_hand_written_case_list(make_project):
     root = make_project(
-        {"substrates/algo.py": _COMPACT_SPEC},
+        {"substrates/algo.py": _SPEC},
         outside={
             "tests/engine/test_compact_parity.py": """\
+            from repro import registry
+
             CASES = ["demo"]  # hand-written, goes stale silently
 
 
             def test_parity():
-                assert CASES
+                assert all(registry.get(name) for name in CASES)
             """
         },
     )
@@ -275,14 +277,13 @@ def test_reg_compact_parity_fires_on_hand_written_case_list(make_project):
 
 def test_reg_compact_parity_registry_driven_suite_passes(make_project):
     root = make_project(
-        {"substrates/algo.py": _COMPACT_SPEC},
+        {"substrates/algo.py": _SPEC},
         outside={
             "tests/engine/test_compact_parity.py": """\
             from repro import registry
 
 
-            def cases():
-                return [n for n in registry.names() if registry.get(n).compact_ok]
+            CASES = sorted(registry.names())
             """
         },
     )

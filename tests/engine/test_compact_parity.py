@@ -6,10 +6,10 @@ Two layers of guarantee:
   its native path (no nx conversion); ``ReferenceEngine`` converts. Both
   must produce the same outputs, rounds, and per-round message profile
   on the same compact instance, and the same as the nx original.
-* **Registry level** — ``registry.run`` on a compact instance (whether
-  the algorithm is ``compact_ok`` or auto-converted) must equal
-  ``registry.run`` on the nx original, for the full default campaign
-  grid and both engines.
+* **Registry level** — ``registry.run`` on a compact instance must equal
+  ``registry.run`` on the nx original, for every registered algorithm
+  (``registry.names()``), the full default campaign grid and both
+  engines.
 """
 
 import pytest
@@ -48,18 +48,12 @@ def _default_grid_cases():
         )
 
 
-def _semantic_extra(run):
-    # compact_fallback is provenance (which input representation the run
-    # received), not an algorithm output — strip it before comparing.
-    return {k: v for k, v in run.extra.items() if k != "compact_fallback"}
-
-
 def assert_same_run(a, b):
     assert b.coloring == a.coloring
     assert b.colors_used == a.colors_used
     assert b.rounds_actual == a.rounds_actual
     assert b.rounds_modeled == a.rounds_modeled
-    assert _semantic_extra(b) == _semantic_extra(a)
+    assert b.extra == a.extra
 
 
 @pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 1000, 1001])
@@ -130,10 +124,8 @@ class TestRegistryParityOnDefaultGrid:
         assert_same_run(nx_run, compact_run)
 
 
-#: Every algorithm that consumes CompactGraph natively (no nx conversion).
-COMPACT_OK = sorted(
-    name for name in registry.names() if registry.get(name).compact_ok
-)
+#: Every registered algorithm: each consumes CompactGraph natively.
+ALGORITHMS = sorted(registry.names())
 
 #: The full builtin catalogue at reduced size (same idiom as the invariant
 #: fuzz suite): workloads absent here run at their registered defaults.
@@ -188,27 +180,19 @@ def assert_parity(algorithm, original, **params):
     return compact_run
 
 
-class TestCompactOkAlgorithms:
-    def test_catalogue_is_fully_compact_capable(self):
-        # PR 6 left `split` as the one conversion-fallback exception;
-        # PR 9 closed it — every registered algorithm now consumes
-        # CompactGraph without conversion.
-        assert len(COMPACT_OK) == len(registry.names())
-        assert "split" in COMPACT_OK
-
-    @pytest.mark.parametrize("algorithm", COMPACT_OK)
+class TestEveryAlgorithm:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_native_path_matches_converted(self, algorithm):
         compact = workloads.build("xl-grid", {"rows": 12, "cols": 12})
-        assert registry.get(algorithm).compact_ok
         assert_parity(algorithm, compact.to_networkx())
 
 
-class TestEveryCompactAlgorithmOnEveryWorkload:
-    """The flip adjudicator: every compact-capable algorithm, every builtin
+class TestEveryAlgorithmOnEveryWorkload:
+    """The flip adjudicator: every registered algorithm, every builtin
     workload family, bit-for-bit vs the networkx original."""
 
     @pytest.mark.parametrize("workload", BUILTIN_WORKLOADS)
-    @pytest.mark.parametrize("algorithm", COMPACT_OK)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_builtin_workloads(self, algorithm, workload):
         original = workloads.build(workload, SMALL_PARAMS.get(workload), seed=0)
         if any(type(v) is not int for v in original.nodes()):
@@ -222,7 +206,7 @@ class TestEveryCompactAlgorithmOnEveryWorkload:
         assert_parity(algorithm, original)
 
     @pytest.mark.parametrize("workload,params", XL_SMALL)
-    @pytest.mark.parametrize("algorithm", COMPACT_OK)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_xl_families(self, algorithm, workload, params):
         compact = workloads.build(workload, params, seed=1)
         assert_parity(algorithm, compact.to_networkx())

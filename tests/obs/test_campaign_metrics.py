@@ -11,7 +11,8 @@ from repro.analysis.campaign import (
     CampaignRunner,
     _execute_cell,
 )
-from repro.errors import PerformanceWarning
+from repro.engine import EngineFallbackWarning
+from repro.local import NodeAlgorithm
 from repro.store import ExperimentStore, RunCache
 
 CELLS = [
@@ -19,33 +20,47 @@ CELLS = [
     CampaignCell("greedy", "random-regular", {"n": 16, "d": 4}, seed=0),
 ]
 
-#: Every registered algorithm is compact-capable since PR 9 closed the
-#: `split` gap, so the conversion-fallback disclosure path needs a
-#: synthetic nx-only algorithm to stay covered. The fixture registers
-#: it for one test and removes it again so registry-enumerating suites
-#: (compact parity, `repro kernels`) never see it.
-PROBE = "nx-only-probe"
+#: A synthetic algorithm whose node algorithm has no vector program, so
+#: every ``engine="vector"`` run of it is delegated to the reference
+#: engine with an ``EngineFallbackWarning`` (reason ``no-program``). The
+#: fixture registers it for one test and removes it again so
+#: registry-enumerating suites (compact parity, `repro algorithms`) never
+#: see it.
+PROBE = "no-program-probe"
 
-#: Compact workload cells driven through the nx-only probe: every such
-#: cell raises the conversion PerformanceWarning. Distinct params (not
-#: distinct seeds — xl-grid is deterministic, seeds would collapse into
-#: one shared computation) so both cells actually execute.
+#: Vector cells driven through the probe: every such cell raises the
+#: delegation warning. Distinct params (not distinct seeds — xl-grid is
+#: deterministic, seeds would collapse into one shared computation) so
+#: both cells actually execute.
 WARNING_CELLS = [
-    CampaignCell(PROBE, "xl-grid", {"rows": 4, "cols": 4}),
-    CampaignCell(PROBE, "xl-grid", {"rows": 4, "cols": 5}),
+    CampaignCell(PROBE, "xl-grid", {"rows": 4, "cols": 4}, engine="vector"),
+    CampaignCell(PROBE, "xl-grid", {"rows": 4, "cols": 5}, engine="vector"),
 ]
 
 
+class _OneShot(NodeAlgorithm):
+    name = PROBE
+
+    def initialize(self, node, ctx):
+        node.state["output"] = 0
+
+    def step(self, node, inbox, round_no, ctx):
+        node.halt()
+
+
 @pytest.fixture
-def nx_only_algorithm():
+def no_program_algorithm():
     from repro import registry
+    from repro.local import run_on_graph
 
     def _runner(graph, **params):
+        result = run_on_graph(graph, _OneShot())
         return registry.AlgorithmRun(
             name=PROBE,
             kind="vertex-coloring",
-            coloring={v: 0 for v in graph.nodes()},
+            coloring=dict(result.outputs),
             colors_used=1,
+            rounds_actual=result.rounds,
         )
 
     registry.register(
@@ -53,7 +68,7 @@ def nx_only_algorithm():
             name=PROBE,
             family="baseline",
             kind="vertex-coloring",
-            summary="test-only: exercises the CompactGraph conversion fallback",
+            summary="test-only: a node algorithm the vector engine delegates",
             color_bound="1",
             rounds_bound="0",
             runner=_runner,
@@ -105,14 +120,14 @@ class TestCellMetricsBlob:
         assert row["metrics"]["v"] == METRICS_VERSION
         assert row["metrics"]["total_ms"] >= 0
 
-    def test_warnings_captured_not_leaked(self, nx_only_algorithm):
+    def test_warnings_captured_not_leaked(self, no_program_algorithm):
         payload = {
-            "algorithm": nx_only_algorithm,
+            "algorithm": no_program_algorithm,
             "workload": "xl-grid",
             "workload_params": {"rows": 4, "cols": 4},
             "seed": 0,
             "algo_params": {},
-            "engine": None,
+            "engine": "vector",
             "verify": False,
         }
         with warnings.catch_warnings(record=True) as leaked:
@@ -121,9 +136,9 @@ class TestCellMetricsBlob:
         assert leaked == []  # captured into the blob, not re-raised here
         assert row["error"] is None
         pairs = row["metrics"]["warnings"]
-        assert ["PerformanceWarning"] == sorted({c for c, _ in pairs})
-        counter = f"registry.compact_fallback[algorithm={nx_only_algorithm}]"
-        assert row["metrics"]["counters"][counter] == 1
+        assert ["EngineFallbackWarning"] == sorted({c for c, _ in pairs})
+        assert "(no-program)" in pairs[0][1]
+        assert row["metrics"]["counters"]["engine.fallback[reason=no-program]"] == 1
 
 
 class TestRunnerMetrics:
@@ -155,20 +170,21 @@ class TestRunnerMetrics:
         assert 0 < summary["worker_utilization"] <= 1
         assert summary["elapsed_s"] >= 0
 
-    def test_warning_deduped_to_one_emission(self, nx_only_algorithm):
+    def test_warning_deduped_to_one_emission(self, no_program_algorithm):
         runner = CampaignRunner(WARNING_CELLS, jobs=1, verify=False)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rows = runner.run()
         assert [r["error"] for r in rows] == [None, None]
-        performance = [
-            w for w in caught if issubclass(w.category, PerformanceWarning)
+        fallback = [
+            w for w in caught if issubclass(w.category, EngineFallbackWarning)
         ]
-        assert len(performance) == 1  # two warning cells, one emission
+        assert len(fallback) == 1  # two warning cells, one emission
+        assert str(fallback[0].message).startswith("[campaign] ")
         # ... but the summary still counts every occurrence
         (entry,) = runner.last_summary["warnings"]
         category, _message, count = entry
-        assert category == "PerformanceWarning"
+        assert category == "EngineFallbackWarning"
         assert count == 2
 
     def test_summary_persisted_to_store_meta(self, tmp_path):

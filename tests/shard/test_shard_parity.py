@@ -1,5 +1,5 @@
 """Sharded-execution parity: running under a sharding scope must be
-bit-identical to the unsharded engines for every compact-capable
+bit-identical to the unsharded engines for every registered
 algorithm on every builtin workload family.
 
 Every registered kernel is a shard program (linial,
@@ -34,8 +34,8 @@ from repro.substrates.reduction import (
 )
 
 from tests.engine.test_compact_parity import (
+    ALGORITHMS,
     BUILTIN_WORKLOADS,
-    COMPACT_OK,
     SMALL_PARAMS,
     assert_same_run,
 )
@@ -58,12 +58,12 @@ def _sharded_scope(graph, tmp_path, num_shards=3, **kwargs):
 
 
 class TestEveryCompactAlgorithmShardsOrFallsBack:
-    """The full matrix: every compact-capable algorithm on every builtin
+    """The full matrix: every registered algorithm on every builtin
     workload, sharded vs unsharded, byte-identical results (or the same
     error on both paths)."""
 
     @pytest.mark.parametrize("workload", BUILTIN_WORKLOADS)
-    @pytest.mark.parametrize("algorithm", COMPACT_OK)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_sharded_equals_unsharded(self, algorithm, workload, tmp_path):
         graph = _compact_instance(workload)
         try:

@@ -2,6 +2,8 @@
 concurrent writer safety under a process pool."""
 
 import json
+import multiprocessing
+import sqlite3
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -210,7 +212,52 @@ def _write_batch(payload):
     return worker
 
 
+#: Shared by the first-open workers: every worker opens file ``i`` at
+#: the same moment.
+_OPEN_BARRIER = None
+
+
+def _set_open_barrier(barrier):
+    global _OPEN_BARRIER
+    _OPEN_BARRIER = barrier
+
+
+def _open_fresh_files(payload):
+    """Worker entry point: open ``count`` store files that do not exist
+    yet, in lockstep with the other workers; return the errors seen."""
+    root, count = payload
+    errors = []
+    for i in range(count):
+        _OPEN_BARRIER.wait(timeout=60)
+        try:
+            with ExperimentStore(f"{root}/runs-{i}.db"):
+                pass
+        except sqlite3.OperationalError as exc:
+            errors.append(f"runs-{i}.db: {exc}")
+    return errors
+
+
 class TestConcurrentWriters:
+    def test_concurrent_first_opens_of_fresh_files(self, tmp_path):
+        # SQLite answers the WAL switch of a file another connection is
+        # creating with BUSY and no busy-handler wait; without a retry a
+        # few of these 200 opens fail with "database is locked"
+        workers, files = 4, 50
+        barrier = multiprocessing.Barrier(workers)
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_set_open_barrier,
+            initargs=(barrier,),
+        ) as pool:
+            errors = [
+                e for batch in pool.map(
+                    _open_fresh_files, [(str(tmp_path), files)] * workers
+                ) for e in batch
+            ]
+        assert errors == []
+        with ExperimentStore(tmp_path / "runs-0.db") as store:
+            assert store._conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+
     def test_process_pool_writers(self, tmp_path):
         path = str(tmp_path / "runs.db")
         workers, per_worker = 4, 25

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from repro import io as repro_io
+from repro import registry
 from repro.cli import EDGE_ALGORITHMS, main
 from repro.graphs import random_regular
 
@@ -120,13 +121,12 @@ class TestWorkloadsCommand:
 
 
 class TestKernelsCommand:
-    def test_lists_kernels_and_compact_split(self, capsys):
+    def test_lists_kernels(self, capsys):
         assert main(["kernels"]) == 0
         out = capsys.readouterr().out
         assert "linial" in out and "cole-vishkin" in out
-        assert "compact-capable algorithms" in out
-        assert "split" in out  # compact-capable since PR 9
-        assert "conversion fallback" not in out  # no holdouts remain
+        # the registry no longer splits algorithms by input representation
+        assert "compact-capable" not in out
 
     def test_json_output(self, capsys):
         import json
@@ -134,16 +134,15 @@ class TestKernelsCommand:
         assert main(["kernels", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "linial" in payload["kernels"]
-        assert len(payload["compact_ok"]) == 21
-        assert payload["compact_fallback"] == []
         # every kernel is a shard program, so no separate sharded list
-        assert "sharded" not in payload
+        assert list(payload) == ["kernels"]
         assert len(payload["kernels"]) == 7
 
-    def test_algorithms_shows_compact_marker(self, capsys):
+    def test_algorithms_lists_every_algorithm_without_a_compact_marker(self, capsys):
         assert main(["algorithms"]) == 0
         out = capsys.readouterr().out
-        assert "[compact]" in out
+        assert all(name in out for name in registry.names())
+        assert "[compact]" not in out
 
 
 class TestEngineJobsDefaults:

@@ -68,10 +68,18 @@ class TestDispatch:
         vec = registry.run("thm52", graph, engine="vector", arboricity=3)
         assert ref.coloring == vec.coloring
 
-    def test_centralized_baselines(self, graph):
-        run = registry.run("vizing", graph)
+    @pytest.mark.parametrize("name", ["greedy", "greedy-vertex", "vizing"])
+    def test_centralized_baselines(self, graph, name):
+        # a centralized baseline reports no rounds; the spec carries no
+        # separate flag for it
+        run = registry.run(name, graph)
         assert run.rounds_actual is None
-        assert not registry.get("vizing").distributed
+
+    def test_spec_has_no_representation_fields(self):
+        import dataclasses
+
+        fields = {f.name for f in dataclasses.fields(registry.AlgorithmSpec)}
+        assert not fields & {"compact_ok", "distributed"}
 
 
 class TestRegistration:

@@ -31,30 +31,34 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 
 echo "== check smoke: planted violations are caught with file:line =="
 # Copy the scannable tree, plant one nondeterminism bug and one cached-view
-# read in the pipeline glue, and require the checker to fail naming exactly
+# read in the pipeline glue, and replace the compact-parity suite with a
+# hand-written case list; require the checker to fail naming exactly
 # those files and lines. Proves the CI step above is load-bearing, not
 # vacuously green.
 mkdir -p "$SMOKE_DIR/planted/src" "$SMOKE_DIR/planted/tests/engine"
 cp -r src/repro "$SMOKE_DIR/planted/src/repro"
-cp tests/engine/test_compact_parity.py "$SMOKE_DIR/planted/tests/engine/"
+printf 'CASES = ["linial", "star4"]\n\n\ndef test_parity():\n    assert CASES\n' \
+  > "$SMOKE_DIR/planted/tests/engine/test_compact_parity.py"
 PLANT_FILE="$SMOKE_DIR/planted/src/repro/substrates/linial.py"
 printf '\n\ndef _planted_nondeterminism():\n    import random\n    return random.random()\n' >> "$PLANT_FILE"
 PLANT_LINE=$(grep -c '' "$PLANT_FILE")  # the random.random() call is the last line
 VIEW_FILE="$SMOKE_DIR/planted/src/repro/substrates/reduction.py"
 printf '\n\ndef _planted_cached_view(graph):\n    return max(d for _, d in graph.degree())\n' >> "$VIEW_FILE"
 VIEW_LINE=$(grep -c '' "$VIEW_FILE")  # the graph.degree() call is the last line
+SPEC_LINE=$(grep -n 'AlgorithmSpec(' "$PLANT_FILE" | head -1 | cut -d: -f1)
 if python -m repro check --root "$SMOKE_DIR/planted" > "$SMOKE_DIR/planted.out"; then
   echo "FAIL: repro check exited 0 on a tree with planted violations"; exit 1
 fi
 for WANT in "substrates/linial.py:$PLANT_LINE: det-unseeded-rng" \
-            "substrates/reduction.py:$VIEW_LINE: pure-glue-cached-view"; do
+            "substrates/reduction.py:$VIEW_LINE: pure-glue-cached-view" \
+            "substrates/linial.py:$SPEC_LINE: reg-compact-parity"; do
   if ! grep -q "$WANT" "$SMOKE_DIR/planted.out"; then
     echo "FAIL: planted violation not reported as $WANT; got:"
     cat "$SMOKE_DIR/planted.out"; exit 1
   fi
 done
-echo "check smoke: planted violations caught at substrates/linial.py:$PLANT_LINE" \
-     "and substrates/reduction.py:$VIEW_LINE"
+echo "check smoke: planted violations caught at substrates/linial.py:$PLANT_LINE," \
+     "substrates/reduction.py:$VIEW_LINE and substrates/linial.py:$SPEC_LINE"
 SMOKE_GRID=(--algorithms star4,star,thm52,forest,greedy
             --workloads random-regular,star-forest-stack
             --seeds 0,1,2 --jobs 2)
