@@ -141,7 +141,7 @@ def cmd_kernels(args: argparse.Namespace) -> int:
         json.dump(payload, sys.stdout, indent=1)
         print()
         return 0
-    print("whole-round CSR kernels (VectorEngine, CompactGraph input, --shards):")
+    print("whole-round CSR kernels (VectorEngine on compact and networkx graphs, --shards):")
     for name in payload["kernels"]:
         print(f"  {name}")
     return 0

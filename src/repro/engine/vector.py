@@ -12,10 +12,10 @@ code path per run and one per-node scheduler, the spec.
 :class:`~repro.graphcore.Interned` as it is, or an nx graph interned once
 in ``graph.nodes()`` order — the pipelines' subgraphs, star forests and
 line graphs with edge-tuple ids dispatch as well as compact inputs, and
-the coloring oracle hands every pass of one call the same view. On an
-input with other ids the program interns its extras to dense ids
-(:meth:`~repro.kernels.program.ShardProgram.intern_extras`) and the
-outputs are mapped back.
+the coloring oracle hands every pass of one call the same view. The
+engine hands the view and the raw extras to the kernel; the node-keyed
+extras cross into dense arrays and the outputs back to node ids in
+:mod:`repro.kernels.program`, the same way for every view.
 
 **Delegation.** Tracer runs, crash schedules and bandwidth tracking
 observe per-node events no closed-form replay models; algorithms with
@@ -79,23 +79,11 @@ class VectorEngine(Engine):
             raise SimulationError("self-loops are not allowed in LOCAL networks")
         try:
             with obs.span(f"kernel.{algo_name}", n=csr.n):
-                if isinstance(csr, Interned):
-                    if csr.directed:
-                        raise kernels.KernelUnsupported("directed graph")
-                    # dense ids in, original ids out, both in graph order
-                    dense = kernels.get_program(algo_name).intern_extras(
-                        extras or {}, csr.ids, csr.index
-                    )
-                else:
-                    dense = dict(extras or {})
                 program_started = time.perf_counter()
                 result = kernel(
-                    csr, dense, DEFAULT_MAX_ROUNDS if max_rounds is None else max_rounds
+                    csr, extras or {}, DEFAULT_MAX_ROUNDS if max_rounds is None else max_rounds
                 )
                 program_s = time.perf_counter() - program_started
-                if isinstance(csr, Interned):
-                    ids = csr.ids
-                    result.outputs = {ids[i]: v for i, v in result.outputs.items()}
         except kernels.KernelUnsupported as exc:
             # The decline reasons are stable short strings (see the
             # kernel modules), so they are usable as counter labels.
@@ -103,9 +91,9 @@ class VectorEngine(Engine):
             return None
         rt = obs.active()
         if rt is not None:
-            # the engine's own work around the program (the CSR view, the
-            # interned extras, the outputs mapped back): perfbench's
-            # engine.step_ms layer, disjoint from its kernel spans
+            # the engine's own work around the program (the CSR view):
+            # perfbench's engine.step_ms layer, disjoint from its kernel
+            # spans
             own_s = time.perf_counter() - started - program_s
             rt.observe("engine.vector.step_ms", own_s * 1000.0)
         note_engine_run(self.name)

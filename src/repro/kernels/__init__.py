@@ -27,10 +27,14 @@ Contract (the reason kernels may exist at all):
 * **Engines opt in.** Only :class:`~repro.engine.vector.VectorEngine`
   consults this registry, for every crash-free, untraced,
   bandwidth-untracked run — on a ``CompactGraph`` as it is, and on an nx
-  graph interned to dense ids, with the extras a program declares
-  node-keyed (``node_keyed``/``node_valued``) remapped to match and the
-  outputs mapped back. The reference engine never does — it *is* the
-  baseline kernels are measured against.
+  graph interned to dense ids. The reference engine never does — it
+  *is* the baseline kernels are measured against.
+* **One boundary.** Node ids meet array code in
+  :mod:`repro.kernels.program` alone: the kernel and the sharded
+  runtime both read the extras a program declares node-keyed
+  (``node_keyed``/``node_valued``) into dense vectors there, by node
+  lookup, the same way on every graph form, and key the dense outputs by
+  node id there once.
 
 Every kernel is a bulk-synchronous vertex program with exactly one array
 implementation: a :class:`~repro.kernels.program.ShardProgram`.

@@ -12,44 +12,21 @@ delivers one message per directed tree edge, and each shard counts its
 own tree edges at init.
 
 The program declines parent maps the per-node path would trip over
-mid-run (parents that are not neighbors, non-int entries): the fallback
-then raises the authentic per-node error. Only the CSR shows whether a
-parent is a neighbor, so that decline comes from the workers' init
-stats.
+mid-run, and the fallback then raises the authentic per-node error. A
+parent that is not a node is declined where the map is interned
+(:mod:`repro.kernels.program`); only the CSR shows whether a parent is
+a neighbor, so that decline comes from the workers' init stats.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 import numpy as np
 
 from repro.errors import InvalidParameterError, RoundLimitExceeded
 from repro.kernels import KernelUnsupported, register_program
-from repro.kernels.program import DenseExtra, ShardProgram, local_values
-from repro.kernels.segments import dense_int_table, edge_endpoints, local_ids, require_int
+from repro.kernels.program import ShardProgram, local_values
+from repro.kernels.segments import edge_endpoints, local_ids, require_int
 from repro.local.network import RunResult
-
-
-def _parent_array(parent: Any, n: int) -> np.ndarray:
-    """The parent map as an int64 vector (-1 for roots), declined unless
-    every listed parent is a node of the graph."""
-    if type(parent) is DenseExtra:
-        return parent.values
-    if not isinstance(parent, dict):
-        raise KernelUnsupported("parent map is not a dict")
-    par = np.full(n, -1, dtype=np.int64)
-    for k, v in parent.items():
-        if type(k) is not int:
-            raise KernelUnsupported("non-int parent key")
-        if not 0 <= k < n:
-            continue  # never queried by any node
-        if v is None:
-            continue
-        if type(v) is not int or not 0 <= v < n:
-            raise KernelUnsupported("parent outside the graph")
-        par[k] = v
-    return par
 
 
 class ColeVishkinProgram(ShardProgram):
@@ -65,16 +42,15 @@ class ColeVishkinProgram(ShardProgram):
             raise KernelUnsupported("missing cole-vishkin extras")
         n = int(manifest["n"])
         if n == 0:
-            return {}, RunResult(rounds=0, messages=0, outputs={}, round_messages=[])
-        colors = dense_int_table(extras["initial_coloring"], n)
+            return {}, RunResult(rounds=0, messages=0, outputs=[], round_messages=[])
+        colors = extras["initial_coloring"]
         iterations = require_int(extras["iterations"])
         if iterations < 0:
             raise KernelUnsupported("negative iterations")
-        par = _parent_array(extras["parent"], n)
+        par = extras["parent"]
         if iterations == 0:
-            outputs = dict(enumerate(colors.tolist()))
             return {}, RunResult(
-                rounds=0, messages=0, outputs=outputs, round_messages=[]
+                rounds=0, messages=0, outputs=colors, round_messages=[]
             )
         if iterations > max_rounds:
             raise RoundLimitExceeded(max_rounds, n)
@@ -120,7 +96,7 @@ class ColeVishkinProgram(ShardProgram):
         return RunResult(
             rounds=rounds,
             messages=per_round * rounds,
-            outputs=dict(enumerate(outputs.tolist())),
+            outputs=outputs,
             round_messages=[per_round] * rounds,
         )
 

@@ -47,9 +47,7 @@ _CONTAINERS = {list, tuple, set, frozenset}
 class _MergeInput:
     """The cross-merge extras read against one graph's node order: the
     (A, B, label) pairs sorted by (A, label), each requester's ``repr``
-    rank, and the used colors as (node, color) entries. Only
-    :func:`_parse` builds one, so no caller-supplied extra is ever
-    mistaken for it."""
+    rank, and the used colors as (node, color) entries."""
 
     __slots__ = ("ids", "palette", "d", "pa", "pb", "label", "rank", "rows", "cols")
 
@@ -122,34 +120,20 @@ def _parse(extras: Any, ids: Sequence[Any], lookup: Callable[[Any], Optional[int
     return inp
 
 
-def _dense_lookup(n: int) -> Callable[[Any], Optional[int]]:
-    """Node lookup on a graph whose ids are the dense ints themselves."""
-    return lambda v: v if type(v) is int and 0 <= v < n else None
-
-
 class CrossMergeProgram(ShardProgram):
     """One step per label round; the worker state is the used-color mask
     and every pair's color."""
 
     name = "cross-merge"
 
-    def intern_extras(self, extras, ids, index):
-        def lookup(v: Any) -> Optional[int]:
-            try:
-                return index.get(v)
-            except TypeError:  # an unhashable partner is no node
-                return None
-
-        out = dict(extras)
-        out["side"] = _parse(extras, ids, lookup)
-        return out
+    def intern_extras(self, extras, ids, lookup):
+        # the node tables here are sides, used-color containers and label
+        # rows whose values are nodes, not ints: all read by one parse
+        return {"input": _parse(extras, ids, lookup)}
 
     # ---- coordinator half -------------------------------------------------
     def plan(self, manifest, extras, max_rounds):
-        n = int(manifest["n"])
-        inp = extras.get("side")
-        if type(inp) is not _MergeInput:
-            inp = _parse(extras, range(n), _dense_lookup(n))
+        inp = extras["input"]
         d = inp.d
         if type(d) is not int:
             raise KernelUnsupported("d is not the largest label count")
@@ -201,7 +185,7 @@ class CrossMergeProgram(ShardProgram):
         inp = plan["input"]
         ids = inp.ids
         pa, pb, colors = inp.pa.tolist(), inp.pb.tolist(), outputs.tolist()
-        assigned = {i: {} for i in range(len(ids))}
+        assigned = [{} for _ in ids]
         # A records its replies in label order ...
         for a, b, c in zip(pa, pb, colors):
             assigned[a][edge_key(ids[a], ids[b])] = c

@@ -31,7 +31,7 @@ import numpy as np
 from repro.errors import ColoringError, RoundLimitExceeded
 from repro.kernels import KernelUnsupported, register_program
 from repro.kernels.program import ShardProgram, local_values
-from repro.kernels.segments import dense_int_table, edge_endpoints, require_int
+from repro.kernels.segments import edge_endpoints, require_int
 from repro.local.network import RunResult
 
 
@@ -103,14 +103,13 @@ class LinialProgram(ShardProgram):
             raise KernelUnsupported("missing linial extras")
         n = int(manifest["n"])
         if n == 0:
-            return {}, RunResult(rounds=0, messages=0, outputs={}, round_messages=[])
-        colors = dense_int_table(extras["initial_coloring"], n)
+            return {}, RunResult(rounds=0, messages=0, outputs=[], round_messages=[])
+        colors = extras["initial_coloring"]
         m0 = require_int(extras["m0"])
         schedule, _ = linial_schedule(m0, int(manifest["max_degree"]))
         if not schedule:
-            outputs = dict(enumerate(colors.tolist()))
             return {}, RunResult(
-                rounds=0, messages=0, outputs=outputs, round_messages=[]
+                rounds=0, messages=0, outputs=colors, round_messages=[]
             )
         if len(schedule) > max_rounds:
             raise RoundLimitExceeded(max_rounds, n)
@@ -151,7 +150,7 @@ class LinialProgram(ShardProgram):
         return RunResult(
             rounds=rounds,
             messages=per_round * rounds,
-            outputs=dict(enumerate(outputs.tolist())),
+            outputs=outputs,
             round_messages=[per_round] * rounds,
         )
 
@@ -226,12 +225,12 @@ class DefectiveProgram(ShardProgram):
             raise KernelUnsupported("missing defective-refinement extras")
         n = int(manifest["n"])
         if n == 0:
-            return {}, RunResult(rounds=0, messages=0, outputs={}, round_messages=[])
+            return {}, RunResult(rounds=0, messages=0, outputs=[], round_messages=[])
         q = require_int(extras["q"])
         d = require_int(extras["d"])
         if q < 1 or d < 0:
             raise KernelUnsupported("degenerate (q, d)")
-        colors = dense_int_table(extras["initial_coloring"], n)
+        colors = extras["initial_coloring"]
         _check_encodable(colors, q, d)
         if max_rounds < 1:
             raise RoundLimitExceeded(max_rounds, n)
@@ -262,7 +261,7 @@ class DefectiveProgram(ShardProgram):
         return RunResult(
             rounds=1,
             messages=per_round,
-            outputs=dict(enumerate(outputs.tolist())),
+            outputs=outputs,
             round_messages=[per_round],
         )
 

@@ -43,7 +43,7 @@ class PeelerProgram(ShardProgram):
             raise KernelUnsupported("non-numeric threshold")
         n = int(manifest["n"])
         if n == 0:
-            return {}, RunResult(rounds=0, messages=0, outputs={}, round_messages=[])
+            return {}, RunResult(rounds=0, messages=0, outputs=[], round_messages=[])
         plan = {
             "threshold": threshold,
             "max_rounds": max_rounds,
@@ -77,7 +77,7 @@ class PeelerProgram(ShardProgram):
         return RunResult(
             rounds=acc["rounds"],
             messages=acc["messages"],
-            outputs=dict(enumerate(outputs.tolist())),
+            outputs=outputs,
             round_messages=list(acc["round_messages"]),
         )
 

@@ -25,11 +25,18 @@ A program has two halves:
   round in which some color class re-picks, and the coordinator
   accounts for the idle rounds in closed form.
 
-A program runs over dense ids ``0..n-1``. Its extras are node-keyed
-only where the class says so (``node_keyed``, ``node_valued``); for a
-graph with other ids the engine interns exactly those extras to dense
-int64 vectors with :meth:`ShardProgram.intern_extras`, and maps the
-outputs back.
+A program runs over dense ids ``0..n-1`` and sees only arrays. Node ids
+cross into and out of array code in this module alone, for both callers
+— the whole-graph kernel (:meth:`ShardProgram.run`) on a
+``CompactGraph`` or an :class:`~repro.graphcore.Interned` view, and the
+sharded runtime on its partitioned parent: :func:`node_space` gives the
+graph's ids in dense order and its node lookup,
+:meth:`ShardProgram.intern_extras` reads the extras the class declares
+node-keyed (``node_keyed``, ``node_valued``) into dense int64 vectors by
+lookup, exactly as the per-node ``Context.node_input`` reads them, and
+:func:`outputs_by_id` keys the dense outputs ``result`` returns by the
+ids, once. So a table takes the same path on every graph form: the
+program, or the same decline.
 
 Inputs a program cannot reproduce exactly (exotic extras, palettes
 outside its vectorized range) raise
@@ -53,6 +60,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.graphcore.compact import CompactGraph
 from repro.kernels import KernelUnsupported
 from repro.local.network import RunResult
 
@@ -90,53 +98,90 @@ def _malloc_trim() -> Optional[Callable[[int], int]]:
         return None
 
 
-class DenseExtra:
-    """A node-keyed extra already interned to dense ids: ``values[i]`` is
-    the entry of the node with dense id ``i`` (``-1`` for a root in a
-    node-valued map). Only :meth:`ShardProgram.intern_extras` builds one,
-    so no caller-supplied extra is ever mistaken for it."""
+def node_space(graph: Any) -> Tuple[Sequence[Any], Callable[[Any], Optional[int]]]:
+    """``graph``'s node ids in dense order and its node lookup: a node id
+    to its dense id, None for anything that is not a node (an unhashable
+    value included).
 
-    __slots__ = ("values",)
+    A ``CompactGraph``'s ids are the dense ids, and its lookup answers
+    exactly as a dict over them (its int-id twin's index) would: a key
+    hash-equal to node ``i`` — ``2.0``, ``True``, a numpy integer — is
+    node ``i``. It answers arithmetically (an int below ``2**61 - 1`` is
+    its own hash), so no million-entry identity index is ever built. An
+    :class:`~repro.graphcore.Interned` view looks ids up in its index,
+    which only a node map or cross-merge's partners ever need; a
+    directed view is declined, since programs read symmetric rows."""
+    if isinstance(graph, CompactGraph):
+        n = graph.n
 
-    def __init__(self, values: np.ndarray):
-        self.values = values
+        def lookup(v: Any) -> Optional[int]:
+            try:
+                h = hash(v)
+            except TypeError:
+                return None
+            return h if 0 <= h < n and v == h else None
+
+        return graph.nodes(), lookup
+    if graph.directed:
+        raise KernelUnsupported("directed graph")
+
+    def lookup(v: Any) -> Optional[int]:
+        try:
+            return graph.index.get(v)  # built on first use, then kept
+        except TypeError:
+            return None
+
+    return graph.ids, lookup
 
 
-def _intern_table(table: Any, ids: Sequence[Any]) -> DenseExtra:
-    """A node -> int table as a dense int64 vector in ``ids`` order,
-    declined with the reasons :func:`~repro.kernels.segments.dense_int_table`
-    gives a compact graph's table. Entries are read by lookup, exactly as
-    the per-node ``Context.node_input`` reads them."""
+def outputs_by_id(result: RunResult, ids: Sequence[Any]) -> RunResult:
+    """``result`` with its dense-order outputs (an array or a list, as
+    ``result`` and the short-circuits of ``plan`` return them) keyed by
+    ``ids``: the one place outputs leave array code."""
+    outputs = result.outputs
+    if isinstance(outputs, np.ndarray):
+        outputs = outputs.tolist()
+    result.outputs = dict(zip(ids, outputs))
+    return result
+
+
+_NOT_TOTAL = "per-node table is not a total dense map"
+
+
+def _intern_table(table: Any, ids: Sequence[Any]) -> np.ndarray:
+    """A node -> int table as an int64 vector in ``ids`` order. Entries
+    are read by lookup, exactly as the per-node ``Context.node_input``
+    reads them; a table that is not a total map to machine ints is
+    declined (floats and bools would compute differently per node)."""
     if not isinstance(table, dict) or len(table) != len(ids):
-        raise KernelUnsupported("per-node table is not a total dense map")
+        raise KernelUnsupported(_NOT_TOTAL)
     values = list(map(table.get, ids))
-    for v, value in zip(ids, values):
-        if type(value) is not int:
+    if set(map(type, values)) != {int}:
+        # only to name the decline: a missing node or a non-int value
+        for v, value in zip(ids, values):
             if value is None and v not in table:
-                raise KernelUnsupported("per-node table is not a total dense map")
-            raise KernelUnsupported("non-int node key or value")
+                raise KernelUnsupported(_NOT_TOTAL)
+            if type(value) is not int:
+                raise KernelUnsupported("non-int node key or value")
     try:
-        return DenseExtra(np.array(values, dtype=np.int64))
+        return np.array(values, dtype=np.int64)
     except OverflowError:
         raise KernelUnsupported("table not coercible to int64")
 
 
-def _intern_node_map(mapping: Any, ids: Sequence[Any], index: Dict[Any, int]) -> DenseExtra:
+def _intern_node_map(
+    mapping: Any, ids: Sequence[Any], lookup: Callable[[Any], Optional[int]]
+) -> np.ndarray:
     """A node -> node map (``None`` or absent for a root) as dense ids in
-    ``ids`` order, ``-1`` for roots; declined unless every listed value
-    is a node of the graph."""
+    ``ids`` order, ``-1`` for roots; declined unless every value it gives
+    a node is a node of the graph. Keys that are not nodes are never
+    read, as on the per-node path."""
     if not isinstance(mapping, dict):
         raise KernelUnsupported("parent map is not a dict")
-    out = np.full(len(ids), -1, dtype=np.int64)
-    for i, v in enumerate(ids):
-        target = mapping.get(v)
-        if target is None:
-            continue
-        try:
-            out[i] = index[target]
-        except (KeyError, TypeError):
-            raise KernelUnsupported("parent outside the graph")
-    return DenseExtra(out)
+    dense = [-1 if target is None else lookup(target) for target in map(mapping.get, ids)]
+    if None in dense:
+        raise KernelUnsupported("parent outside the graph")
+    return np.array(dense, dtype=np.int64)
 
 
 def local_values(shard: Any, own: np.ndarray, halo: Any) -> np.ndarray:
@@ -173,29 +218,37 @@ class ShardProgram:
     node_valued: Tuple[str, ...] = ()
 
     def intern_extras(
-        self, extras: Dict[str, Any], ids: Sequence[Any], index: Dict[Any, int]
+        self,
+        extras: Dict[str, Any],
+        ids: Sequence[Any],
+        lookup: Callable[[Any], Optional[int]],
     ) -> Dict[str, Any]:
         """``extras`` for the graph whose node ``ids[i]`` has dense id
-        ``i`` (``index`` inverts ``ids``): the declared node-keyed extras
-        become :class:`DenseExtra` vectors, everything else passes as is.
-        Raises :class:`KernelUnsupported` for a table the per-node path
-        reads differently."""
+        ``i`` (``lookup`` inverts ``ids``): the declared node-keyed
+        extras become int64 vectors in dense order, everything else
+        passes as is. Raises :class:`KernelUnsupported` for a table the
+        per-node path reads differently."""
         out = dict(extras)
         for key in self.node_keyed:
             if key in out:
                 out[key] = _intern_table(out[key], ids)
         for key in self.node_valued:
             if key in out:
-                out[key] = _intern_node_map(out[key], ids, index)
+                out[key] = _intern_node_map(out[key], ids, lookup)
         return out
 
     def run(self, graph: Any, extras: Dict[str, Any], max_rounds: int) -> RunResult:
-        """The whole-graph kernel: this program over one shard with an
-        empty halo — no partition files, pool, exchange or checkpoint."""
+        """The whole-graph kernel on a ``CompactGraph`` or an ``Interned``
+        view: this program over one shard with an empty halo — no
+        partition files, pool, exchange or checkpoint — with the extras
+        interned and the outputs keyed by node id."""
+        ids, lookup = node_space(graph)
         manifest = {"n": graph.n, "m": graph.m, "max_degree": graph.max_degree}
-        plan, short = self.plan(manifest, extras, max_rounds)
+        plan, short = self.plan(
+            manifest, self.intern_extras(extras, ids, lookup), max_rounds
+        )
         if short is not None:
-            return short
+            return outputs_by_id(short, ids)
         view = WholeGraph(graph)
         no_halo = np.empty(0, dtype=np.int64)
         state, stats = self.init_state(view, self.init_payload(plan, view))
@@ -211,7 +264,7 @@ class ShardProgram:
         del state
         if 2 * graph.m >= TRIM_EDGES:
             release_heap()
-        return self.result(plan, outputs, manifest)
+        return outputs_by_id(self.result(plan, outputs, manifest), ids)
 
     # ---- coordinator half -------------------------------------------------
     def plan(
@@ -230,6 +283,8 @@ class ShardProgram:
     def result(
         self, plan: Dict[str, Any], outputs: np.ndarray, manifest: Dict[str, Any]
     ) -> RunResult:
+        """The run's ``RunResult`` with its outputs in dense order, as
+        ``plan``'s short-circuit results carry them."""
         raise NotImplementedError
 
     def fingerprint(self, plan: Dict[str, Any]) -> str:

@@ -38,12 +38,7 @@ import numpy as np
 from repro.errors import ColoringError, RoundLimitExceeded
 from repro.kernels import KernelUnsupported, register_program
 from repro.kernels.program import ShardProgram, local_values
-from repro.kernels.segments import (
-    MAX_MASK_CELLS,
-    dense_int_table,
-    require_int,
-    segment_gather,
-)
+from repro.kernels.segments import MAX_MASK_CELLS, require_int, segment_gather
 from repro.local.network import RunResult
 
 
@@ -80,8 +75,8 @@ class _ClassSweep(ShardProgram):
             raise KernelUnsupported(f"missing {self.name} extras")
         n = int(manifest["n"])
         if n == 0:
-            return {}, RunResult(rounds=0, messages=0, outputs={}, round_messages=[])
-        colors = dense_int_table(extras["coloring"], n)
+            return {}, RunResult(rounds=0, messages=0, outputs=[], round_messages=[])
+        colors = extras["coloring"]
         wake, limit, params = self._classes(colors, extras)
         two_m = 2 * int(manifest["m"])
         last_round = int(wake.max())
@@ -91,7 +86,7 @@ class _ClassSweep(ShardProgram):
             return {}, RunResult(
                 rounds=0,
                 messages=two_m,
-                outputs=dict(enumerate(colors.tolist())),
+                outputs=colors,
                 round_messages=[],
             )
         if last_round > max_rounds:
@@ -149,7 +144,7 @@ class _ClassSweep(ShardProgram):
         return RunResult(
             rounds=len(acc["round_messages"]),
             messages=acc["messages"],
-            outputs=dict(enumerate(outputs.tolist())),
+            outputs=outputs,
             round_messages=list(acc["round_messages"]),
         )
 

@@ -1,21 +1,13 @@
 """Shared CSR segment helpers for the round kernels.
 
 Everything here is pure numpy over the ``indptr``/``indices`` arrays of a
-:class:`~repro.graphcore.CompactGraph`. The helpers encode the two
-conventions every kernel leans on:
-
-* **Directed-edge view.** ``edge_endpoints`` expands the CSR arrays into
-  parallel ``src``/``dst`` arrays of all ``2m`` directed edges — the
-  natural shape for "gather neighbor state" (``state[dst]``) and
-  "scatter per-node aggregates" (``np.bincount(src, ...)``).
-* **Strict input coercion.** ``dense_int_table`` converts the per-node
-  input dicts the :class:`~repro.local.algorithm.Context` carries into a
-  dense int64 vector *only* when the dict is exactly a total map from the
-  dense node ids to machine ints. Anything else —
-  missing nodes, alias-prone key types (``2.0`` hashes like ``2``),
-  values outside int64 — raises :class:`~repro.kernels.KernelUnsupported`
-  so the per-node path keeps authority over exotic inputs and their
-  exact error behavior.
+:class:`~repro.graphcore.CompactGraph` or a shard. The central
+convention every kernel leans on is the **directed-edge view**:
+``edge_endpoints`` expands the CSR arrays into parallel ``src``/``dst``
+arrays of all ``2m`` directed edges — the natural shape for "gather
+neighbor state" (``state[dst]``) and "scatter per-node aggregates"
+(``np.bincount(src, ...)``). Node-keyed inputs never reach these
+helpers as dicts: :mod:`repro.kernels.program` interns them first.
 """
 
 from __future__ import annotations
@@ -25,7 +17,6 @@ from typing import Any, Tuple
 import numpy as np
 
 from repro.kernels import KernelUnsupported
-from repro.kernels.program import DenseExtra
 
 #: Cap on a program's (nodes x palette) bool mask; inputs past it run on
 #: the reference scheduler rather than risk a memory spike.
@@ -41,35 +32,6 @@ def edge_endpoints(graph: Any) -> Tuple[np.ndarray, np.ndarray]:
     src = np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
     dst = np.asarray(graph.indices).astype(np.int64, copy=False)
     return src, dst
-
-
-def dense_int_table(table: Any, n: int) -> np.ndarray:
-    """Coerce a node->int dict over exactly the dense ids ``0..n-1`` to an
-    int64 vector; raise :class:`KernelUnsupported` for anything looser.
-    A table the engine already interned passes through as is."""
-    if type(table) is DenseExtra:
-        return table.values
-    if not isinstance(table, dict) or len(table) != n:
-        raise KernelUnsupported("per-node table is not a total dense map")
-    for k, v in table.items():
-        # bools hash like 0/1 and floats like 2.0 hash like 2 — a dict
-        # using them serves the same lookups but defeats vectorized
-        # bounds checking; float *values* would silently truncate where
-        # the per-node arithmetic keeps them float. Decline both.
-        if type(k) is not int or type(v) is not int:
-            raise KernelUnsupported("non-int node key or value")
-    try:
-        keys = np.fromiter(table.keys(), dtype=np.int64, count=n)
-        values = np.fromiter(table.values(), dtype=np.int64, count=n)
-    except (TypeError, ValueError, OverflowError):
-        raise KernelUnsupported("table not coercible to int64")
-    if n and (keys.min() < 0 or keys.max() >= n):
-        raise KernelUnsupported("node key out of range")
-    if n and np.bincount(keys, minlength=n).max() != 1:
-        raise KernelUnsupported("duplicate node keys")
-    out = np.empty(n, dtype=np.int64)
-    out[keys] = values
-    return out
 
 
 def require_int(value: Any) -> int:

@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.kernels import KernelUnsupported, get_program
+from repro.kernels.program import node_space, outputs_by_id
 from repro.local.network import RunResult
 from repro.shard import context as _context
 from repro.shard.partition import Shard, ShardBundle
@@ -381,9 +382,12 @@ class ShardingScope:
         if program is None:
             obs.incr("shard.fallback", reason="no-program", algorithm=str(name))
             return None
+        ids, lookup = node_space(graph)
         try:
             plan, short = program.plan(
-                self.bundle.manifest, dict(extras or {}), max_rounds
+                self.bundle.manifest,
+                program.intern_extras(extras or {}, ids, lookup),
+                max_rounds,
             )
         except KernelUnsupported as exc:
             obs.incr("shard.fallback", reason=str(exc), algorithm=name)
@@ -391,16 +395,17 @@ class ShardingScope:
         if short is not None:
             self._disclose_dispatch(name)
             short.engine = "sharded"
-            return short
+            return outputs_by_id(short, ids)
         with obs.span(
             f"shard.run.{name}",
             shards=self.bundle.num_shards,
             n=int(self.bundle.manifest["n"]),
         ):
             result = self._execute(program, plan)
-        if result is not None:
+            if result is None:
+                return None
             result.engine = "sharded"
-        return result
+            return outputs_by_id(result, ids)
 
     def _disclose_dispatch(self, name: str) -> None:
         from repro import obs

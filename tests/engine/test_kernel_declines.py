@@ -9,8 +9,11 @@ the same message. The decline itself is disclosed through the
 are stable labels.
 
 Every case runs twice: on the compact grid, and on its networkx twin
-with tuple ids, where the engine interns the node-keyed extras before
-the kernel sees them and must decline with the same reason.
+with tuple ids. Both forms cross into the program's dense arrays at one
+boundary (:mod:`repro.kernels.program`), which reads the node-keyed
+extras by node lookup on either, so a case declines with the same
+reason on both; ``test_intern_boundary.py`` holds generated tables to
+that.
 """
 
 import networkx as nx

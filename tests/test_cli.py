@@ -127,6 +127,9 @@ class TestKernelsCommand:
         assert "linial" in out and "cole-vishkin" in out
         # the registry no longer splits algorithms by input representation
         assert "compact-capable" not in out
+        # kernels run on every graph form, not on CompactGraph input only
+        header = out.splitlines()[0]
+        assert "CompactGraph input" not in header and "networkx" in header
 
     def test_json_output(self, capsys):
         import json

@@ -209,20 +209,33 @@ echo "== kernel smoke: CSR kernel path == reference path =="
 # One seeded xl cell through the engine layer two ways: the vector
 # engine's whole-round kernel path and the reference engine's per-node
 # path. Both dumps must be byte-identical — outputs, rounds, and the
-# per-round message profile.
+# per-round message profile. A third run takes the vector kernel on the
+# cell's int-id networkx twin: it must dispatch, never fall back, and
+# dump the same bytes, since every graph form crosses into the program's
+# arrays at one boundary.
 cat > "$SMOKE_DIR/kernel_probe.py" <<'EOF'
 import json, sys
-from repro import workloads
+from repro import obs, workloads
 from repro.engine import get_engine
 from repro.kernels.segments import repr_rank_order
 from repro.substrates.linial import LinialAlgorithm
 
 engine, out = sys.argv[1], sys.argv[2]
+twin = sys.argv[3:] == ["twin"]
 graph = workloads.build("xl-grid", {"rows": 40, "cols": 40}, seed=0)
 ordered = repr_rank_order(graph.n).tolist()
 extras = {"initial_coloring": {v: i for i, v in enumerate(ordered)}, "m0": graph.n}
-result = get_engine(engine).run(graph, LinialAlgorithm(), extras=extras)
+if twin:
+    graph = graph.to_networkx()
+with obs.collect() as runtime:
+    result = get_engine(engine).run(graph, LinialAlgorithm(), extras=extras)
 assert result.engine == engine, f"unexpected fallback: ran {result.engine}"
+if twin:
+    counters = runtime.snapshot()["counters"]
+    key = "kernel.dispatch[kernel=linial]"
+    assert counters.get(key) == 1, f"{key} not counted: {sorted(counters)}"
+    fallbacks = [key for key in counters if key.startswith("kernel.fallback")]
+    assert not fallbacks, f"the twin fell back: {fallbacks}"
 payload = {
     "outputs": {str(k): v for k, v in sorted(result.outputs.items())},
     "rounds": result.rounds,
@@ -235,7 +248,9 @@ EOF
 python "$SMOKE_DIR/kernel_probe.py" vector "$SMOKE_DIR/kernel_vector.json"
 python "$SMOKE_DIR/kernel_probe.py" reference "$SMOKE_DIR/kernel_ref.json"
 cmp "$SMOKE_DIR/kernel_vector.json" "$SMOKE_DIR/kernel_ref.json"
-echo "kernel smoke: kernel run byte-identical to reference"
+python "$SMOKE_DIR/kernel_probe.py" vector "$SMOKE_DIR/kernel_twin.json" twin
+cmp "$SMOKE_DIR/kernel_twin.json" "$SMOKE_DIR/kernel_vector.json"
+echo "kernel smoke: kernel run byte-identical to reference, on the compact cell and its int-id twin"
 # The same on a pipeline-shaped input: a networkx line graph whose node
 # ids are edge tuples, colored by Linial and then one Kuhn-Wattenhofer
 # phase, then the whole edge oracle on the line view it builds once, and
