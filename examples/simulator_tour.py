@@ -19,7 +19,7 @@ import networkx as nx
 
 from repro.graphs import erdos_renyi, max_degree
 from repro.local import Network, NodeAlgorithm, estimate_payload_bits, is_congest_width
-from repro.substrates import ColoringOracle
+from repro.substrates import oracle_vertex_coloring
 
 
 class ColorClassMIS(NodeAlgorithm):
@@ -61,7 +61,7 @@ def main() -> None:
     print(f"graph: n={graph.number_of_nodes()} m={graph.number_of_edges()} Delta={delta}")
 
     # Step 1: the (Delta+1)-coloring oracle from the library.
-    coloring = ColoringOracle().vertex_coloring(graph)
+    coloring = oracle_vertex_coloring(graph)
     num_colors = max(coloring.values()) + 1
     print(f"oracle coloring: {num_colors} colors")
 

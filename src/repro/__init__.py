@@ -8,8 +8,8 @@ Public API highlights:
 * ``repro.graphs`` — generators, clique covers, line graphs, hypergraphs.
 * ``repro.graphcore`` — the compact CSR graph type, the ``.csrg`` on-disk
   graph store (memory-mapped opens), and streaming million-node builders.
-* ``repro.substrates`` — Linial coloring, reductions, the [17] oracle,
-  H-partitions.
+* ``repro.substrates`` — Linial coloring, reductions, the [17] oracle
+  (``oracle_vertex_coloring`` / ``oracle_edge_coloring``), H-partitions.
 * ``repro.core`` — the paper's contribution: connectors, CD-Coloring
   (Algorithm 1), star-partition edge coloring (Section 4), and the
   bounded-arboricity (Delta + o(Delta))-edge-colorings (Section 5).
@@ -50,7 +50,8 @@ _LAZY_EXPORTS = {
     "edge_color_delta_plus_o_delta": "repro.core",
     "verify_edge_coloring": "repro.verify",
     "verify_vertex_coloring": "repro.verify",
-    "ColoringOracle": "repro.substrates",
+    "oracle_edge_coloring": "repro.substrates",
+    "oracle_vertex_coloring": "repro.substrates",
     "line_graph_with_cover": "repro.graphs",
     "CompactGraph": "repro.graphcore",
 }

@@ -29,7 +29,7 @@ from repro.graphs.properties import max_degree, number_of_edges
 from repro.local import RoundLedger
 from repro.substrates.defective import defective_coloring
 from repro.substrates.linial import linial_coloring
-from repro.substrates.oracle import ColoringOracle
+from repro.substrates.oracle import oracle_vertex_coloring
 from repro.substrates.primes import next_prime
 from repro.types import NodeId, VertexColoring, dense_colors, num_colors
 
@@ -63,12 +63,11 @@ def _recurse(
     exponent: float,
     threshold: int,
     seed: VertexColoring,
-    oracle: ColoringOracle,
     ledger: RoundLedger,
 ) -> Dict[NodeId, Tuple[int, ...]]:
     delta = max_degree(graph)
     if delta <= threshold:
-        base = oracle.vertex_coloring(
+        base = oracle_vertex_coloring(
             graph,
             initial={v: seed[v] for v in graph.nodes()},
             ledger=ledger,
@@ -83,7 +82,7 @@ def _recurse(
         "weak-classes",
         refined.classes(),
         lambda members, branch: _recurse(
-            graph.subgraph(members), exponent, threshold, seed, oracle, branch
+            graph.subgraph(members), exponent, threshold, seed, branch
         ),
     )
 
@@ -92,7 +91,6 @@ def weak_vertex_coloring(
     graph: nx.Graph,
     exponent: float = 0.75,
     threshold: int = 6,
-    oracle: Optional[ColoringOracle] = None,
     ledger: Optional[RoundLedger] = None,
 ) -> WeakColoringResult:
     """Recursive defective partitioning: ~Delta^(1+eps) colors, few rounds.
@@ -104,7 +102,6 @@ def weak_vertex_coloring(
         raise InvalidParameterError("exponent must lie in [0.5, 1)")
     if threshold < 1:
         raise InvalidParameterError("threshold must be >= 1")
-    oracle = oracle or ColoringOracle()
     own = RoundLedger(label="weak-coloring")
     delta = max_degree(graph)
     if graph.number_of_nodes() == 0:
@@ -112,7 +109,7 @@ def weak_vertex_coloring(
             coloring={}, colors_used=0, delta=0, levels=0, ledger=own
         )
     seed = linial_coloring(graph, ledger=own)
-    tuples = _recurse(graph, exponent, threshold, seed, oracle, own)
+    tuples = _recurse(graph, exponent, threshold, seed, own)
     coloring = dense_colors(tuples)
     levels = max((len(t) for t in tuples.values()), default=1) - 1
     if ledger is not None:

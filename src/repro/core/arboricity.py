@@ -48,8 +48,7 @@ from repro.local import Context, Message, Node, NodeAlgorithm, RoundLedger, run_
 from repro.core.connectors import OrientationConnector, build_orientation_connector
 from repro.core.params import Section5Params, choose_section5_params
 from repro.core.star_partition import _edge_subgraph, star_partition_edge_coloring
-from repro.substrates.hpartition import HPartition, h_partition
-from repro.substrates.oracle import ColoringOracle
+from repro.substrates.hpartition import h_partition
 from repro.types import Edge, EdgeColoring, NodeId, dense_colors, edge_key, num_colors
 
 
@@ -258,21 +257,16 @@ def edge_color_bounded_arboricity(
     graph: nx.Graph,
     arboricity: Optional[int] = None,
     q: float = 3.0,
-    oracle: Optional[ColoringOracle] = None,
     ledger: Optional[RoundLedger] = None,
-    partition: Optional[HPartition] = None,
     internal_x: int = 1,
 ) -> ArboricityColoringResult:
     """Theorem 5.2: a ``(Delta + O(a))``-edge-coloring in O(a log n) rounds.
 
-    ``partition`` may carry a precomputed H-partition (used by Theorems
-    5.3/5.4 to reuse the top-level partition's orientation information).
     ``internal_x`` is the star-partition recursion depth for the intra-set
     edges — the paper notes this step "can be computed much faster in the
     expense of increasing the constant" (Theorem 4.1); deeper recursion
     trades intra-set colors for rounds.
     """
-    oracle = oracle or ColoringOracle()
     own = RoundLedger(label="thm-5.2")
     a = _resolve_arboricity(graph, arboricity)
     delta = max_degree(graph)
@@ -281,39 +275,40 @@ def edge_color_bounded_arboricity(
             coloring={}, colors_used=0, palette_bound=0, delta=delta,
             arboricity=a, dhat=0, ledger=own,
         )
-    hp = partition or h_partition(graph, arboricity=a, q=q, ledger=own)
+    hp = h_partition(graph, arboricity=a, q=q, ledger=own)
     dhat = hp.threshold
 
     # Intra-set edges are vertex-disjoint across sets: one shared palette.
-    internal = [
-        edge_key(u, v) for u, v in iter_edges(graph) if hp.index[u] == hp.index[v]
-    ]
+    # A cross edge is merged at the stage of its lower endpoint's level.
+    internal: List[Edge] = []
+    cross_levels = set()
+    for u, v in iter_edges(graph):
+        iu, iv = hp.index[u], hp.index[v]
+        if iu == iv:
+            internal.append(edge_key(u, v))
+        else:
+            cross_levels.add(min(iu, iv))
     coloring: EdgeColoring = {}
     internal_colors = 0
     if internal:
         internal_graph = _edge_subgraph(internal)
         internal_result = star_partition_edge_coloring(
-            internal_graph, x=internal_x, oracle=oracle, ledger=own
+            internal_graph, x=internal_x, ledger=own
         )
         coloring = dict(internal_result.coloring)
         internal_colors = internal_result.colors_used
 
     palette = max(delta + dhat, internal_colors)
-    levels = hp.num_levels
-    for i in range(levels - 1, 0, -1):
+    for i in sorted(cross_levels, reverse=True):
         members = [v for v in graph.nodes() if hp.index[v] >= i]
         stage_graph = graph.subgraph(members)
-        if number_of_edges(stage_graph) == 0:
-            continue
         side = {
             v: "A" if hp.index[v] == i else "B" for v in stage_graph.nodes()
         }
-        if not any(s == "A" for s in side.values()):
-            continue
         stage_coloring = {
             e: c
             for e, c in coloring.items()
-            if stage_graph.has_edge(*e)
+            if min(hp.index[e[0]], hp.index[e[1]]) >= i
         }
         merged = merge_cross_edges(
             stage_graph, side, stage_coloring, palette, ledger=own,
@@ -343,12 +338,10 @@ def edge_color_orientation_connector(
     graph: nx.Graph,
     arboricity: Optional[int] = None,
     q: float = 3.0,
-    oracle: Optional[ColoringOracle] = None,
     ledger: Optional[RoundLedger] = None,
 ) -> ArboricityColoringResult:
     """Theorem 5.3: ``Delta + O(sqrt(Delta * a)) + O(a)`` colors in
     ``O(sqrt(a) log n)`` rounds via the Figure 3 orientation connector."""
-    oracle = oracle or ColoringOracle()
     own = RoundLedger(label="thm-5.3")
     a = _resolve_arboricity(graph, arboricity)
     delta = max_degree(graph)
@@ -368,14 +361,13 @@ def edge_color_orientation_connector(
         graph, orientation, in_group_size=g_in, out_group_size=g_out
     )
     phi = edge_color_bounded_arboricity(
-        connector.graph, arboricity=g_out, q=q, oracle=oracle, ledger=own
+        connector.graph, arboricity=g_out, q=q, ledger=own
     )
     class_arboricity = max(1, math.ceil(dhat / g_out))
 
     def color_class(edges: List[Edge], branch: RoundLedger) -> Dict[Edge, Tuple[int]]:
         psi = edge_color_bounded_arboricity(
-            _edge_subgraph(edges), arboricity=class_arboricity, q=q, oracle=oracle,
-            ledger=branch,
+            _edge_subgraph(edges), arboricity=class_arboricity, q=q, ledger=branch
         )
         return {e: (c,) for e, c in psi.coloring.items()}
 
@@ -428,7 +420,6 @@ def edge_color_recursive(
     x: int,
     arboricity: Optional[int] = None,
     q: float = 3.0,
-    oracle: Optional[ColoringOracle] = None,
     ledger: Optional[RoundLedger] = None,
 ) -> ArboricityColoringResult:
     """Theorem 5.4: a ``(Delta^(1/x) + a_hat^(1/x) + 3)^x``-edge-coloring in
@@ -436,7 +427,6 @@ def edge_color_recursive(
     connector levels, then Theorem 5.2 on the residual classes."""
     if x < 1:
         raise InvalidParameterError("x must be >= 1")
-    oracle = oracle or ColoringOracle()
     own = RoundLedger(label="thm-5.4")
     a = _resolve_arboricity(graph, arboricity)
     delta = max_degree(graph)
@@ -461,7 +451,7 @@ def edge_color_recursive(
         sub_delta = max_degree(sub)
         if levels == 0 or sub_delta <= 3:
             result = edge_color_bounded_arboricity(
-                sub, arboricity=max(1, beta), q=q, oracle=oracle, ledger=sub_ledger
+                sub, arboricity=max(1, beta), q=q, ledger=sub_ledger
             )
             return {e: (c,) for e, c in result.coloring.items()}
         exponent = 1.0 / (levels + 1)
@@ -508,7 +498,6 @@ def edge_color_recursive(
 def edge_color_delta_plus_o_delta(
     graph: nx.Graph,
     arboricity: Optional[int] = None,
-    oracle: Optional[ColoringOracle] = None,
     ledger: Optional[RoundLedger] = None,
 ) -> ArboricityColoringResult:
     """Corollary 5.5: auto-parameterized ``Delta (1 + o(1))``-edge-coloring
@@ -519,11 +508,11 @@ def edge_color_delta_plus_o_delta(
     params = choose_section5_params(max(delta, 1), a)
     if params.x == 1:
         result = edge_color_bounded_arboricity(
-            graph, arboricity=a, q=params.q, oracle=oracle, ledger=ledger
+            graph, arboricity=a, q=params.q, ledger=ledger
         )
     else:
         result = edge_color_recursive(
-            graph, x=params.x, arboricity=a, q=params.q, oracle=oracle, ledger=ledger
+            graph, x=params.x, arboricity=a, q=params.q, ledger=ledger
         )
     result.params = params
     return result

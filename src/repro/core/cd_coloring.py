@@ -34,7 +34,7 @@ from repro.core.params import (
     choose_x_polylog,
 )
 from repro.substrates.linial import linial_coloring
-from repro.substrates.oracle import ColoringOracle
+from repro.substrates.oracle import oracle_vertex_coloring
 from repro.substrates.reduction import basic_color_reduction
 from repro.types import (
     EdgeColoring,
@@ -79,14 +79,13 @@ def _recurse(
     t: int,
     x: int,
     seed: VertexColoring,
-    oracle: ColoringOracle,
     ledger: RoundLedger,
 ) -> Dict[NodeId, Tuple[int, ...]]:
     """Algorithm 1. Returns the hierarchical color tuples."""
     if graph.number_of_nodes() == 0:
         return {}
     connector = build_clique_connector(graph, cover, t)
-    phi = oracle.vertex_coloring(
+    phi = oracle_vertex_coloring(
         connector,
         initial=_restrict(seed, connector),
         ledger=ledger,
@@ -96,8 +95,8 @@ def _recurse(
     def color_class(members: List[NodeId], branch: RoundLedger) -> Dict[NodeId, Tuple[int, ...]]:
         subgraph = graph.subgraph(members)
         if x > 1:
-            return _recurse(subgraph, cover.restricted(members), t, x - 1, seed, oracle, branch)
-        base = oracle.vertex_coloring(
+            return _recurse(subgraph, cover.restricted(members), t, x - 1, seed, branch)
+        base = oracle_vertex_coloring(
             subgraph,
             initial=_restrict(seed, subgraph),
             ledger=branch,
@@ -113,7 +112,6 @@ def cd_coloring(
     cover: CliqueCover,
     x: int,
     t: Optional[int] = None,
-    oracle: Optional[ColoringOracle] = None,
     ledger: Optional[RoundLedger] = None,
     trim: bool = True,
 ) -> CDColoringResult:
@@ -124,7 +122,6 @@ def cd_coloring(
         cover: a consistent clique identification of ``graph``.
         x: number of recursion levels (>= 1).
         t: connector group size; defaults to Section 3's ``floor(S^(1/(x+1)))``.
-        oracle: the [17] stand-in; a fresh validating oracle by default.
         ledger: optional round ledger to account into.
         trim: apply the basic color reduction down to ``D^(x+1) * S`` when the
             flattened coloring exceeds it (the final step of Theorem 3.2).
@@ -135,7 +132,6 @@ def cd_coloring(
     """
     if x < 1:
         raise InvalidParameterError("recursion depth x must be >= 1")
-    oracle = oracle or ColoringOracle()
     own_ledger = RoundLedger(label="cd-coloring")
     diversity = max(1, cover.diversity())
     clique_size = max(1, cover.max_clique_size())
@@ -148,7 +144,7 @@ def cd_coloring(
         coloring: VertexColoring = {}
     else:
         seed = linial_coloring(graph, ledger=own_ledger)
-        coloring = dense_colors(_recurse(graph, cover, t, x, seed, oracle, own_ledger))
+        coloring = dense_colors(_recurse(graph, cover, t, x, seed, own_ledger))
 
     bound = cd_palette_bound(diversity, clique_size, t, x)
     target = cd_target_colors(diversity, clique_size, x)
@@ -179,7 +175,6 @@ def cd_coloring_polylog(
     graph: nx.Graph,
     cover: CliqueCover,
     eps: float = 1.0,
-    oracle: Optional[ColoringOracle] = None,
     ledger: Optional[RoundLedger] = None,
 ) -> CDColoringResult:
     """Section 3's polylogarithmic-time corollary: pick ``x = log S /
@@ -189,7 +184,7 @@ def cd_coloring_polylog(
     x = choose_x_polylog(clique_size, eps)
     # The headline D^(x+1) S target is meaningless at this depth (it grows
     # with x); keep the raw hierarchical palette instead.
-    return cd_coloring(graph, cover, x=x, oracle=oracle, ledger=ledger, trim=False)
+    return cd_coloring(graph, cover, x=x, ledger=ledger, trim=False)
 
 
 @dataclass
@@ -206,9 +201,7 @@ class CDEdgeColoringResult:
 def cd_edge_coloring(
     graph: nx.Graph,
     x: int,
-    oracle: Optional[ColoringOracle] = None,
     ledger: Optional[RoundLedger] = None,
-    trim: bool = True,
 ) -> CDEdgeColoringResult:
     """Theorem 3.3(ii): a ``(2^(x+1) Delta)``-edge-coloring of a general
     graph via CD-Coloring of its line graph (diversity 2, clique size
@@ -224,7 +217,7 @@ def cd_edge_coloring(
             ledger=RoundLedger(label="cd-edge-coloring"),
         )
     line, cover = line_graph_with_cover(graph)
-    result = cd_coloring(line, cover, x=x, oracle=oracle, ledger=ledger, trim=trim)
+    result = cd_coloring(line, cover, x=x, ledger=ledger)
     return CDEdgeColoringResult(
         coloring=dict(result.coloring),
         colors_used=result.colors_used,

@@ -16,7 +16,6 @@ from repro.core.cd_coloring import CDColoringResult, cd_coloring
 from repro.errors import ColoringError
 from repro.graphs.hypergraphs import Hypergraph
 from repro.local import RoundLedger
-from repro.substrates.oracle import ColoringOracle
 from repro.types import NodeId
 
 
@@ -45,17 +44,13 @@ class HyperedgeColoringResult:
 def cd_hyperedge_coloring(
     hypergraph: Hypergraph,
     x: int = 1,
-    oracle: Optional[ColoringOracle] = None,
     ledger: Optional[RoundLedger] = None,
-    trim: bool = True,
 ) -> HyperedgeColoringResult:
     """Color the hyperedges with at most ``D^(x+1) * S`` colors, where
     D <= uniformity and S is the maximum per-vertex hyperedge load
     (Theorem 3.3(i) applied to the hypergraph's line graph)."""
     line, cover = hypergraph.line_graph_with_cover()
-    result: CDColoringResult = cd_coloring(
-        line, cover, x=x, oracle=oracle, ledger=ledger, trim=trim
-    )
+    result: CDColoringResult = cd_coloring(line, cover, x=x, ledger=ledger)
     coloring = {
         hypergraph.edges[idx]: color for idx, color in result.coloring.items()
     }

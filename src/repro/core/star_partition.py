@@ -26,7 +26,7 @@ from repro.graphs.properties import max_degree, number_of_edges
 from repro.local import RoundLedger
 from repro.core.connectors import build_edge_connector
 from repro.core.params import choose_t_star, star_palette_bound, star_target_colors
-from repro.substrates.oracle import ColoringOracle
+from repro.substrates.oracle import oracle_edge_coloring
 from repro.substrates.reduction import basic_color_reduction
 from repro.types import Edge, EdgeColoring, VertexColoring, dense_colors, num_colors
 
@@ -83,7 +83,6 @@ def _edge_subgraph(edges: List[Edge]) -> nx.Graph:
 def _recurse(
     graph: nx.Graph,
     x: int,
-    oracle: ColoringOracle,
     ledger: RoundLedger,
     t_override: Optional[int],
 ) -> Dict[Edge, Tuple[int, ...]]:
@@ -92,21 +91,21 @@ def _recurse(
         return {}
     delta = max_degree(graph)
     if x == 0 or delta <= 3:
-        direct = oracle.edge_coloring(graph, ledger=ledger, label="direct-edge-coloring")
+        direct = oracle_edge_coloring(graph, ledger=ledger, label="direct-edge-coloring")
         return {e: (c,) for e, c in direct.items()}
     t = t_override if t_override is not None else choose_t_star(delta, x)
     if delta <= t:
-        direct = oracle.edge_coloring(graph, ledger=ledger, label="direct-edge-coloring")
+        direct = oracle_edge_coloring(graph, ledger=ledger, label="direct-edge-coloring")
         return {e: (c,) for e, c in direct.items()}
 
     connector = build_edge_connector(graph, t)
-    phi_connector = oracle.edge_coloring(
+    phi_connector = oracle_edge_coloring(
         connector.graph, ledger=ledger, label=f"edge-connector-coloring(x={x})"
     )
     return ledger.per_class(
         f"star-classes(x={x})",
         connector.classes(phi_connector),
-        lambda edges, branch: _recurse(_edge_subgraph(edges), x - 1, oracle, branch, None),
+        lambda edges, branch: _recurse(_edge_subgraph(edges), x - 1, branch, None),
     )
 
 
@@ -114,9 +113,7 @@ def star_partition_edge_coloring(
     graph: nx.Graph,
     x: int = 1,
     t: Optional[int] = None,
-    oracle: Optional[ColoringOracle] = None,
     ledger: Optional[RoundLedger] = None,
-    trim: bool = True,
 ) -> StarPartitionResult:
     """Theorem 4.1: a ``(2^(x+1) Delta)``-edge-coloring by recursive
     star-partition.
@@ -126,27 +123,21 @@ def star_partition_edge_coloring(
         x: recursion depth (x = 1 with default t is the 4*Delta algorithm).
         t: top-level group size override (defaults to ``Delta^(1/(x+1))``;
             recursive levels always use their own default).
-        oracle: the [17] stand-in.
         ledger: optional ledger to account into.
-        trim: reduce to exactly ``2^(x+1) * Delta`` colors when the raw
-            product palette slightly exceeds it (the paper's "additional
-            round" trim).
+
+    The flattened coloring is reduced to exactly ``2^(x+1) * Delta``
+    colors when the raw product palette slightly exceeds it (the paper's
+    "additional round" trim).
     """
     if x < 1:
         raise InvalidParameterError("recursion depth x must be >= 1")
-    oracle = oracle or ColoringOracle()
     own = RoundLedger(label="star-partition")
     delta = max_degree(graph)
 
-    coloring: EdgeColoring = dense_colors(_recurse(graph, x, oracle, own, t))
+    coloring: EdgeColoring = dense_colors(_recurse(graph, x, own, t))
 
     target = star_target_colors(delta, x)
-    if (
-        trim
-        and coloring
-        and num_colors(coloring) > target
-        and target >= 2 * delta - 1
-    ):
+    if coloring and num_colors(coloring) > target and target >= 2 * delta - 1:
         coloring = reduce_edge_coloring(graph, coloring, target, ledger=own)
 
     if ledger is not None:
@@ -163,15 +154,13 @@ def star_partition_edge_coloring(
 
 
 def four_delta_edge_coloring(
-    graph: nx.Graph,
-    oracle: Optional[ColoringOracle] = None,
-    ledger: Optional[RoundLedger] = None,
+    graph: nx.Graph, ledger: Optional[RoundLedger] = None
 ) -> StarPartitionResult:
     """The headline Section 4 result: ``4*Delta`` colors in
     ``O~(Delta^(1/4) + log* n)`` time (x = 1, ``t = floor(sqrt(Delta))``)."""
     delta = max_degree(graph)
     t = max(2, int(math.isqrt(delta))) if delta >= 4 else None
-    return star_partition_edge_coloring(graph, x=1, t=t, oracle=oracle, ledger=ledger)
+    return star_partition_edge_coloring(graph, x=1, t=t, ledger=ledger)
 
 
 # ---------------------------------------------------------------- registry

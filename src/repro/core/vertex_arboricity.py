@@ -30,7 +30,7 @@ from repro.errors import ColoringError, InvalidParameterError
 from repro.graphs.properties import max_degree
 from repro.local import RoundLedger
 from repro.substrates.hpartition import HPartition, h_partition
-from repro.substrates.oracle import ColoringOracle
+from repro.substrates.oracle import oracle_vertex_coloring
 from repro.types import VertexColoring, color_classes, num_colors
 
 
@@ -59,11 +59,9 @@ def vertex_color_bounded_arboricity(
     graph: nx.Graph,
     arboricity: Optional[int] = None,
     q: float = 3.0,
-    oracle: Optional[ColoringOracle] = None,
     ledger: Optional[RoundLedger] = None,
 ) -> VertexArboricityResult:
     """A proper (Delta+1)-vertex-coloring via H-partition level sweeps."""
-    oracle = oracle or ColoringOracle()
     own = RoundLedger(label="vertex-arboricity")
     delta = max_degree(graph)
     if graph.number_of_nodes() == 0:
@@ -83,9 +81,7 @@ def vertex_color_bounded_arboricity(
         if not members:
             continue
         subgraph = graph.subgraph(members)
-        local = oracle.vertex_coloring(
-            subgraph, ledger=own, label=f"level-{level}-local"
-        )
+        local = oracle_vertex_coloring(subgraph, ledger=own, label=f"level-{level}-local")
         classes = color_classes(local)
         # One round per local class: classmates are independent within the
         # level, and every already-colored neighbor is visible.

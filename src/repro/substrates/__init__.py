@@ -1,5 +1,6 @@
 """Coloring substrates: Linial's algorithm, color reductions, the [17]
-oracle stand-in, and the Nash-Williams H-partition of [4]."""
+oracle stand-in (``oracle_vertex_coloring`` / ``oracle_edge_coloring``), and
+the Nash-Williams H-partition of [4]."""
 
 from repro.substrates.cole_vishkin import (
     ColeVishkinAlgorithm,
@@ -10,7 +11,7 @@ from repro.substrates.cole_vishkin import (
 from repro.substrates.defective import DefectiveColoring, defective_coloring
 from repro.substrates.hpartition import HPartition, h_partition
 from repro.substrates.linial import LinialStep, linial_coloring, linial_schedule
-from repro.substrates.oracle import ColoringOracle
+from repro.substrates.oracle import oracle_edge_coloring, oracle_vertex_coloring
 from repro.substrates.primes import is_prime, next_prime
 from repro.substrates.reduction import (
     basic_color_reduction,
@@ -29,7 +30,8 @@ __all__ = [
     "LinialStep",
     "linial_coloring",
     "linial_schedule",
-    "ColoringOracle",
+    "oracle_edge_coloring",
+    "oracle_vertex_coloring",
     "is_prime",
     "next_prime",
     "basic_color_reduction",

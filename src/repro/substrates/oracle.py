@@ -2,18 +2,21 @@
 
 The paper uses Fraigniaud–Heinrich–Kosowski's deterministic
 (Delta+1)-vertex-coloring (and its (2Delta-1)-edge-coloring corollary) as a
-black box. This module provides an executable oracle with the *identical
-output contract* — a proper coloring with at most ``Delta + 1`` (resp.
-``2*Delta - 1``) colors, deterministically, from ids or from any proper
-initial coloring — built from Linial's algorithm plus the Kuhn–Wattenhofer
-reduction.
+black box. This module provides it as two functions,
+:func:`oracle_vertex_coloring` and :func:`oracle_edge_coloring`, with the
+*identical output contract* — a proper coloring with at most ``Delta + 1``
+(resp. ``2*Delta - 1``) colors, deterministically, from ids or from any
+proper initial coloring — built from Linial's algorithm plus the
+Kuhn–Wattenhofer reduction. Every call checks a supplied initial coloring,
+its own output and the palette bound, and raises ``ColoringError`` on a
+violation.
 
 Round accounting is double-entry (see :mod:`repro.local.costmodel`): every
 invocation records the rounds the simulator actually executed *and* the
 modeled ``O~(sqrt(Delta)) + O(log* n)`` bound of [17], which is what the
 paper's running-time rows are stated in.
 
-The oracle also implements the Section 3 optimization: an initial proper
+The oracles also implement the Section 3 optimization: an initial proper
 coloring (e.g. the parent graph's O(Delta^2)-coloring restricted to a
 subgraph) can be supplied so the O(log* n) Linial phase is paid only once at
 the top level.
@@ -26,7 +29,7 @@ from typing import Any, Optional
 import networkx as nx
 import numpy as np
 
-from repro.errors import ColoringError, InvalidParameterError
+from repro.errors import ColoringError
 from repro.graphcore import CompactGraph, Interned
 from repro.graphs.properties import iter_edges, max_degree, number_of_edges
 from repro.local import RoundLedger
@@ -81,120 +84,87 @@ def _check_proper(graph: Any, coloring: VertexColoring, what: str) -> None:
         raise ColoringError(f"{what}: edge ({u!r},{v!r}) is monochromatic")
 
 
-class ColoringOracle:
-    """Deterministic (Delta+1)-vertex / (2Delta-1)-edge coloring oracle.
+def oracle_vertex_coloring(
+    graph: nx.Graph,
+    initial: Optional[VertexColoring] = None,
+    ledger: Optional[RoundLedger] = None,
+    label: str = "oracle-vertex",
+) -> VertexColoring:
+    """A proper coloring of ``graph`` with at most ``Delta + 1`` colors.
 
-    Args:
-        validate: check properness of inputs and outputs (cheap; on by
-            default — errors should never pass silently).
+    ``initial`` may carry a proper coloring from an enclosing computation
+    (Section 3's "colors instead of ids" trick); otherwise node ids break
+    symmetry.
     """
+    n = graph.number_of_nodes()
+    if n == 0:
+        return {}
+    delta = max_degree(graph)
+    view = _view(graph)
+    if initial is not None:
+        _check_proper(view, initial, "oracle initial coloring")
 
-    def __init__(self, validate: bool = True):
-        self.validate = validate
-        self.invocations = 0
+    sub = RoundLedger(label=label)
+    coloring = linial_coloring(view, initial=initial, ledger=sub)
+    coloring = kuhn_wattenhofer_reduction(view, coloring, target=delta + 1, ledger=sub)
+    _check_proper(view, coloring, "oracle output")
+    used = max(coloring.values(), default=-1) + 1
+    if used > delta + 1:
+        raise ColoringError(f"oracle used {used} > {delta + 1} colors")
+    if ledger is not None:
+        ledger.add(
+            label,
+            actual=sub.total_actual,
+            modeled=fhk_vertex_rounds(delta, n),
+        )
+    return coloring
 
-    # ------------------------------------------------------------- vertices
 
-    def vertex_coloring(
-        self,
-        graph: nx.Graph,
-        palette_size: Optional[int] = None,
-        initial: Optional[VertexColoring] = None,
-        ledger: Optional[RoundLedger] = None,
-        label: str = "oracle-vertex",
-    ) -> VertexColoring:
-        """A proper coloring of ``graph`` with at most ``palette_size``
-        colors (default and minimum supported: Delta + 1).
-
-        ``initial`` may carry a proper coloring from an enclosing computation
-        (Section 3's "colors instead of ids" trick); otherwise node ids break
-        symmetry.
-        """
-        self.invocations += 1
-        n = graph.number_of_nodes()
-        if n == 0:
-            return {}
-        delta = max_degree(graph)
-        target = delta + 1 if palette_size is None else palette_size
-        if target < delta + 1:
-            raise InvalidParameterError(
-                f"oracle cannot color with {target} < Delta+1 = {delta + 1} colors"
-            )
-        view = _view(graph)
-        if initial is not None and self.validate:
-            _check_proper(view, initial, "oracle initial coloring")
-
-        sub = RoundLedger(label=label)
-        coloring = linial_coloring(view, initial=initial, ledger=sub)
-        coloring = kuhn_wattenhofer_reduction(view, coloring, target=delta + 1, ledger=sub)
-        if self.validate:
-            _check_proper(view, coloring, "oracle output")
-            used = max(coloring.values(), default=-1) + 1
-            if used > target:
-                raise ColoringError(f"oracle used {used} > {target} colors")
-        if ledger is not None:
-            ledger.add(
-                label,
-                actual=sub.total_actual,
-                modeled=fhk_vertex_rounds(delta, n),
-            )
-        return coloring
-
-    # ---------------------------------------------------------------- edges
-
-    def edge_coloring(
-        self,
-        graph: nx.Graph,
-        palette_size: Optional[int] = None,
-        initial: Optional[EdgeColoring] = None,
-        ledger: Optional[RoundLedger] = None,
-        label: str = "oracle-edge",
-    ) -> EdgeColoring:
-        """A proper edge coloring with at most ``palette_size`` colors
-        (default ``2*Delta - 1``), computed as a vertex coloring of the line
-        graph — which a LOCAL network simulates at O(1) overhead.
-        """
-        self.invocations += 1
-        if number_of_edges(graph) == 0:
-            return {}
-        delta = max_degree(graph)
-        target = 2 * delta - 1 if palette_size is None else palette_size
-        if target < 2 * delta - 1:
-            raise InvalidParameterError(
-                f"edge oracle needs at least 2*Delta-1 = {2 * delta - 1} colors"
-            )
-        line = line_view(graph)
-        line_delta = line.max_degree
-        initial_vertex: Optional[VertexColoring] = None
-        if initial is not None:
-            initial_vertex = {edge_key(u, v): c for (u, v), c in initial.items()}
-        sub = RoundLedger(label=label)
-        coloring = linial_coloring(line, initial=initial_vertex, ledger=sub)
-        coloring = kuhn_wattenhofer_reduction(line, coloring, target=line_delta + 1, ledger=sub)
-        if self.validate:
-            _check_proper(line, coloring, "edge oracle output")
-            used = max(coloring.values(), default=-1) + 1
-            if used > target:
-                raise ColoringError(f"edge oracle used {used} > {target} colors")
-        if ledger is not None:
-            ledger.add(
-                label,
-                actual=sub.total_actual,
-                modeled=fhk_edge_rounds(delta, graph.number_of_nodes()),
-            )
-        return dict(coloring)
+def oracle_edge_coloring(
+    graph: nx.Graph,
+    initial: Optional[EdgeColoring] = None,
+    ledger: Optional[RoundLedger] = None,
+    label: str = "oracle-edge",
+) -> EdgeColoring:
+    """A proper edge coloring with at most ``2*Delta - 1`` colors, computed
+    as a vertex coloring of the line graph — which a LOCAL network
+    simulates at O(1) overhead.
+    """
+    if number_of_edges(graph) == 0:
+        return {}
+    delta = max_degree(graph)
+    target = 2 * delta - 1
+    line = line_view(graph)
+    initial_vertex: Optional[VertexColoring] = None
+    if initial is not None:
+        initial_vertex = {edge_key(u, v): c for (u, v), c in initial.items()}
+    sub = RoundLedger(label=label)
+    coloring = linial_coloring(line, initial=initial_vertex, ledger=sub)
+    coloring = kuhn_wattenhofer_reduction(
+        line, coloring, target=line.max_degree + 1, ledger=sub
+    )
+    _check_proper(line, coloring, "edge oracle output")
+    used = max(coloring.values(), default=-1) + 1
+    if used > target:
+        raise ColoringError(f"edge oracle used {used} > {target} colors")
+    if ledger is not None:
+        ledger.add(
+            label,
+            actual=sub.total_actual,
+            modeled=fhk_edge_rounds(delta, graph.number_of_nodes()),
+        )
+    return dict(coloring)
 
 
 # ---------------------------------------------------------------- registry
 
 from repro import registry as _registry
-from repro.local import RoundLedger as _RoundLedger
 from repro.types import num_colors as _num_colors
 
 
 def _run_oracle_vertex(graph: nx.Graph) -> _registry.AlgorithmRun:
-    ledger = _RoundLedger(label="oracle-vertex")
-    coloring = ColoringOracle().vertex_coloring(graph, ledger=ledger)
+    ledger = RoundLedger(label="oracle-vertex")
+    coloring = oracle_vertex_coloring(graph, ledger=ledger)
     return _registry.AlgorithmRun(
         name="oracle-vertex",
         kind="vertex-coloring",
@@ -206,8 +176,8 @@ def _run_oracle_vertex(graph: nx.Graph) -> _registry.AlgorithmRun:
 
 
 def _run_oracle_edge(graph: nx.Graph) -> _registry.AlgorithmRun:
-    ledger = _RoundLedger(label="oracle-edge")
-    coloring = ColoringOracle().edge_coloring(graph, ledger=ledger)
+    ledger = RoundLedger(label="oracle-edge")
+    coloring = oracle_edge_coloring(graph, ledger=ledger)
     return _registry.AlgorithmRun(
         name="oracle-edge",
         kind="edge-coloring",

@@ -31,12 +31,12 @@ class TestWeakVertexColoring:
     def test_faster_than_full_oracle(self):
         # the selling point of [6,7]: few rounds
         from repro.local import RoundLedger
-        from repro.substrates import ColoringOracle
+        from repro.substrates import oracle_vertex_coloring
 
         g = random_regular(64, 16, seed=2)
         weak = weak_vertex_coloring(g)
         oracle_ledger = RoundLedger()
-        ColoringOracle().vertex_coloring(g, ledger=oracle_ledger)
+        oracle_vertex_coloring(g, ledger=oracle_ledger)
         assert weak.rounds_actual < oracle_ledger.total_actual
 
     def test_exponent_validation(self):

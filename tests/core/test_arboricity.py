@@ -124,14 +124,13 @@ class TestTheorem52:
         # O(a log n) with small constants; generous ceiling
         assert result.rounds_actual <= 60 * math.log2(100)
 
-    def test_reuses_precomputed_partition(self):
+    def test_dhat_is_the_h_partition_threshold(self):
         from repro.substrates import h_partition
 
         g = forest_union(40, 2, seed=7)
-        hp = h_partition(g, arboricity=2)
-        result = edge_color_bounded_arboricity(g, arboricity=2, partition=hp)
+        result = edge_color_bounded_arboricity(g, arboricity=2)
         verify_edge_coloring(g, result.coloring)
-        assert result.dhat == hp.threshold
+        assert result.dhat == h_partition(g, arboricity=2).threshold
 
     def test_edgeless(self):
         g = nx.Graph()

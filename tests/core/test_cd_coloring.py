@@ -24,7 +24,7 @@ from repro.core import (
     cd_palette_bound,
     choose_t_clique,
 )
-from repro.substrates import ColoringOracle
+from repro.substrates import oracle_vertex_coloring
 from repro.types import color_classes, edge_key
 
 
@@ -100,7 +100,7 @@ class TestDecompositionLemmas:
         graph, cover = line_graph_instance(d=9, n=28, seed=5)
         t = 3
         connector = build_clique_connector(graph, cover, t)
-        coloring = ColoringOracle().vertex_coloring(connector)
+        coloring = oracle_vertex_coloring(connector)
         k = math.ceil(cover.max_clique_size() / t)
         classes = color_classes(coloring)
         for members in classes.values():
@@ -111,7 +111,7 @@ class TestDecompositionLemmas:
         graph, cover = line_graph_instance(d=8, n=24, seed=6)
         t = 3
         connector = build_clique_connector(graph, cover, t)
-        coloring = ColoringOracle().vertex_coloring(connector)
+        coloring = oracle_vertex_coloring(connector)
         k = math.ceil(cover.max_clique_size() / t)
         classes = color_classes(coloring)
         for members in classes.values():
@@ -122,7 +122,7 @@ class TestDecompositionLemmas:
     def test_lemma_2_3_diversity_nonincreasing(self):
         graph, cover = line_graph_instance(d=8, n=24, seed=7)
         connector = build_clique_connector(graph, cover, 3)
-        coloring = ColoringOracle().vertex_coloring(connector)
+        coloring = oracle_vertex_coloring(connector)
         classes = color_classes(coloring)
         for members in classes.values():
             assert cover.restricted(members).diversity() <= cover.diversity()

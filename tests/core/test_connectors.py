@@ -99,13 +99,13 @@ class TestEdgeConnector:
     def test_class_star_bound(self):
         # a proper edge coloring of the connector induces classes with star
         # size at most ceil(Delta/t) (Section 4)
-        from repro.substrates import ColoringOracle
+        from repro.substrates import oracle_edge_coloring
         from repro.analysis import max_star_size
 
         g = random_regular(16, 8, seed=3)
         t = 3
         connector = build_edge_connector(g, t)
-        coloring = ColoringOracle().edge_coloring(connector.graph)
+        coloring = oracle_edge_coloring(connector.graph)
         classes = connector.classes(coloring)
         k = math.ceil(8 / t)
         for edges in classes.values():

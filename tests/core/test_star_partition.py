@@ -16,7 +16,7 @@ from repro.core import (
     star_partition_edge_coloring,
     star_target_colors,
 )
-from repro.substrates import ColoringOracle
+from repro.substrates import oracle_edge_coloring
 
 
 class TestFourDelta:
@@ -67,7 +67,7 @@ class TestRecursive:
         g = random_regular(16, 8, seed=5)
         t = 2
         connector = build_edge_connector(g, t)
-        coloring = ColoringOracle().edge_coloring(connector.graph)
+        coloring = oracle_edge_coloring(connector.graph)
         classes = connector.classes(coloring)
         assert len(classes) <= 2 * t - 1
         for edges in classes.values():

@@ -48,12 +48,12 @@ class TestDeltaPlusOne:
 
     def test_rounds_scale_with_dhat_not_delta(self):
         # the selling point vs the plain oracle on Delta >> a instances
-        from repro.substrates import ColoringOracle
+        from repro.substrates import oracle_vertex_coloring
 
         graph = star_forest_stack(6, 40, 2, seed=5)
         result = vertex_color_bounded_arboricity(graph, arboricity=2)
         oracle_ledger = RoundLedger()
-        ColoringOracle().vertex_coloring(graph, ledger=oracle_ledger)
+        oracle_vertex_coloring(graph, ledger=oracle_ledger)
         assert result.rounds_actual < oracle_ledger.total_actual
 
     def test_ledger_accounting(self):

@@ -21,7 +21,7 @@ from repro.graphcore import CompactGraph, Interned
 from repro.graphs.cliques import CliqueCover
 from repro.graphs.linegraph import line_graph_with_cover, line_view
 from repro.graphs.properties import iter_edges, max_degree, number_of_edges
-from repro.substrates import ColoringOracle
+from repro.substrates import oracle_edge_coloring, oracle_vertex_coloring
 from repro.substrates.linial import linial_coloring
 from repro.substrates.reduction import kuhn_wattenhofer_reduction
 from repro.types import edge_key
@@ -251,13 +251,12 @@ class TestOracleOnOneView:
     @pytest.mark.parametrize("case", range(len(_oracle_cases())))
     def test_results_and_errors_match_the_nx_flow(self, engine, case):
         kind, graph, initial = _oracle_cases()[case]
-        oracle = ColoringOracle()
         if kind == "edge":
-            fn, ref = oracle.edge_coloring, reference_edge_coloring
+            fn, ref = oracle_edge_coloring, reference_edge_coloring
         else:
-            fn, ref = oracle.vertex_coloring, reference_vertex_coloring
+            fn, ref = oracle_vertex_coloring, reference_vertex_coloring
         with use_engine(engine):
-            got = outcome(fn, graph, None, initial)
+            got = outcome(fn, graph, initial)
             expected = outcome(ref, graph, initial)
         assert got == expected
 
@@ -266,6 +265,6 @@ class TestOracleOnOneView:
     @given(graph=graphs(forms=("nx", "compact")))
     def test_edge_oracle_matches_on_generated_graphs(self, engine, graph):
         with use_engine(engine):
-            assert outcome(ColoringOracle().edge_coloring, graph) == outcome(
+            assert outcome(oracle_edge_coloring, graph) == outcome(
                 reference_edge_coloring, graph
             )

@@ -24,11 +24,12 @@ from repro.core import (
     star_partition_edge_coloring,
 )
 from repro.substrates import (
-    ColoringOracle,
     basic_color_reduction,
     h_partition,
     kuhn_wattenhofer_reduction,
     linial_coloring,
+    oracle_edge_coloring,
+    oracle_vertex_coloring,
 )
 
 SETTINGS = settings(
@@ -110,13 +111,13 @@ class TestOracleProperties:
     @SETTINGS
     @given(gnp_graphs())
     def test_vertex_oracle(self, graph):
-        coloring = ColoringOracle().vertex_coloring(graph)
+        coloring = oracle_vertex_coloring(graph)
         verify_vertex_coloring(graph, coloring, palette=max_degree(graph) + 1)
 
     @SETTINGS
     @given(gnp_graphs(max_n=20))
     def test_edge_oracle(self, graph):
-        coloring = ColoringOracle().edge_coloring(graph)
+        coloring = oracle_edge_coloring(graph)
         delta = max_degree(graph)
         if graph.number_of_edges():
             verify_edge_coloring(graph, coloring, palette=max(2 * delta - 1, 1))

@@ -26,7 +26,7 @@ from repro.graphs import (
     random_regular,
 )
 from repro.local import RoundLedger
-from repro.substrates import ColoringOracle
+from repro.substrates import oracle_edge_coloring, oracle_vertex_coloring
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ class TestEveryEdgeColoringPipeline:
         results = {
             "vizing": misra_gries_edge_coloring(workload),
             "greedy": greedy_edge_coloring(workload),
-            "oracle": ColoringOracle().edge_coloring(workload),
+            "oracle": oracle_edge_coloring(workload),
             "star-x1": four_delta_edge_coloring(workload).coloring,
             "star-x2": star_partition_edge_coloring(workload, x=2).coloring,
             "cd-line": cd_edge_coloring(workload, x=1).coloring,
@@ -93,13 +93,12 @@ class TestLowArboricityPipeline:
 
 class TestSeedIsolation:
     def test_oracle_runs_do_not_interfere(self):
-        """One oracle instance reused across different graphs stays correct."""
-        oracle = ColoringOracle()
+        """Oracle calls on different graphs leave each other's results alone."""
         g1 = random_regular(20, 4, seed=1)
         g2 = nx.complete_graph(7)
-        c1 = oracle.vertex_coloring(g1)
-        c2 = oracle.vertex_coloring(g2)
-        c1_again = oracle.vertex_coloring(g1)
+        c1 = oracle_vertex_coloring(g1)
+        c2 = oracle_vertex_coloring(g2)
+        c1_again = oracle_vertex_coloring(g1)
         assert c1 == c1_again
         verify_vertex_coloring(g2, c2, palette=7)
 

@@ -24,7 +24,7 @@ from repro.graphs import (
     star_forest_stack,
 )
 from repro.local import RoundLedger
-from repro.substrates import ColoringOracle, h_partition, linial_coloring
+from repro.substrates import h_partition, linial_coloring, oracle_vertex_coloring
 
 
 class TestFourDeltaAtScale:
@@ -91,5 +91,5 @@ class TestSubstratesAtScale:
     def test_oracle_on_dense_graph(self):
         graph = erdos_renyi(200, 0.2, seed=6)
         delta = max_degree(graph)
-        coloring = ColoringOracle().vertex_coloring(graph)
+        coloring = oracle_vertex_coloring(graph)
         verify_vertex_coloring(graph, coloring, palette=delta + 1)

@@ -6,10 +6,14 @@ import networkx as nx
 import pytest
 
 from repro.errors import ColoringError
+from repro import registry
+from repro.types import color_classes, edge_key
 from repro.verify import (
     verify_defective_coloring,
     verify_edge_coloring,
     verify_h_partition,
+    verify_run,
+    verify_star_partition,
     verify_vertex_coloring,
 )
 
@@ -81,6 +85,45 @@ class TestEdgeColoringEdgeCases:
     def test_non_strict_returns_false_on_partial(self):
         g = nx.path_graph(3)
         assert verify_edge_coloring(g, {(0, 1): 0}, strict=False) is False
+
+
+class TestNodeIdsThatDoNotCompare:
+    """Int and str node ids in one graph: the edge keys fall back to
+    ``repr`` order, and no checker may sort them by ``<``."""
+
+    @staticmethod
+    def graph():
+        return nx.Graph([(0, "x"), ("x", 5), (5, "y"), (0, 1)])
+
+    def test_proper_coloring_verdict_ok(self):
+        g = self.graph()
+        verdict = verify_run(g, registry.run("star4", g))
+        assert verdict.status == "ok", verdict.violation
+        assert "star-partition" in verdict.checks
+
+    def test_star_partition_missing_an_edge_rejected(self):
+        g = self.graph()
+        classes = color_classes(registry.run("star4", g).coloring)
+        dropped = next(c for c, edges in classes.items() if edges)
+        classes[dropped] = classes[dropped][1:]
+        with pytest.raises(ColoringError, match="do not partition"):
+            verify_star_partition(g, classes, q=1)
+
+    def test_star_partition_listing_an_edge_twice_rejected(self):
+        g = self.graph()
+        classes = color_classes(registry.run("star4", g).coloring)
+        extra = max(classes) + 1
+        classes[extra] = [next(e for edges in classes.values() for e in edges)]
+        with pytest.raises(ColoringError, match="do not partition"):
+            verify_star_partition(g, classes, q=1)
+
+    def test_edge_coloring_missing_edges_rejected(self):
+        g = self.graph()
+        coloring = dict(registry.run("star4", g).coloring)
+        for u, v in [(0, "x"), (0, 1)]:
+            del coloring[edge_key(u, v)]
+        with pytest.raises(ColoringError, match="2 edges uncolored"):
+            verify_edge_coloring(g, coloring)
 
 
 class TestDefectiveChecker:

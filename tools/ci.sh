@@ -265,7 +265,7 @@ from repro.core.arboricity import merge_cross_edges
 from repro.engine import get_engine, use_engine
 from repro.graphs import random_regular
 from repro.graphs.linegraph import line_graph_with_cover
-from repro.substrates import ColoringOracle
+from repro.substrates import oracle_edge_coloring
 from repro.substrates.linial import LinialAlgorithm
 from repro.substrates.reduction import BlockedReductionAlgorithm
 
@@ -298,7 +298,7 @@ for run in (linial, phase):
         "round_messages": list(run.round_messages),
     })
 with obs.collect() as runtime, use_engine(engine):
-    oracle = ColoringOracle().edge_coloring(random_regular(60, 6, seed=0))
+    oracle = oracle_edge_coloring(random_regular(60, 6, seed=0))
 counters = runtime.snapshot()["counters"]
 if engine == "vector":
     for name in ("linial", "kw-phase"):
