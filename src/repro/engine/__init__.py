@@ -11,7 +11,7 @@ Public surface:
   / :func:`~repro.engine.base.set_default_engine` — dynamically scoped
   engine selection honored by every ``run_on_graph`` call.
 * :func:`~repro.engine.base.get_engine` / :func:`~repro.engine.base.available_engines`
-  / :func:`~repro.engine.base.register_engine` — the engine registry.
+  — the two engines, by name.
 """
 
 from repro.engine.base import (
@@ -24,7 +24,6 @@ from repro.engine.base import (
     get_engine,
     note_engine_run,
     record_engine_runs,
-    register_engine,
     set_default_engine,
     use_engine,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "current_engine",
     "current_engine_name",
     "get_engine",
-    "register_engine",
     "set_default_engine",
     "use_engine",
     "ReferenceEngine",

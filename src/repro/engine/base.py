@@ -6,7 +6,7 @@ library:
 
 * ``reference`` — :class:`~repro.engine.reference.ReferenceEngine`, a thin
   wrapper around :class:`~repro.local.network.Network` that preserves the
-  original scheduler bit for bit (including tracer and crash support).
+  original scheduler bit for bit.
 * ``vector`` — :class:`~repro.engine.vector.VectorEngine`, program or
   delegate: a registered array program replays the run over the CSR
   arrays, and every other run is delegated to the reference engine,
@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import importlib
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Iterator, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, Iterator, List, Optional, TYPE_CHECKING
 
 from repro.errors import InvalidParameterError
 
@@ -34,8 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
     from repro.local.algorithm import NodeAlgorithm
     from repro.local.network import RunResult
-    from repro.local.trace import Tracer
-    from repro.types import NodeId
 
 DEFAULT_ENGINE = "reference"
 
@@ -68,9 +67,6 @@ class Engine(ABC):
         algorithm: "NodeAlgorithm",
         extras: Optional[Dict[str, Any]] = None,
         max_rounds: Optional[int] = None,
-        track_bandwidth: bool = False,
-        crashes: Optional[Dict["NodeId", int]] = None,
-        tracer: Optional["Tracer"] = None,
     ) -> "RunResult":
         """Execute ``algorithm`` on ``graph`` and return the run outcome."""
 
@@ -78,43 +74,30 @@ class Engine(ABC):
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
-_FACTORIES: Dict[str, Callable[[], Engine]] = {}
+#: The engines, by name: ``module:class`` paths imported on first use
+#: (both engine modules import this one).
+_ENGINES: Dict[str, str] = {
+    "reference": "repro.engine.reference:ReferenceEngine",
+    "vector": "repro.engine.vector:VectorEngine",
+}
 _INSTANCES: Dict[str, Engine] = {}
 
 
-def register_engine(name: str, factory: Callable[[], Engine]) -> None:
-    """Register an engine factory under ``name`` (last registration wins)."""
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
-
-
-def _builtin_factories() -> None:
-    if "reference" not in _FACTORIES:
-        from repro.engine.reference import ReferenceEngine
-
-        register_engine("reference", ReferenceEngine)
-    if "vector" not in _FACTORIES:
-        from repro.engine.vector import VectorEngine
-
-        register_engine("vector", VectorEngine)
-
-
 def available_engines() -> List[str]:
-    """Names of all registered engines."""
-    _builtin_factories()
-    return sorted(_FACTORIES)
+    """Names of all engines."""
+    return sorted(_ENGINES)
 
 
 def get_engine(name: str) -> Engine:
     """Resolve an engine by name (instances are cached — engines are
     stateless between runs)."""
-    _builtin_factories()
-    if name not in _FACTORIES:
+    if name not in _ENGINES:
         raise InvalidParameterError(
-            f"unknown engine {name!r}; available: {', '.join(sorted(_FACTORIES))}"
+            f"unknown engine {name!r}; available: {', '.join(sorted(_ENGINES))}"
         )
     if name not in _INSTANCES:
-        _INSTANCES[name] = _FACTORIES[name]()
+        module, cls = _ENGINES[name].split(":")
+        _INSTANCES[name] = getattr(importlib.import_module(module), cls)()
     return _INSTANCES[name]
 
 

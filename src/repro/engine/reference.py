@@ -3,8 +3,7 @@ scheduler, unchanged.
 
 Every semantic question about the LOCAL simulation is answered by this
 engine; ``VectorEngine`` (and any future engine) is validated against it by
-the parity suite. It supports the full feature surface — tracers, crash
-schedules, bandwidth tracking — at the cost of O(n) bookkeeping per round.
+the parity suite, at the cost of O(n) bookkeeping per round.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from repro import obs
 from repro.engine.base import Engine, note_engine_run, note_run_result
 from repro.local.algorithm import NodeAlgorithm
 from repro.local.network import DEFAULT_MAX_ROUNDS, Network, RunResult
-from repro.local.trace import Tracer
-from repro.types import NodeId
 
 
 class ReferenceEngine(Engine):
@@ -40,9 +37,6 @@ class ReferenceEngine(Engine):
         algorithm: NodeAlgorithm,
         extras: Optional[Dict[str, Any]] = None,
         max_rounds: Optional[int] = None,
-        track_bandwidth: bool = False,
-        crashes: Optional[Dict[NodeId, int]] = None,
-        tracer: Optional[Tracer] = None,
     ) -> RunResult:
         from repro.graphcore import CompactGraph, Interned
 
@@ -56,9 +50,6 @@ class ReferenceEngine(Engine):
                 algorithm,
                 ctx,
                 max_rounds=DEFAULT_MAX_ROUNDS if max_rounds is None else max_rounds,
-                track_bandwidth=track_bandwidth,
-                crashes=crashes,
-                tracer=tracer,
             )
         # The reference scheduler is opaque per round: its counters and
         # round points come from the result.

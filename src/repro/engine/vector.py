@@ -17,16 +17,14 @@ engine hands the view and the raw extras to the kernel; the node-keyed
 extras cross into dense arrays and the outputs back to node ids in
 :mod:`repro.kernels.program`, the same way for every view.
 
-**Delegation.** Tracer runs, crash schedules and bandwidth tracking
-observe per-node events no closed-form replay models; algorithms with
-no program and inputs a program declines (disclosed through
-``kernel.fallback``) have no array path. All of them run on the
-reference scheduler, announced with
+**Delegation.** Algorithms with no program and inputs a program
+declines (disclosed through ``kernel.fallback``) have no array path.
+Both run on the reference scheduler, announced with
 :class:`~repro.engine.base.EngineFallbackWarning` and an
-``engine.fallback[reason=...]`` counter, and the returned result's
-``engine`` field says ``"reference"`` — provenance downstream (store
-rows, differential checks) never silently claims a vector execution that
-did not happen.
+``engine.fallback[reason=...]`` counter (``no-program`` or
+``declined``), and the returned result's ``engine`` field says
+``"reference"`` — provenance downstream (store rows, differential
+checks) never silently claims a vector execution that did not happen.
 """
 
 from __future__ import annotations
@@ -47,8 +45,6 @@ from repro.engine.base import (
 from repro.errors import SimulationError
 from repro.local.algorithm import NodeAlgorithm
 from repro.local.network import DEFAULT_MAX_ROUNDS, RunResult
-from repro.local.trace import Tracer
-from repro.types import NodeId
 
 
 class VectorEngine(Engine):
@@ -108,25 +104,17 @@ class VectorEngine(Engine):
         algorithm: NodeAlgorithm,
         extras: Optional[Dict[str, Any]] = None,
         max_rounds: Optional[int] = None,
-        track_bandwidth: bool = False,
-        crashes: Optional[Dict[NodeId, int]] = None,
-        tracer: Optional[Tracer] = None,
     ) -> RunResult:
         from repro import kernels
 
-        if tracer is not None:
-            reason = "tracer"
-        elif crashes:
-            reason = "crashes"
-        elif track_bandwidth:
-            reason = "bandwidth"
+        kernel = kernels.get_kernel(getattr(algorithm, "name", None))
+        if kernel is None:
+            reason = "no-program"
         else:
-            kernel = kernels.get_kernel(getattr(algorithm, "name", None))
-            reason = "no-program" if kernel is None else "declined"
-            if kernel is not None:
-                result = self._run_program(kernel, graph, algorithm, extras, max_rounds)
-                if result is not None:
-                    return result
+            result = self._run_program(kernel, graph, algorithm, extras, max_rounds)
+            if result is not None:
+                return result
+            reason = "declined"
         from repro.engine.reference import ReferenceEngine
 
         obs.incr("engine.fallback", reason=reason)
@@ -138,12 +126,4 @@ class VectorEngine(Engine):
             EngineFallbackWarning,
             stacklevel=2,
         )
-        return ReferenceEngine().run(
-            graph,
-            algorithm,
-            extras=extras,
-            max_rounds=max_rounds,
-            track_bandwidth=track_bandwidth,
-            crashes=crashes,
-            tracer=tracer,
-        )
+        return ReferenceEngine().run(graph, algorithm, extras=extras, max_rounds=max_rounds)

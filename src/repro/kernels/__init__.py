@@ -25,9 +25,8 @@ Contract (the reason kernels may exist at all):
   reference scheduler, which remains the semantic authority, and
   discloses the decline through the ``kernel.fallback`` counter.
 * **Engines opt in.** Only :class:`~repro.engine.vector.VectorEngine`
-  consults this registry, for every crash-free, untraced,
-  bandwidth-untracked run — on a ``CompactGraph`` as it is, and on an nx
-  graph interned to dense ids. The reference engine never does — it
+  consults this registry, for every run — on a ``CompactGraph`` as it
+  is, and on an nx graph interned to dense ids. The reference engine never does — it
   *is* the baseline kernels are measured against.
 * **One boundary.** Node ids meet array code in
   :mod:`repro.kernels.program` alone: the kernel and the sharded

@@ -11,18 +11,14 @@ Public surface:
 """
 
 from repro.local.algorithm import Context, NodeAlgorithm
-from repro.local.congest import estimate_payload_bits, is_congest_width
 from repro.local.ledger import LedgerEntry, ParallelScope, RoundLedger
 from repro.local.message import Message
 from repro.local.network import DEFAULT_MAX_ROUNDS, Network, RunResult, run_on_graph
 from repro.local.node import Node
-from repro.local.trace import RoundTrace, Tracer
 
 __all__ = [
     "Context",
     "NodeAlgorithm",
-    "estimate_payload_bits",
-    "is_congest_width",
     "LedgerEntry",
     "ParallelScope",
     "RoundLedger",
@@ -31,7 +27,5 @@ __all__ = [
     "RunResult",
     "run_on_graph",
     "Node",
-    "RoundTrace",
-    "Tracer",
     "DEFAULT_MAX_ROUNDS",
 ]

@@ -22,10 +22,8 @@ import networkx as nx
 
 from repro.errors import RoundLimitExceeded, SimulationError
 from repro.local.algorithm import Context, NodeAlgorithm
-from repro.local.congest import estimate_payload_bits as _payload_bits
 from repro.local.message import Message
 from repro.local.node import Node
-from repro.local.trace import Tracer
 from repro.types import NodeId
 
 DEFAULT_MAX_ROUNDS = 1_000_000
@@ -49,8 +47,6 @@ class RunResult:
     messages: int
     outputs: Dict[NodeId, Any] = field(default_factory=dict)
     round_messages: List[int] = field(default_factory=list)
-    max_message_bits: int = 0
-    crashed: frozenset = frozenset()
     engine: Optional[str] = None
 
     def output_of(self, node_id: NodeId) -> Any:
@@ -90,27 +86,14 @@ class Network:
         algorithm: NodeAlgorithm,
         ctx: Optional[Context] = None,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
-        track_bandwidth: bool = False,
-        crashes: Optional[Dict[NodeId, int]] = None,
-        tracer: Optional["Tracer"] = None,
     ) -> RunResult:
         """Execute ``algorithm`` to completion and return its outputs.
 
         ``max_rounds`` bounds the simulation; exceeding it raises
-        :class:`RoundLimitExceeded`. ``track_bandwidth`` records the widest
-        message payload (see :mod:`repro.local.congest`). ``crashes`` maps
-        node ids to the round at the start of which they fail-stop: a
-        crashed node neither steps nor sends again (messages it queued in
-        earlier rounds are still delivered — fail-stop, not omission).
-        ``tracer`` (see :class:`repro.local.trace.Tracer`) records a
-        round-by-round timeline.
+        :class:`RoundLimitExceeded`.
         """
         if ctx is None:
             ctx = self.make_context()
-        crashes = crashes or {}
-        unknown = set(crashes) - set(self.nodes)
-        if unknown:
-            raise SimulationError(f"crash schedule names unknown nodes {unknown!r}")
         for node in self.nodes.values():
             node.state = {}
             node.inbox = []
@@ -121,24 +104,8 @@ class Network:
         pending: Dict[NodeId, List[Message]] = {v: [] for v in self.nodes}
         rounds = 0
         round_messages: List[int] = []
-        max_bits = 0
-        crashed: set = set()
-        if tracer is not None:
-            tracer.begin_round(0)
-            for node in self.nodes.values():
-                if node.halted:
-                    tracer.record_halt(node.id)
-        in_flight = self._collect(pending, tracer)
+        in_flight = self._collect(pending)
         messages = in_flight
-        if track_bandwidth:
-            max_bits = max(
-                [max_bits]
-                + [
-                    _payload_bits(msg.payload)
-                    for box in pending.values()
-                    for msg in box
-                ]
-            )
         while True:
             running = [node for node in self.nodes.values() if not node.halted]
             if not running:
@@ -146,38 +113,14 @@ class Network:
             if rounds >= max_rounds:
                 raise RoundLimitExceeded(max_rounds, len(running))
             rounds += 1
-            if tracer is not None:
-                tracer.begin_round(rounds)
-            for node_id, crash_round in crashes.items():
-                if crash_round == rounds and node_id not in crashed:
-                    crashed.add(node_id)
-                    self.nodes[node_id].halt()
-                    if tracer is not None:
-                        tracer.record_crash(node_id)
-            running = [node for node in running if not node.halted]
-            if not running:
-                break
             round_messages.append(in_flight)
             inboxes = {v: pending[v] for v in self.nodes}
             pending = {v: [] for v in self.nodes}
             for node in running:
                 node.inbox = inboxes[node.id]
                 algorithm.step(node, node.inbox, rounds, ctx)
-                if tracer is not None:
-                    tracer.record_step(node.id)
-                    if node.halted:
-                        tracer.record_halt(node.id)
-            in_flight = self._collect(pending, tracer)
+            in_flight = self._collect(pending)
             messages += in_flight
-            if track_bandwidth and in_flight:
-                max_bits = max(
-                    [max_bits]
-                    + [
-                        _payload_bits(msg.payload)
-                        for box in pending.values()
-                        for msg in box
-                    ]
-                )
 
         outputs = {v: algorithm.output(node) for v, node in self.nodes.items()}
         return RunResult(
@@ -185,23 +128,15 @@ class Network:
             messages=messages,
             outputs=outputs,
             round_messages=round_messages,
-            max_message_bits=max_bits,
-            crashed=frozenset(crashed),
         )
 
-    def _collect(
-        self,
-        pending: Dict[NodeId, List[Message]],
-        tracer: Optional["Tracer"] = None,
-    ) -> int:
+    def _collect(self, pending: Dict[NodeId, List[Message]]) -> int:
         """Move every node's outbox into next round's pending inboxes."""
         count = 0
         for node in self.nodes.values():
             for nbr, payload in node.drain_outbox().items():
                 pending[nbr].append(Message(sender=node.id, payload=payload))
                 count += 1
-                if tracer is not None:
-                    tracer.record_send(node.id, nbr, payload)
         return count
 
 
@@ -210,13 +145,12 @@ def run_on_graph(
     algorithm: NodeAlgorithm,
     extras: Optional[Dict[str, Any]] = None,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-    engine: Optional[str] = None,
 ) -> RunResult:
     """Run ``algorithm`` on ``graph`` through the selected execution engine.
 
-    ``engine`` names an engine explicitly; otherwise the dynamically scoped
-    selection applies (see :func:`repro.engine.use_engine`), defaulting to
-    the reference :class:`Network` scheduler. Every algorithm in the library
+    The dynamically scoped selection applies (see
+    :func:`repro.engine.use_engine`), defaulting to the reference
+    :class:`Network` scheduler. Every algorithm in the library
     funnels through here, so one ``use_engine("vector")`` scope switches a
     whole pipeline.
 
@@ -232,7 +166,6 @@ def run_on_graph(
         if result is not None:
             return result
 
-    from repro.engine.base import current_engine, get_engine
+    from repro.engine.base import current_engine
 
-    eng = get_engine(engine) if engine is not None else current_engine()
-    return eng.run(graph, algorithm, extras=extras, max_rounds=max_rounds)
+    return current_engine().run(graph, algorithm, extras=extras, max_rounds=max_rounds)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.local.message import Message
 from repro.types import NodeId
@@ -24,7 +24,7 @@ class Node:
     they need into ``state``.
     """
 
-    __slots__ = ("id", "neighbors", "state", "inbox", "halted", "_outbox")
+    __slots__ = ("id", "neighbors", "state", "inbox", "halted", "_outbox", "_nbrset")
 
     def __init__(self, node_id: NodeId, neighbors: Tuple[NodeId, ...]):
         self.id = node_id
@@ -33,6 +33,7 @@ class Node:
         self.inbox: List[Message] = []
         self.halted = False
         self._outbox: Dict[NodeId, Any] = {}
+        self._nbrset: Optional[FrozenSet[NodeId]] = None
 
     @property
     def degree(self) -> int:
@@ -40,7 +41,9 @@ class Node:
 
     def send(self, neighbor: NodeId, payload: Any) -> None:
         """Queue ``payload`` for delivery to ``neighbor`` next round."""
-        if neighbor not in self.state.setdefault("_nbrset", set(self.neighbors)):
+        if self._nbrset is None:
+            self._nbrset = frozenset(self.neighbors)
+        if neighbor not in self._nbrset:
             raise ValueError(f"node {self.id!r} has no neighbor {neighbor!r}")
         self._outbox[neighbor] = payload
 

@@ -41,7 +41,7 @@ from repro.obs.core import (
     span,
     trace_path_from_env,
 )
-from repro.obs.render import render_events, render_rounds, summarize_events
+from repro.obs.render import render_events, summarize_events
 from repro.obs.schema import (
     EVENT_SCHEMA_VERSION,
     validate_event,
@@ -67,7 +67,6 @@ __all__ = [
     "incr",
     "load_events",
     "render_events",
-    "render_rounds",
     "render_stats",
     "span",
     "summarize_events",

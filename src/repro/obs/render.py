@@ -1,22 +1,18 @@
-"""Human-readable timelines: JSONL traces and simulator round traces.
+"""Human-readable timelines of JSONL trace events.
 
-Two renderers share this module because they are the same instrument at
-two altitudes:
-
-* :func:`render_events` — the ``repro trace show`` backend: a per-process
-  timeline of the schema-versioned JSONL events a
-  :class:`~repro.obs.sinks.JsonlTraceSink` wrote (campaign cells, engine
-  rounds, kernel dispatches).
-* :func:`render_rounds` — the per-node altitude: the textual round
-  timeline :class:`~repro.local.trace.Tracer` historically rendered
-  itself (``Tracer.render`` now delegates here, byte-identically).
+:func:`render_events` is the ``repro trace show`` backend: a per-process
+timeline of the schema-versioned JSONL events a
+:class:`~repro.obs.sinks.JsonlTraceSink` wrote (campaign cells, engine
+rounds, kernel dispatches), and :func:`summarize_events` the header it
+prints. The per-round view of one run is its ``engine.round`` points,
+rendered with ``name_prefix="engine."``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-__all__ = ["render_events", "render_rounds", "timeline_lanes"]
+__all__ = ["render_events", "timeline_lanes"]
 
 
 def _fields_text(fields: Mapping[str, Any]) -> str:
@@ -136,22 +132,3 @@ def summarize_events(events: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
         "span_ms": {k: round(v, 3) for k, v in span_ms.items()},
         "pids": sorted(pids, key=repr),
     }
-
-
-def render_rounds(rounds: Iterable[Any], max_events_per_round: int = 8) -> str:
-    """The per-node round timeline (absorbed from ``Tracer.render``;
-    output is byte-identical to the historical implementation)."""
-    lines: List[str] = []
-    for rt in rounds:
-        headline = f"round {rt.round_no}: {len(rt.stepped)} stepped"
-        if rt.halted:
-            headline += f", halted {sorted(rt.halted, key=repr)}"
-        if rt.crashed:
-            headline += f", CRASHED {sorted(rt.crashed, key=repr)}"
-        lines.append(headline)
-        for sender, receiver, payload in rt.sent[:max_events_per_round]:
-            lines.append(f"    {sender!r} -> {receiver!r}: {payload}")
-        overflow = len(rt.sent) - max_events_per_round
-        if overflow > 0:
-            lines.append(f"    ... {overflow} more messages")
-    return "\n".join(lines)

@@ -19,7 +19,7 @@ def _trees(*dirs):
 
 def _read_names(tree):
     """Every name the module reads: bare names, names inside string
-    annotations (``Optional["Tracer"]``) and the ``__all__`` entries."""
+    annotations (``-> "RunResult"``) and the ``__all__`` entries."""
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
         if isinstance(node, ast.arg):

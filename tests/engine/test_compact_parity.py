@@ -18,7 +18,7 @@ from repro import obs, registry, workloads
 from repro.analysis.campaign import default_cells
 from repro.baselines.greedy import greedy_edge_coloring, greedy_vertex_coloring
 from repro.core.arboricity import CrossMergeAlgorithm
-from repro.engine import get_engine
+from repro.engine import EngineFallbackWarning, get_engine
 from repro.graphcore import CompactGraph
 from repro.kernels.segments import repr_rank_order
 from repro.substrates.cole_vishkin import (
@@ -567,29 +567,20 @@ class TestEngineLevelParity:
         # Delta=4 grid must need at least one refinement round
         assert linial_schedule(225, 4)[0]
 
-    def test_crashes_on_compact(self):
+    def test_delegated_run_on_compact_is_the_program_run(self):
+        # the same protocol under a name with no program: the vector engine
+        # delegates it to the per-node scheduler, on the compact graph as
+        # it is, and the result is the program's to the message
+        class Unprogrammed(BasicReductionAlgorithm):
+            name = "basic-reduction-unprogrammed"
+
         compact = workloads.build("xl-grid", {"rows": 8, "cols": 8})
         extras = self._reduction_extras(compact)
-        crashes = {5: 1, 17: 3, 40: 5}
-        ref = get_engine("reference").run(
-            compact, BasicReductionAlgorithm(), extras=extras, crashes=crashes
-        )
-        vec = get_engine("vector").run(
-            compact, BasicReductionAlgorithm(), extras=extras, crashes=crashes
-        )
-        assert ref.rounds > 5  # the schedule really fired mid-run
-        assert vec.outputs == ref.outputs
-        assert vec.round_messages == ref.round_messages
-        assert vec.crashed == ref.crashed == frozenset(crashes)
-
-    def test_unknown_crash_node_rejected_on_compact(self):
-        from repro.errors import SimulationError
-
-        compact = workloads.build("xl-grid", {"rows": 4, "cols": 4})
-        with pytest.raises(SimulationError):
-            get_engine("vector").run(
-                compact,
-                LinialAlgorithm(),
-                extras=self._linial_extras(compact),
-                crashes={99: 1},
-            )
+        program = get_engine("vector").run(compact, BasicReductionAlgorithm(), extras=dict(extras))
+        with pytest.warns(EngineFallbackWarning, match="no-program"):
+            delegated = get_engine("vector").run(compact, Unprogrammed(), extras=dict(extras))
+        assert program.rounds > 5
+        assert (program.engine, delegated.engine) == ("vector", "reference")
+        assert delegated.outputs == program.outputs
+        assert delegated.messages == program.messages
+        assert delegated.round_messages == program.round_messages

@@ -1,6 +1,6 @@
-"""Effective-engine provenance: the vector engine's delegations (tracer
-runs, algorithms with no program) may not let any row claim a vector
-execution that ran on the reference scheduler."""
+"""Effective-engine provenance: the vector engine's delegations
+(algorithms with no program, declined inputs) may not let any row claim
+a vector execution that ran on the reference scheduler."""
 
 import warnings
 
@@ -8,13 +8,13 @@ import networkx as nx
 import pytest
 
 from repro import registry
+from repro.core.arboricity import CrossMergeAlgorithm
 from repro.engine import (
     EngineFallbackWarning,
     get_engine,
     record_engine_runs,
 )
 from repro.local import NodeAlgorithm
-from repro.local.trace import Tracer
 from repro.substrates.linial import LinialAlgorithm
 
 #: a path on 4 nodes, dispatched to the linial program
@@ -22,6 +22,8 @@ _LINIAL = {"initial_coloring": {v: v for v in range(4)}, "m0": 4}
 
 
 class _OneShot(NodeAlgorithm):
+    """No registered program: every vector run of it is delegated."""
+
     def initialize(self, node, ctx):
         node.state["output"] = node.id
 
@@ -29,13 +31,31 @@ class _OneShot(NodeAlgorithm):
         node.halt()
 
 
-class TestTracerFallback:
-    def test_warning_and_engine_field(self):
+class TestDelegationProvenance:
+    def test_unprogrammed_algorithm_warns_and_labels_reference(self):
+        # no program, no array path: the run is delegated
         graph = nx.path_graph(4)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = get_engine("vector").run(graph, _OneShot(), tracer=Tracer())
+            result = get_engine("vector").run(graph, _OneShot())
         assert any(issubclass(w.category, EngineFallbackWarning) for w in caught)
+        assert result.engine == "reference"
+
+    def test_declined_input_warns_and_labels_reference(self):
+        # a program's own algorithm on an input it declines: d above every
+        # A node's label count
+        extras = {
+            "side": {v: "AB"[v % 2] for v in range(4)},
+            "labels": {0: {1: 1}, 2: {1: 1}},
+            "palette": 4,
+            "d": 3,
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = get_engine("vector").run(
+                nx.path_graph(4), CrossMergeAlgorithm(), extras=extras
+            )
+        assert any("(declined)" in str(w.message) for w in caught)
         assert result.engine == "reference"
 
     def test_no_warning_for_a_dispatched_run(self):
@@ -47,15 +67,6 @@ class TestTracerFallback:
             issubclass(w.category, EngineFallbackWarning) for w in caught
         )
         assert result.engine == "vector"
-
-    def test_unprogrammed_algorithm_warns_and_labels_reference(self):
-        # no program, no array path: the run is delegated, like a tracer run
-        graph = nx.path_graph(4)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = get_engine("vector").run(graph, _OneShot())
-        assert any(issubclass(w.category, EngineFallbackWarning) for w in caught)
-        assert result.engine == "reference"
 
     def test_reference_engine_labels_itself(self):
         result = get_engine("reference").run(nx.path_graph(3), _OneShot())
@@ -75,7 +86,7 @@ class TestRecordEngineRuns:
         with record_engine_runs() as ran:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", EngineFallbackWarning)
-                get_engine("vector").run(nx.path_graph(3), _OneShot(), tracer=Tracer())
+                get_engine("vector").run(nx.path_graph(3), _OneShot())
         assert ran == ["reference"]
 
     def test_no_sink_outside_scope(self):
@@ -88,13 +99,13 @@ class TestRecordEngineRuns:
 
 class TestCampaignRowDisclosure:
     @pytest.fixture
-    def traced_algorithm(self):
-        """A registered algorithm whose runner insists on a tracer, so a
-        vector cell executes on reference."""
-        name = "_test-traced"
+    def delegated_algorithm(self):
+        """A registered algorithm whose runner runs a program-less node
+        algorithm, so a vector cell executes on reference."""
+        name = "_test-delegated"
 
         def runner(graph):
-            result = get_engine("vector").run(graph, _OneShot(), tracer=Tracer())
+            result = get_engine("vector").run(graph, _OneShot())
             coloring = {v: 0 for v in graph.nodes()}
             return registry.AlgorithmRun(
                 name=name, kind="decomposition", coloring=coloring,
@@ -103,7 +114,7 @@ class TestCampaignRowDisclosure:
 
         spec = registry.AlgorithmSpec(
             name=name, family="baseline", kind="decomposition",
-            summary="test-only tracer-forcing runner", color_bound="1",
+            summary="test-only delegated runner", color_bound="1",
             rounds_bound="1", runner=runner,
         )
         registry._ensure_loaded()
@@ -111,14 +122,14 @@ class TestCampaignRowDisclosure:
         yield name
         registry._REGISTRY.pop(name, None)
 
-    def test_row_extra_discloses_effective_engine(self, traced_algorithm):
+    def test_row_extra_discloses_effective_engine(self, delegated_algorithm):
         from repro.analysis.campaign import _execute_cell
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EngineFallbackWarning)
             row = _execute_cell(
                 {
-                    "algorithm": traced_algorithm,
+                    "algorithm": delegated_algorithm,
                     "workload": "planar-grid",
                     "workload_params": {"rows": 3, "cols": 3},
                     "seed": 0,

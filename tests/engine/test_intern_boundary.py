@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
-from repro.engine import get_engine
+from repro.engine import get_engine, use_engine
 from repro.graphcore import build_grid
 from repro.local.network import run_on_graph
 from repro.shard import partition, sharding
@@ -187,10 +187,10 @@ def _assert_one_boundary(algorithm, extras, bundle):
         assert vector == reference, form
         paths[form] = _path(runtime.snapshot()["counters"], "kernel")
     with obs.collect() as runtime, sharding(GRAPH, bundle, inline=True):
-        sharded = _outcome(lambda: run_on_graph(
-            GRAPH, algorithm, extras=dict(extras), max_rounds=MAX_ROUNDS,
-            engine="reference",
-        ))
+        with use_engine("reference"):
+            sharded = _outcome(lambda: run_on_graph(
+                GRAPH, algorithm, extras=dict(extras), max_rounds=MAX_ROUNDS,
+            ))
     assert sharded == _engine_run("reference", GRAPH, algorithm, extras), "sharded"
     paths["sharded"] = _path(runtime.snapshot()["counters"], "shard")
     assert len(set(paths.values())) == 1, paths

@@ -21,7 +21,7 @@ import pytest
 
 from repro import obs
 from repro.core.arboricity import CrossMergeAlgorithm
-from repro.engine import get_engine
+from repro.engine import EngineFallbackWarning, get_engine
 from repro.graphcore import build_grid
 from repro.substrates.cole_vishkin import ColeVishkinAlgorithm, cv_iterations
 from repro.substrates.defective import DefectiveRefinementAlgorithm
@@ -123,10 +123,10 @@ CASES = [
 ]
 
 
-def _outcome(engine, algorithm, extras, graph=GRAPH, **kwargs):
+def _outcome(engine, algorithm, extras, graph=GRAPH):
     try:
         result = get_engine(engine).run(
-            graph, algorithm, extras=dict(extras), max_rounds=MAX_ROUNDS, **kwargs
+            graph, algorithm, extras=dict(extras), max_rounds=MAX_ROUNDS
         )
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome under test
         return ("raised", type(exc), str(exc))
@@ -234,21 +234,28 @@ def test_nx_only_decline_matches_reference(algorithm, extras, reason):
     _assert_declined(algorithm, extras, reason, graph=NX_GRID)
 
 
+class _UnprogrammedLinial(LinialAlgorithm):
+    name = "linial-unprogrammed"
+
+
 @pytest.mark.parametrize(
-    "kwargs",
-    [{"crashes": {(3, 4): 1}}, {"track_bandwidth": True}],
-    ids=["crashes", "bandwidth"],
+    "graph,extras",
+    [(GRAPH, {"initial_coloring": DENSE, "m0": N}), (NX_GRID, {"initial_coloring": _NX_IDS, "m0": N})],
+    ids=["compact", "nx"],
 )
-def test_crash_and_bandwidth_runs_on_nx_stay_per_node(kwargs):
-    # per-round node state no closed-form replay models: never dispatched
-    extras = {"initial_coloring": _NX_IDS, "m0": N}
+def test_unprogrammed_run_stays_per_node(graph, extras):
+    # no program, so no kernel is consulted: the run is the reference
+    # run, disclosed as a no-program delegation
     with obs.collect() as runtime:
-        vector = _outcome("vector", LinialAlgorithm(), extras, NX_GRID, **kwargs)
-    reference = _outcome("reference", LinialAlgorithm(), extras, NX_GRID, **kwargs)
+        with pytest.warns(EngineFallbackWarning, match="no-program"):
+            vector = _outcome("vector", _UnprogrammedLinial(), extras, graph)
+    reference = _outcome("reference", _UnprogrammedLinial(), extras, graph)
     assert vector == reference
     assert vector[0] == "ran"
+    assert vector == _outcome("vector", LinialAlgorithm(), extras, graph)
     counters = runtime.snapshot()["counters"]
     assert not any(k.startswith("kernel.") for k in counters), sorted(counters)
+    assert counters.get("engine.fallback[reason=no-program]") == 1
 
 
 def test_directed_nx_input_is_declined():

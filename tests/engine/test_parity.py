@@ -13,8 +13,8 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from repro import registry
-from repro.engine import get_engine
+from repro import obs, registry
+from repro.engine import EngineFallbackWarning, get_engine
 from repro.graphs import (
     cycle,
     erdos_renyi,
@@ -24,6 +24,7 @@ from repro.graphs import (
     random_regular,
     random_tree,
 )
+from repro.obs import render_events
 from repro.substrates.linial import LinialAlgorithm, linial_coloring
 from repro.substrates.reduction import (
     BasicReductionAlgorithm,
@@ -115,19 +116,11 @@ class TestEngineLevelParity:
         assert vec.rounds == ref.rounds
         assert vec.messages == ref.messages
         assert vec.round_messages == ref.round_messages
-        assert vec.crashed == ref.crashed
 
     @pytest.mark.parametrize("graph_name", PARITY_GRAPHS)
     def test_basic_reduction(self, graph_name):
         graph = small_graph(graph_name)
-        ordered = sorted(graph.nodes(), key=repr)
-        coloring = {v: i for i, v in enumerate(ordered)}
-        delta = max((d for _, d in graph.degree()), default=0)
-        self.assert_runs_equal(
-            graph,
-            BasicReductionAlgorithm(),
-            {"coloring": coloring, "m": len(ordered), "target": delta + 1},
-        )
+        self.assert_runs_equal(graph, BasicReductionAlgorithm(), _reduction_extras(graph))
 
     @pytest.mark.parametrize("graph_name", PARITY_GRAPHS)
     def test_blocked_reduction(self, graph_name):
@@ -150,121 +143,104 @@ class TestEngineLevelParity:
             {"initial_coloring": initial, "m0": len(initial)},
         )
 
+    @pytest.mark.parametrize("graph_name", PARITY_GRAPHS)
+    def test_linial(self, graph_name):
+        graph = small_graph(graph_name)
+        self.assert_runs_equal(graph, LinialAlgorithm(), _spread_ids(graph))
 
-class TestCrashAndBandwidthParity:
-    """Crash-scheduled and bandwidth-tracked vector runs against the
-    reference fail-stop semantics: identical outputs, `crashed` sets,
-    round counts, per-round message profiles, and bandwidth accounting
-    under mid-run crashes. The vector engine delegates these runs to the
-    reference scheduler, so this holds the delegation to the spec."""
 
-    def assert_crash_parity(self, graph, algorithm, extras, crashes):
-        ref = get_engine("reference").run(
-            graph, algorithm, extras=dict(extras),
-            crashes=dict(crashes), track_bandwidth=True,
-        )
-        vec = get_engine("vector").run(
-            graph, algorithm, extras=dict(extras),
-            crashes=dict(crashes), track_bandwidth=True,
-        )
-        assert vec.outputs == ref.outputs
-        assert vec.crashed == ref.crashed
-        assert vec.rounds == ref.rounds
-        assert vec.messages == ref.messages
-        assert vec.round_messages == ref.round_messages
-        assert vec.max_message_bits == ref.max_message_bits
-        return ref
+def _spread_ids(graph):
+    """Linial extras with ids from an n^2 space, so the refinement has
+    rounds to do even on a handful of nodes."""
+    ordered = sorted(graph.nodes(), key=repr)
+    n = len(ordered)
+    return {"initial_coloring": {v: n * i for i, v in enumerate(ordered)}, "m0": n * n}
 
-    @staticmethod
-    def reduction_extras(graph):
-        ordered = sorted(graph.nodes(), key=repr)
-        coloring = {v: i for i, v in enumerate(ordered)}
-        delta = max((d for _, d in graph.degree()), default=0)
-        return ordered, {"coloring": coloring, "m": len(ordered), "target": delta + 1}
+
+def _reduction_extras(graph):
+    ordered = sorted(graph.nodes(), key=repr)
+    delta = max((d for _, d in graph.degree()), default=0)
+    return {
+        "coloring": {v: i for i, v in enumerate(ordered)},
+        "m": len(ordered),
+        "target": delta + 1,
+    }
+
+
+class _UnprogrammedReduction(BasicReductionAlgorithm):
+    """The basic reduction under a name with no registered program, so
+    every vector run of it is delegated to the reference scheduler."""
+
+    name = "basic-reduction-unprogrammed"
+
+
+class TestDelegatedParity:
+    """A delegated vector run is the reference run: same outputs, rounds
+    and per-round message profile, labeled ``reference`` and disclosed
+    as a ``no-program`` fallback."""
 
     @pytest.mark.parametrize("graph_name", PARITY_GRAPHS)
-    def test_staggered_midrun_crashes(self, graph_name):
+    def test_unprogrammed_run_is_the_reference_run(self, graph_name):
         graph = small_graph(graph_name)
-        ordered, extras = self.reduction_extras(graph)
-        # every third node fail-stops at a staggered mid-run round; under
-        # the reduction schedule most of these nodes are still waiting for
-        # their class's round when they crash
-        crashes = {v: (i % 4) + 2 for i, v in enumerate(ordered[::3])}
-        ref = self.assert_crash_parity(graph, BasicReductionAlgorithm(), extras, crashes)
-        if ref.rounds >= 5:
-            assert ref.crashed  # the schedule actually fired mid-run
-
-    @pytest.mark.parametrize("graph_name", ("cycle-9", "gnp-30", "regular-24-6"))
-    def test_blocked_reduction_crashes(self, graph_name):
-        graph = small_graph(graph_name)
-        ordered = sorted(graph.nodes(), key=repr)
-        coloring = {v: i for i, v in enumerate(ordered)}
-        delta = max(d for _, d in graph.degree())
-        extras = {"coloring": coloring, "block": 2 * (delta + 1), "palette": delta + 1}
-        crashes = {v: (i % 3) + 1 for i, v in enumerate(ordered[::4])}
-        self.assert_crash_parity(graph, BlockedReductionAlgorithm(), extras, crashes)
-
-    def test_linial_with_crashes(self):
-        line, _ = line_graph_with_cover(random_regular(20, 4, seed=2))
-        ordered = sorted(line.nodes(), key=repr)
-        initial = {v: i for i, v in enumerate(ordered)}
-        extras = {"initial_coloring": initial, "m0": len(initial)}
-        crashes = {v: (i % 3) + 1 for i, v in enumerate(ordered[::4])}
-        self.assert_crash_parity(line, LinialAlgorithm(), extras, crashes)
-
-    def test_everyone_crashes_in_round_one(self):
-        graph = small_graph("gnp-30")
-        ordered, extras = self.reduction_extras(graph)
-        crashes = {v: 1 for v in ordered}
-        ref = self.assert_crash_parity(graph, BasicReductionAlgorithm(), extras, crashes)
-        assert ref.rounds == 1
-        assert ref.crashed == frozenset(ordered)
-
-    def test_crash_scheduled_after_termination_never_fires(self):
-        graph = small_graph("regular-24-6")
-        ordered, extras = self.reduction_extras(graph)
-        crashes = {ordered[0]: 10**6}
-        ref = self.assert_crash_parity(graph, BasicReductionAlgorithm(), extras, crashes)
-        assert ref.crashed == frozenset()
-
-    def test_crash_in_the_repick_round(self):
-        """Crash a node in the round its color class re-picks (and in
-        every round around it): the crashed node must not step or count."""
-        graph = small_graph("regular-24-6")
-        ordered, extras = self.reduction_extras(graph)
-        baseline = get_engine("reference").run(
-            graph, BasicReductionAlgorithm(), extras=dict(extras)
-        )
-        # color class c acts late in the schedule; crash a mid-schedule
-        # node at every plausible wake round and require parity each time
-        victim = ordered[len(ordered) // 2]
-        for crash_round in range(2, min(baseline.rounds, 12)):
-            self.assert_crash_parity(
-                graph, BasicReductionAlgorithm(), extras, {victim: crash_round}
-            )
-
-    def test_bandwidth_parity_without_crashes(self):
-        graph = small_graph("gnp-30")
-        _, extras = self.reduction_extras(graph)
-        ref = get_engine("reference").run(
-            graph, BasicReductionAlgorithm(), extras=dict(extras), track_bandwidth=True
-        )
-        vec = get_engine("vector").run(
-            graph, BasicReductionAlgorithm(), extras=dict(extras), track_bandwidth=True
-        )
-        assert vec.max_message_bits == ref.max_message_bits > 0
-
-    def test_unknown_crash_node_rejected_by_both(self):
-        from repro.errors import SimulationError
-
-        graph = small_graph("path-7")
-        _, extras = self.reduction_extras(graph)
-        for engine in ("reference", "vector"):
-            with pytest.raises(SimulationError, match="unknown nodes"):
-                get_engine(engine).run(
-                    graph, BasicReductionAlgorithm(), extras=dict(extras),
-                    crashes={"no-such-node": 1},
+        extras = _reduction_extras(graph)
+        reference = get_engine("reference").run(graph, _UnprogrammedReduction(), extras=dict(extras))
+        with obs.collect() as runtime:
+            with pytest.warns(EngineFallbackWarning, match="no-program"):
+                vector = get_engine("vector").run(
+                    graph, _UnprogrammedReduction(), extras=dict(extras)
                 )
+        assert vector.engine == reference.engine == "reference"
+        assert vector.outputs == reference.outputs
+        assert vector.rounds == reference.rounds
+        assert vector.messages == reference.messages
+        assert vector.round_messages == reference.round_messages
+        counters = runtime.snapshot()["counters"]
+        assert counters.get("engine.fallback[reason=no-program]") == 1
+        # the delegate is the spec: same colors as the programmed run
+        programmed = get_engine("vector").run(graph, BasicReductionAlgorithm(), extras=dict(extras))
+        assert programmed.engine == "vector"
+        assert programmed.outputs == vector.outputs
+        assert programmed.round_messages == vector.round_messages
+
+
+def _round_points(engine, graph, algorithm, extras):
+    sink = obs.MemorySink()
+    with obs.collect(trace=sink):
+        result = get_engine(engine).run(graph, algorithm, extras=dict(extras))
+    points = [e for e in sink.events if e.get("name") == "engine.round"]
+    return result, points
+
+
+class TestRoundPoints:
+    """The per-round view of a run is its ``engine.round`` trace points:
+    one per executed round, carrying the round's message count, the same
+    on both engines."""
+
+    @pytest.mark.parametrize("graph_name", PARITY_GRAPHS)
+    def test_points_follow_the_round_profile(self, graph_name):
+        graph = small_graph(graph_name)
+        extras = _reduction_extras(graph)
+        seen = {}
+        for engine in ("reference", "vector"):
+            result, points = _round_points(engine, graph, BasicReductionAlgorithm(), extras)
+            assert result.engine == engine
+            assert len(points) == result.rounds == len(result.round_messages)
+            assert [p["fields"]["engine"] for p in points] == [engine] * result.rounds
+            seen[engine] = [(p["fields"]["round"], p["fields"]["sent"]) for p in points]
+            assert seen[engine] == list(enumerate(result.round_messages, start=1))
+        assert seen["vector"] == seen["reference"]
+
+    @pytest.mark.parametrize("engine", ("reference", "vector"))
+    def test_rendered_rounds(self, engine):
+        graph = small_graph("petersen")
+        result, points = _round_points(engine, graph, LinialAlgorithm(), _spread_ids(graph))
+        assert result.rounds > 0
+        lines = render_events(points, name_prefix="engine.").splitlines()
+        assert lines[0] == f"process {points[0]['pid']}: {result.rounds} events (0 spans)"
+        body = lines[1:]
+        assert len(body) == result.rounds
+        for round_no, (line, sent) in enumerate(zip(body, result.round_messages), start=1):
+            assert line.endswith(f"engine.round  engine={engine} round={round_no} sent={sent}")
 
 
 class TestParityAtModerateScale:

@@ -1,7 +1,6 @@
-"""VectorEngine semantics: runs with no array path (crash schedules,
-round limits, bandwidth tracking, tracers, algorithms with no program,
-declined inputs) are delegated to the reference scheduler and disclosed;
-engine selection."""
+"""VectorEngine semantics: runs with no array path (algorithms with no
+program, declined inputs) are delegated to the reference scheduler and
+disclosed; round limits; engine selection."""
 
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from repro.engine import (
 )
 from repro.errors import InvalidParameterError, RoundLimitExceeded, SimulationError
 from repro.core.arboricity import CrossMergeAlgorithm
-from repro.local import NodeAlgorithm, Tracer, run_on_graph
+from repro.local import NodeAlgorithm, run_on_graph
 from repro.substrates.linial import LinialAlgorithm
 
 
@@ -56,27 +55,20 @@ class TestDelegation:
     recorded engine runs."""
 
     @pytest.mark.parametrize(
-        "algorithm,extras,kwargs,reason",
+        "algorithm,extras,reason",
         [
-            (OneShot(), None, {"tracer": Tracer()}, "tracer"),
-            (OneShot(), None, {"crashes": {1: 1}}, "crashes"),
-            (OneShot(), None, {"track_bandwidth": True}, "bandwidth"),
-            (OneShot(), None, {}, "no-program"),
+            (OneShot(), None, "no-program"),
             # d above every A node's label count: the program declines
-            (CrossMergeAlgorithm(), _MERGE_D_TOO_LARGE, {}, "declined"),
-            # a program's own algorithm, but a per-node-only run
-            (LinialAlgorithm(), _linial_extras(nx.path_graph(6)), {"crashes": {2: 1}},
-             "crashes"),
+            (CrossMergeAlgorithm(), _MERGE_D_TOO_LARGE, "declined"),
         ],
-        ids=["tracer", "crashes", "bandwidth", "no-program", "declined",
-             "programmed-crashes"],
+        ids=["no-program", "declined"],
     )
-    def test_delegation_is_disclosed(self, algorithm, extras, kwargs, reason):
+    def test_delegation_is_disclosed(self, algorithm, extras, reason):
         graph = nx.path_graph(6)
         with obs.collect() as runtime, record_engine_runs() as ran:
             with pytest.warns(EngineFallbackWarning, match=f"\\({reason}\\)"):
-                result = get_engine("vector").run(graph, algorithm, extras=extras, **kwargs)
-        reference = get_engine("reference").run(graph, algorithm, extras=extras, **kwargs)
+                result = get_engine("vector").run(graph, algorithm, extras=extras)
+        reference = get_engine("reference").run(graph, algorithm, extras=extras)
         assert result.engine == "reference"
         assert ran == ["reference"]
         assert result.outputs == reference.outputs
@@ -118,28 +110,6 @@ class TestDelegation:
 
 
 class TestFeatureParity:
-    def test_crash_schedule(self):
-        graph = nx.cycle_graph(8)
-        crashes = {2: 3, 5: 1}
-
-        class Beacon(NodeAlgorithm):
-            def initialize(self, node, ctx):
-                node.state["output"] = 0
-                node.broadcast(0)
-
-            def step(self, node, inbox, round_no, ctx):
-                node.state["output"] = round_no
-                if round_no >= 6:
-                    node.halt()
-                else:
-                    node.broadcast(round_no)
-
-        ref = get_engine("reference").run(graph, Beacon(), crashes=crashes)
-        vec = get_engine("vector").run(graph, Beacon(), crashes=crashes)
-        assert ref.outputs == vec.outputs
-        assert ref.crashed == vec.crashed == frozenset({2, 5})
-        assert ref.round_messages == vec.round_messages
-
     def test_round_limit(self):
         graph = nx.path_graph(4)
 
@@ -153,45 +123,10 @@ class TestFeatureParity:
         with pytest.raises(RoundLimitExceeded):
             get_engine("vector").run(graph, Forever(), max_rounds=25)
 
-    def test_track_bandwidth(self):
-        graph = nx.path_graph(3)
-
-        class Wide(NodeAlgorithm):
-            def initialize(self, node, ctx):
-                node.state["output"] = None
-                node.broadcast((1, 2, 3, 4))
-
-            def step(self, node, inbox, round_no, ctx):
-                node.halt()
-
-        ref = get_engine("reference").run(graph, Wide(), track_bandwidth=True)
-        vec = get_engine("vector").run(graph, Wide(), track_bandwidth=True)
-        assert ref.max_message_bits == vec.max_message_bits > 0
-
-    def test_tracer_delegates_to_reference(self):
-        graph = nx.path_graph(3)
-
-        class OneShot(NodeAlgorithm):
-            def initialize(self, node, ctx):
-                node.state["output"] = node.id
-                node.broadcast(node.id)
-
-            def step(self, node, inbox, round_no, ctx):
-                node.halt()
-
-        tracer = Tracer()
-        result = get_engine("vector").run(graph, OneShot(), tracer=tracer)
-        assert result.rounds == 1
-        assert len(tracer.rounds) >= 1
-
     def test_self_loop_rejected(self):
         graph = nx.Graph([(0, 0), (0, 1)])
         with pytest.raises(SimulationError):
             get_engine("vector").run(graph, NodeAlgorithm())
-
-    def test_unknown_crash_node_rejected(self):
-        with pytest.raises(SimulationError):
-            get_engine("vector").run(nx.path_graph(2), NodeAlgorithm(), crashes={99: 1})
 
     def test_empty_graph(self):
         result = get_engine("vector").run(nx.Graph(), NodeAlgorithm())
@@ -227,17 +162,11 @@ class TestEngineSelection:
             with use_engine(None) as engine:
                 assert isinstance(engine, VectorEngine)
 
-    def test_run_on_graph_engine_argument(self):
-        graph = nx.path_graph(3)
-
-        class OneShot(NodeAlgorithm):
-            def initialize(self, node, ctx):
-                node.state["output"] = node.id
-                node.broadcast(node.id)
-
-            def step(self, node, inbox, round_no, ctx):
-                node.halt()
-
-        ref = run_on_graph(graph, OneShot(), engine="reference")
-        vec = run_on_graph(graph, OneShot(), engine="vector")
+    def test_run_on_graph_follows_use_engine(self):
+        graph = nx.path_graph(6)
+        with use_engine("reference"):
+            ref = run_on_graph(graph, LinialAlgorithm(), extras=_linial_extras(graph))
+        with use_engine("vector"):
+            vec = run_on_graph(graph, LinialAlgorithm(), extras=_linial_extras(graph))
         assert ref.outputs == vec.outputs
+        assert (ref.engine, vec.engine) == ("reference", "vector")

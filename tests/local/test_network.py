@@ -131,6 +131,88 @@ class TestNodeApi:
         with pytest.raises(ValueError):
             run_on_graph(nx.path_graph(2), BadSend())
 
+    def test_sends_leave_the_algorithm_state_alone(self):
+        class SendEach(NodeAlgorithm):
+            def initialize(self, node, ctx):
+                for nbr in node.neighbors:
+                    node.send(nbr, node.id)
+
+            def step(self, node, inbox, round_no, ctx):
+                node.state["output"] = sorted(msg.payload for msg in inbox)
+                node.halt()
+
+        net = Network(nx.star_graph(4))
+        result = net.run(SendEach())
+        assert result.output_of(0) == [1, 2, 3, 4]
+        assert all(sorted(node.state) == ["output"] for node in net.nodes.values())
+
+    def test_send_to_non_neighbor_rejected_after_a_send(self):
+        class SendThenStray(NodeAlgorithm):
+            def initialize(self, node, ctx):
+                node.send(node.neighbors[0], 1)
+                node.send("nope", 1)
+
+        with pytest.raises(ValueError, match="^node 0 has no neighbor 'nope'$"):
+            run_on_graph(nx.path_graph(2), SendThenStray())
+
+    def test_send_to_self_rejected(self):
+        class SendHome(NodeAlgorithm):
+            def initialize(self, node, ctx):
+                node.send(node.id, 1)
+
+        with pytest.raises(ValueError, match="^node 0 has no neighbor 0$"):
+            run_on_graph(nx.path_graph(2), SendHome())
+
+    def test_neighbor_set_is_built_once(self):
+        seen = []
+
+        class SendTwice(NodeAlgorithm):
+            def initialize(self, node, ctx):
+                for nbr in node.neighbors:
+                    node.send(nbr, 1)
+                seen.append(node._nbrset)
+                for nbr in node.neighbors:
+                    node.send(nbr, 2)
+                assert node._nbrset is seen[-1]
+
+            def step(self, node, inbox, round_no, ctx):
+                node.halt()
+
+        net = Network(nx.star_graph(5))
+        net.run(SendTwice())
+        assert seen[0] == frozenset(range(1, 6))
+        # a rerun keeps the set: a node's neighbors never change
+        net.run(SendTwice())
+        assert seen[len(net.nodes)] is seen[0]
+
+    @pytest.mark.parametrize("name", ["linial", "basic-reduction", "blocked-reduction"])
+    def test_library_runs_leave_no_neighbor_set_in_state(self, name):
+        from repro.substrates.linial import LinialAlgorithm
+        from repro.substrates.reduction import (
+            BasicReductionAlgorithm,
+            BlockedReductionAlgorithm,
+        )
+
+        graph = nx.petersen_graph()
+        ids = {v: v for v in graph}
+        algorithm, extras = {
+            # ids from a 10^2 space: Linial has rounds to do
+            "linial": (
+                LinialAlgorithm(), {"initial_coloring": {v: 10 * v for v in graph}, "m0": 100}
+            ),
+            "basic-reduction": (
+                BasicReductionAlgorithm(), {"coloring": ids, "m": 10, "target": 4}
+            ),
+            "blocked-reduction": (
+                BlockedReductionAlgorithm(), {"coloring": ids, "block": 8, "palette": 4}
+            ),
+        }[name]
+        net = Network(graph)
+        result = net.run(algorithm, net.make_context(**extras))
+        assert result.messages > 0
+        for node in net.nodes.values():
+            assert "_nbrset" not in node.state
+
     def test_context_node_input(self):
         ctx = Context(n=3, max_degree=1, extras={"color": {1: 9}})
         assert ctx.node_input(1, "color") == 9

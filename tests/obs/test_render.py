@@ -1,11 +1,6 @@
-"""Timeline rendering: trace events and the absorbed Tracer.render."""
+"""Timeline rendering of trace events."""
 
-import networkx as nx
-
-from repro.engine import get_engine
-from repro.local import NodeAlgorithm
-from repro.local.trace import Tracer
-from repro.obs import render_events, render_rounds, summarize_events
+from repro.obs import render_events, summarize_events
 from repro.obs.render import timeline_lanes
 
 
@@ -107,27 +102,23 @@ class TestSummarizeEvents:
         assert summary["pids"] == [1, 2]
 
 
-class _TwoRound(NodeAlgorithm):
-    def initialize(self, node, ctx):
-        node.state["output"] = node.id
+class TestEngineRoundTimeline:
+    """The per-round view of one run is its ``engine.round`` points."""
 
-    def step(self, node, inbox, round_no, ctx):
-        if round_no >= 2:
-            node.halt()
-        else:
-            for neighbor in node.neighbors:
-                node.send(neighbor, round_no)
+    def test_long_runs_truncate_with_an_overflow_line(self):
+        import networkx as nx
 
+        from repro import obs
+        from repro.engine import get_engine
+        from repro.substrates.linial import LinialAlgorithm
 
-class TestRenderRounds:
-    def test_tracer_render_delegates_byte_identically(self):
-        tracer = Tracer()
-        get_engine("reference").run(nx.path_graph(4), _TwoRound(), tracer=tracer)
-        assert tracer.render() == render_rounds(tracer.rounds)
-        assert "round 1:" in tracer.render()
-
-    def test_message_overflow(self):
-        tracer = Tracer()
-        get_engine("reference").run(nx.complete_graph(6), _TwoRound(), tracer=tracer)
-        text = render_rounds(tracer.rounds, max_events_per_round=2)
-        assert "more messages" in text
+        graph = nx.cycle_graph(30)
+        extras = {"initial_coloring": {v: 30 * v for v in graph}, "m0": 900}
+        sink = obs.MemorySink()
+        with obs.collect(trace=sink):
+            result = get_engine("reference").run(graph, LinialAlgorithm(), extras=extras)
+        assert result.rounds > 1
+        lines = render_events(sink.events, max_events=1, name_prefix="engine.round").splitlines()
+        assert lines[0].endswith(f": {result.rounds} events (0 spans)")
+        assert lines[1].endswith(f"round=1 sent={result.round_messages[0]}")
+        assert lines[2:] == [f"  ... {result.rounds - 1} more events"]

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro import workloads
+from repro.engine import use_engine
 from repro.errors import InvalidParameterError, RoundLimitExceeded
 from repro.local.network import run_on_graph
 from repro.shard import partition, sharding
@@ -61,23 +62,18 @@ class TestProcessPool:
     def test_authentic_errors_cross_the_scope(self, grid, tmp_path):
         # RoundLimitExceeded must surface as itself, not as a pool error
         bundle = partition(grid, 3, tmp_path / "bundle")
-        plain = pytest.raises(
-            RoundLimitExceeded,
-            run_on_graph,
-            grid,
-            _Peeler(),
-            extras={"threshold": 0},
-            engine="vector",
-        )
-        with sharding(grid, bundle, inline=True):
-            sharded = pytest.raises(
-                RoundLimitExceeded,
-                run_on_graph,
-                grid,
-                _Peeler(),
-                extras={"threshold": 0},
-                engine="vector",
+        with use_engine("vector"):
+            plain = pytest.raises(
+                RoundLimitExceeded, run_on_graph, grid, _Peeler(), extras={"threshold": 0}
             )
+            with sharding(grid, bundle, inline=True):
+                sharded = pytest.raises(
+                    RoundLimitExceeded,
+                    run_on_graph,
+                    grid,
+                    _Peeler(),
+                    extras={"threshold": 0},
+                )
         assert str(sharded.value) == str(plain.value)
 
 
@@ -106,12 +102,10 @@ class TestScopeGuards:
 class TestCheckpointResume:
     def _run(self, grid, bundle, ckpt, extras=None, algo=None):
         with sharding(grid, bundle, inline=True, checkpoint=ckpt) as scope:
-            result = run_on_graph(
-                grid,
-                algo or _Peeler(),
-                extras=extras or {"threshold": 2},
-                engine="vector",
-            )
+            with use_engine("vector"):
+                result = run_on_graph(
+                    grid, algo or _Peeler(), extras=extras or {"threshold": 2}
+                )
             return result, scope.last_stats
 
     def test_completed_checkpoint_resumes_to_identical_result(
@@ -137,9 +131,8 @@ class TestCheckpointResume:
         bundle = partition(grid, 4, tmp_path / "bundle")
         ckpt = tmp_path / "ckpt"
         self._run(grid, bundle, ckpt, extras={"threshold": 3})
-        plain = run_on_graph(
-            grid, _Peeler(), extras={"threshold": 2}, engine="vector"
-        )
+        with use_engine("vector"):
+            plain = run_on_graph(grid, _Peeler(), extras={"threshold": 2})
         result, stats = self._run(grid, bundle, ckpt, extras={"threshold": 2})
         assert not stats["resumed"]
         assert result.outputs == plain.outputs
@@ -169,6 +162,7 @@ class TestCheckpointResume:
         script = (
             "import json, os, sys\n"
             "from repro import workloads\n"
+            "from repro.engine import use_engine\n"
             "from repro.local.network import run_on_graph\n"
             "from repro.shard import ShardBundle, partition, sharding\n"
             f"from repro.substrates.{algorithm}\n"
@@ -180,8 +174,8 @@ class TestCheckpointResume:
             "else:\n"
             "    bundle = partition(g, 4, bdir)\n"
             "ck = os.path.join(workdir, 'ckpt')\n"
-            "with sharding(g, bundle, checkpoint=ck) as scope:\n"
-            f"    got = run_on_graph(g, Algo(), extras={extras}, engine='vector')\n"
+            "with sharding(g, bundle, checkpoint=ck) as scope, use_engine('vector'):\n"
+            f"    got = run_on_graph(g, Algo(), extras={extras})\n"
             "    resumed = scope.last_stats['resumed']\n"
             "print(json.dumps({'rounds': got.rounds, 'messages': got.messages,"
             " 'round_messages': got.round_messages,"

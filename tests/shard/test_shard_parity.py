@@ -16,6 +16,7 @@ import pytest
 from repro import obs, registry, workloads
 from repro.errors import ColoringError
 from repro.core.arboricity import CrossMergeAlgorithm
+from repro.engine import use_engine
 from repro.graphcore import CompactGraph
 from repro.local import NodeAlgorithm
 from repro.local.network import run_on_graph
@@ -155,14 +156,13 @@ class TestProgramsActuallyDispatch:
     ):
         graph = make_graph()
         extras = make_extras(graph)
-        plain = run_on_graph(graph, algorithm, extras=extras, engine="vector")
-        assert plain.rounds > 0
-        with obs.collect() as runtime:
-            with _sharded_scope(graph, tmp_path) as scope:
-                sharded = run_on_graph(
-                    graph, algorithm, extras=extras, engine="vector"
-                )
-                shards = [scope.bundle.shard(s) for s in range(3)]
+        with use_engine("vector"):
+            plain = run_on_graph(graph, algorithm, extras=extras)
+            assert plain.rounds > 0
+            with obs.collect() as runtime:
+                with _sharded_scope(graph, tmp_path) as scope:
+                    sharded = run_on_graph(graph, algorithm, extras=extras)
+                    shards = [scope.bundle.shard(s) for s in range(3)]
         if "parent" in extras:
             # the tree's parent edges must really cross shard boundaries
             owner = {v: s.shard_id for s in shards for v in range(s.lo, s.hi)}
@@ -193,10 +193,11 @@ class TestProgramsActuallyDispatch:
                 node.halt()
 
         graph = workloads.build("xl-grid", {"rows": 6, "cols": 6}, seed=0)
-        plain = run_on_graph(graph, OneShot(), engine="vector")
-        with obs.collect() as runtime:
-            with _sharded_scope(graph, tmp_path):
-                run = run_on_graph(graph, OneShot(), engine="vector")
+        with use_engine("vector"):
+            plain = run_on_graph(graph, OneShot())
+            with obs.collect() as runtime:
+                with _sharded_scope(graph, tmp_path):
+                    run = run_on_graph(graph, OneShot())
         assert run.outputs == plain.outputs
         # no program anywhere: the engine delegates to the reference
         assert run.engine == plain.engine == "reference"
@@ -212,14 +213,11 @@ class TestProgramsActuallyDispatch:
         # with a halo declines and the vector engine runs the program
         graph = workloads.build("xl-grid", {"rows": 6, "cols": 6}, seed=0)
         extras = _checkerboard_merge_extras(graph)
-        reference = run_on_graph(
-            graph, CrossMergeAlgorithm(), extras=extras, engine="reference"
-        )
-        with obs.collect() as runtime:
+        with use_engine("reference"):
+            reference = run_on_graph(graph, CrossMergeAlgorithm(), extras=extras)
+        with obs.collect() as runtime, use_engine("vector"):
             with _sharded_scope(graph, tmp_path):
-                run = run_on_graph(
-                    graph, CrossMergeAlgorithm(), extras=extras, engine="vector"
-                )
+                run = run_on_graph(graph, CrossMergeAlgorithm(), extras=extras)
         assert list(run.outputs.items()) == list(reference.outputs.items())
         assert run.round_messages == reference.round_messages
         assert run.engine == "vector"
@@ -252,11 +250,9 @@ class TestProgramsActuallyDispatch:
         graph = workloads.build("xl-grid", {"rows": 6, "cols": 6}, seed=0)
         other = workloads.build("xl-grid", {"rows": 5, "cols": 7}, seed=0)
         extras = {"initial_coloring": {v: v for v in range(other.n)}, "m0": other.n}
-        with obs.collect() as runtime:
+        with obs.collect() as runtime, use_engine("vector"):
             with _sharded_scope(graph, tmp_path):
-                run = run_on_graph(
-                    other, LinialAlgorithm(), extras=extras, engine="vector"
-                )
+                run = run_on_graph(other, LinialAlgorithm(), extras=extras)
         assert run.engine == "vector"
         counters = runtime.snapshot()["counters"]
         assert any(
@@ -278,14 +274,15 @@ class TestProgramsActuallyDispatch:
         # coordinator raises the ColoringError the per-node run raises
         graph = _grid()
         extras = {"coloring": _ids(graph), **extras}
-        with pytest.raises(ColoringError) as reference:
-            run_on_graph(graph, algorithm, extras=extras, engine="reference")
-        with pytest.raises(ColoringError) as plain:
-            run_on_graph(graph, algorithm, extras=extras, engine="vector")
-        with obs.collect() as runtime:
-            with _sharded_scope(graph, tmp_path):
-                with pytest.raises(ColoringError) as sharded:
-                    run_on_graph(graph, algorithm, extras=extras, engine="vector")
+        with use_engine("reference"), pytest.raises(ColoringError) as reference:
+            run_on_graph(graph, algorithm, extras=extras)
+        with use_engine("vector"):
+            with pytest.raises(ColoringError) as plain:
+                run_on_graph(graph, algorithm, extras=extras)
+            with obs.collect() as runtime:
+                with _sharded_scope(graph, tmp_path):
+                    with pytest.raises(ColoringError) as sharded:
+                        run_on_graph(graph, algorithm, extras=extras)
         assert str(sharded.value) == str(plain.value)
         assert str(plain.value) == str(reference.value)
         assert str(plain.value).startswith("no free color below 2 (|used|=")
@@ -331,13 +328,10 @@ def _checkerboard_merge_extras(graph):
 
 def _decline_outcome(algorithm, extras, graph=DECLINE_GRAPH, engine="vector"):
     try:
-        result = run_on_graph(
-            graph,
-            algorithm,
-            extras=dict(extras),
-            max_rounds=DECLINE_MAX_ROUNDS,
-            engine=engine,
-        )
+        with use_engine(engine):
+            result = run_on_graph(
+                graph, algorithm, extras=dict(extras), max_rounds=DECLINE_MAX_ROUNDS
+            )
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome under test
         return ("raised", type(exc), str(exc))
     return (
@@ -357,12 +351,11 @@ class TestShardCountInsensitivity:
     def test_linial_across_shard_counts(self, num_shards, tmp_path):
         graph = workloads.build("xl-grid", {"rows": 12, "cols": 11}, seed=0)
         extras = {"initial_coloring": {v: v for v in range(graph.n)}, "m0": graph.n}
-        plain = run_on_graph(graph, LinialAlgorithm(), extras=extras, engine="vector")
-        bundle = partition(graph, num_shards, tmp_path / f"b{num_shards}")
-        with sharding(graph, bundle, inline=True):
-            sharded = run_on_graph(
-                graph, LinialAlgorithm(), extras=extras, engine="vector"
-            )
+        with use_engine("vector"):
+            plain = run_on_graph(graph, LinialAlgorithm(), extras=extras)
+            bundle = partition(graph, num_shards, tmp_path / f"b{num_shards}")
+            with sharding(graph, bundle, inline=True):
+                sharded = run_on_graph(graph, LinialAlgorithm(), extras=extras)
         assert sharded.outputs == plain.outputs
         assert sharded.round_messages == plain.round_messages
 
@@ -373,14 +366,11 @@ class TestShardCountInsensitivity:
             {"n_centers": 7, "leaves_per_center": 10, "a": 2},
             seed=1,
         )
-        plain = run_on_graph(
-            graph, _Peeler(), extras={"threshold": 2}, engine="vector"
-        )
-        bundle = partition(graph, num_shards, tmp_path / f"b{num_shards}")
-        with sharding(graph, bundle, inline=True):
-            sharded = run_on_graph(
-                graph, _Peeler(), extras={"threshold": 2}, engine="vector"
-            )
+        with use_engine("vector"):
+            plain = run_on_graph(graph, _Peeler(), extras={"threshold": 2})
+            bundle = partition(graph, num_shards, tmp_path / f"b{num_shards}")
+            with sharding(graph, bundle, inline=True):
+                sharded = run_on_graph(graph, _Peeler(), extras={"threshold": 2})
         assert sharded.outputs == plain.outputs
         assert sharded.round_messages == plain.round_messages
 
@@ -400,10 +390,11 @@ class TestShardCountInsensitivity:
             else:
                 algorithm = BlockedReductionAlgorithm()
                 extras = {"coloring": _ids(graph), "block": 10, "palette": 5}
-        plain = run_on_graph(graph, algorithm, extras=extras, engine="vector")
-        bundle = partition(graph, num_shards, tmp_path / f"b{num_shards}")
-        with sharding(graph, bundle, inline=True):
-            sharded = run_on_graph(graph, algorithm, extras=extras, engine="vector")
+        with use_engine("vector"):
+            plain = run_on_graph(graph, algorithm, extras=extras)
+            bundle = partition(graph, num_shards, tmp_path / f"b{num_shards}")
+            with sharding(graph, bundle, inline=True):
+                sharded = run_on_graph(graph, algorithm, extras=extras)
         assert sharded.engine == "sharded"
         assert sharded.outputs == plain.outputs
         assert sharded.messages == plain.messages

@@ -79,3 +79,62 @@ class TestPipelineSignatures:
             assert list(inspect.signature(fn).parameters) == [
                 "graph", "initial", "ledger", "label",
             ]
+
+
+class TestEngineContract:
+    """An engine runs a node algorithm on a graph in the failure-free
+    LOCAL model: no crash schedule, bandwidth tracking or tracer."""
+
+    def test_engines_are_the_fixed_pair(self):
+        from repro.engine import available_engines, get_engine
+
+        assert available_engines() == ["reference", "vector"]
+        for name in available_engines():
+            # one instance per name, built on first use
+            assert get_engine(name) is get_engine(name)
+            assert get_engine(name).name == name
+
+    @pytest.mark.parametrize("name", ["abstract", "reference", "vector"])
+    def test_every_engine_run_takes_the_four_parameters(self, name):
+        from repro.engine import Engine, get_engine
+
+        run = Engine.run if name == "abstract" else get_engine(name).run
+        params = [p for p in inspect.signature(run).parameters if p != "self"]
+        assert params == ["graph", "algorithm", "extras", "max_rounds"]
+
+    def test_network_run_takes_algorithm_ctx_and_max_rounds(self):
+        from repro.local import Network
+
+        params = [p for p in inspect.signature(Network.run).parameters if p != "self"]
+        assert params == ["algorithm", "ctx", "max_rounds"]
+
+    def test_run_result_fields(self):
+        import dataclasses
+
+        from repro.local import RunResult
+
+        assert [f.name for f in dataclasses.fields(RunResult)] == [
+            "rounds", "messages", "outputs", "round_messages", "engine",
+        ]
+
+    def test_run_on_graph_takes_no_engine(self):
+        from repro.local import run_on_graph
+
+        assert "engine" not in inspect.signature(run_on_graph).parameters
+
+    def test_removed_names_are_gone(self):
+        import repro.engine
+        import repro.local
+        import repro.obs
+
+        for module, name in (
+            (repro.local, "Tracer"),
+            (repro.local, "estimate_payload_bits"),
+            (repro.obs, "render_rounds"),
+            (repro.engine, "register_engine"),
+        ):
+            assert not hasattr(module, name), (module.__name__, name)
+            assert name not in module.__all__
+        for gone in ("repro.local.congest", "repro.local.trace"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(gone)

@@ -431,7 +431,13 @@ cmp EXPERIMENTS.md "$SMOKE_DIR/EXPERIMENTS.md"
 echo "experiments smoke: regenerated EXPERIMENTS.md is byte-identical"
 
 echo "== examples smoke: every examples/*.py exits 0 =="
+# The fat-tree example's per-round view is the engine.round trace points
+# of one run; it must print at least one, or that view has gone empty.
 for script in examples/*.py; do
-  python "$script" >/dev/null || { echo "FAIL: $script exited nonzero"; exit 1; }
+  python "$script" > "$SMOKE_DIR/example.out" || { echo "FAIL: $script exited nonzero"; exit 1; }
+  if [ "$script" = examples/datacenter_fat_tree.py ] \
+      && ! grep -q "engine\.round" "$SMOKE_DIR/example.out"; then
+    echo "FAIL: $script printed no engine.round line"; cat "$SMOKE_DIR/example.out"; exit 1
+  fi
 done
-echo "examples smoke: $(ls examples/*.py | wc -l) scripts ran cleanly"
+echo "examples smoke: $(ls examples/*.py | wc -l) scripts ran cleanly; the fat-tree trace shows its rounds"
