@@ -241,16 +241,12 @@ def _execute_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
             effective = "+".join(engines_ran)
             if engines_ran and payload["engine"] and effective != payload["engine"]:
                 run.extra = dict(run.extra, effective_engine=effective)
-            verdict: Optional[str] = None
-            violation: Optional[str] = None
-            if payload.get("verify", True):
-                from repro.verify import verify_run
+            from repro.verify import verify_run
 
-                verify_started = time.perf_counter()
-                with obs.span("campaign.verify", algorithm=payload["algorithm"]):
-                    outcome = verify_run(graph, run, params=payload["algo_params"])
-                verify_ms = (time.perf_counter() - verify_started) * 1000.0
-                verdict, violation = outcome.status, outcome.violation
+            verify_started = time.perf_counter()
+            with obs.span("campaign.verify", algorithm=payload["algorithm"]):
+                outcome = verify_run(graph, run, params=payload["algo_params"])
+            verify_ms = (time.perf_counter() - verify_started) * 1000.0
             row.update(
                 n=graph.number_of_nodes(),
                 m=graph.number_of_edges(),
@@ -260,9 +256,9 @@ def _execute_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
                 rounds_modeled=run.rounds_modeled,
                 wall_ms=wall_ms,
                 extra=run.extra,
-                verified=verdict == "ok",
-                verdict=verdict,
-                violation=violation,
+                verified=outcome.status == "ok",
+                verdict=outcome.status,
+                violation=outcome.violation,
                 error=None,
             )
         except Exception as exc:  # noqa: BLE001 - per-cell isolation is the contract
@@ -467,7 +463,7 @@ class CampaignRunner:
     in cell order regardless of completion order.
 
     The pool path is a windowed ``as_completed`` stream: at most
-    ``window`` payloads/futures (default ``2 * jobs``) are in flight, so
+    ``2 * jobs`` payloads/futures are in flight, so
     arbitrarily large grids run in bounded memory. A cell whose final
     attempt errored gets an error row; ``retries`` extra attempts are
     made first (transient failures heal, deterministic ones just repeat).
@@ -495,25 +491,19 @@ class CampaignRunner:
         cells: Sequence[CampaignCell],
         engine: Optional[str] = None,
         jobs: int = 1,
-        verify: bool = True,
         cache: Optional[RunCache] = None,
         retries: int = 0,
-        window: Optional[int] = None,
         progress: Optional[Callable[[CampaignProgress], None]] = None,
     ):
         if jobs < 1:
             raise InvalidParameterError("jobs must be >= 1")
         if retries < 0:
             raise InvalidParameterError("retries must be >= 0")
-        if window is not None and window < 1:
-            raise InvalidParameterError("window must be >= 1")
         self.cells = list(cells)
         self.engine = engine
         self.jobs = jobs
-        self.verify = verify
         self.cache = cache
         self.retries = retries
-        self.window = window
         self.progress = progress
         #: Final counters of the most recent :meth:`run` (hit/computed/
         #: error totals where in-run duplicates count as hits) — the
@@ -571,7 +561,6 @@ class CampaignRunner:
             "seed": cell.seed,
             "algo_params": dict(cell.algo_params),
             "engine": engine if engine is not None else (cell.engine or self.engine),
-            "verify": self.verify,
             "shards": cell.shards,
         }
 
@@ -648,14 +637,7 @@ class CampaignRunner:
                     duplicates.setdefault(primary, []).append(index)
                 continue
             primary_by_key[key] = index
-            # A verifying campaign re-executes verdict-less stored rows
-            # (migrated v1 stores, verify=False runs) so every cell it
-            # returns carries a verdict.
-            hit = (
-                cache.get(key, require_verdict=self.verify)
-                if cache is not None
-                else None
-            )
+            hit = cache.get(key) if cache is not None else None
             if hit is not None:
                 results[index] = _shared_values(hit, shared)
                 tracker.hit()
@@ -757,7 +739,7 @@ class CampaignRunner:
                 release_heap()
             return
 
-        window = self.window or max(2 * self.jobs, 2)
+        window = max(2 * self.jobs, 2)
         workers = min(self.jobs, count)
         # In-flight bookkeeping: (index, payload, attempt, breaks), where
         # ``attempt`` counts error retries and ``breaks`` counts pool-break

@@ -1,14 +1,15 @@
 """Plain-Python dataframes over the experiment store: the read side.
 
-The store's rows are flat dicts plus two nested payloads — the schema-v3
+The store's rows are flat dicts plus two nested payloads — the
 ``metrics`` blob (phase timers, counter snapshot, queue latency) and the
 runner's ``extra`` disclosure dict. Everything downstream of the store
 (``repro stats``, ``repro report``, the markdown tables) needs the same
 join: one record per cell with the blob's scalars hoisted into columns,
-tolerant of pre-v3 rows whose ``metrics`` is ``None``. This module is
-that join, done once, as a zero-dependency :class:`Frame` (a list of
-dicts with select/where/group/aggregate helpers) so every reader stops
-re-walking rows with its own ad-hoc ``isinstance`` ladder.
+tolerant of rows whose ``metrics`` is ``None`` (a row the runner made up
+for a dead worker). This module is that join, done once, as a
+zero-dependency :class:`Frame` (a list of dicts with column/where/
+group_by helpers) so every reader stops re-walking rows with its own
+ad-hoc ``isinstance`` ladder.
 
 Modeled on the loader → dataframes → tables pipeline of ProjectScylla's
 ``generate_tables.py`` — but with plain lists and dicts instead of
@@ -35,8 +36,6 @@ __all__ = [
     "Frame",
     "METRIC_COLUMNS",
     "cell_frame",
-    "load_store_frame",
-    "row_compute_ms",
     "row_delta",
     "agg_count",
     "agg_sum",
@@ -47,7 +46,7 @@ __all__ = [
 ]
 
 #: Metrics-blob scalars hoisted into first-class frame columns. Every one
-#: is ``None`` on pre-v3 rows (and on v3 rows whose cell skipped the
+#: is ``None`` on rows without a blob (and on rows whose cell skipped the
 #: phase), so aggregations must treat ``None`` as "absent", not zero.
 METRIC_COLUMNS = (
     "total_ms",
@@ -89,9 +88,6 @@ class Frame:
             values = [v for v in values if v is not None]
         return values
 
-    def select(self, *columns: str) -> "Frame":
-        return Frame([{c: row.get(c) for c in columns} for row in self.rows])
-
     def where(
         self,
         predicate: Optional[Callable[[Mapping[str, Any]], Any]] = None,
@@ -105,21 +101,6 @@ class Frame:
             rows = [r for r in rows if r.get(key) == value]
         return Frame(rows)
 
-    def sort(self, *keys: str, reverse: bool = False) -> "Frame":
-        """Sort by columns, ``None``-safe: missing values order first
-        (last under ``reverse``) via a presence flag, and every value is
-        compared through ``repr`` alongside its natural form so mixed
-        types cannot raise."""
-
-        def sort_key(row: Mapping[str, Any]) -> Tuple[Any, ...]:
-            parts: List[Any] = []
-            for key in keys:
-                value = row.get(key)
-                parts.append((value is not None, _orderable(value)))
-            return tuple(parts)
-
-        return Frame(sorted(self.rows, key=sort_key, reverse=reverse))
-
     def group_by(self, *keys: str) -> "List[Tuple[Tuple[Any, ...], Frame]]":
         """Rows partitioned by a column tuple, groups in sorted key
         order — the deterministic iteration the report renderers need."""
@@ -130,29 +111,6 @@ class Frame:
             groups.items(), key=lambda item: tuple(_orderable(v) for v in item[0])
         )
         return [(key, Frame(rows)) for key, rows in ordered]
-
-    def aggregate(
-        self,
-        by: Sequence[str],
-        **aggs: Tuple[str, Callable[[Sequence[Any]], Any]],
-    ) -> "Frame":
-        """Group by ``by`` and reduce columns: each keyword is
-        ``out_column=(source_column, fn)`` where ``fn`` sees the group's
-        non-``None`` values (empty group ⇒ ``None`` result)."""
-        out: List[Dict[str, Any]] = []
-        for key, group in self.group_by(*by):
-            record: Dict[str, Any] = dict(zip(by, key))
-            for out_col, (src_col, fn) in aggs.items():
-                values = group.column(src_col, drop_none=True)
-                record[out_col] = fn(values) if values else None
-            out.append(record)
-        return Frame(out)
-
-    def distinct(self, column: str) -> List[Any]:
-        seen: Dict[Any, None] = {}
-        for row in self.rows:
-            seen.setdefault(row.get(column))
-        return sorted(seen, key=_orderable)
 
 
 def _orderable(value: Any) -> Tuple[int, Any]:
@@ -193,17 +151,6 @@ def agg_max(values: Sequence[Any]) -> Any:
 
 # -- the store join ----------------------------------------------------------
 
-def row_compute_ms(row: Mapping[str, Any]) -> Optional[float]:
-    """The metrics blob's compute-phase timing, ``None`` on pre-v3 rows
-    (and on blobs without the timer)."""
-    metrics = row.get("metrics")
-    if isinstance(metrics, Mapping):
-        value = metrics.get("compute_ms")
-        if isinstance(value, (int, float)):
-            return float(value)
-    return None
-
-
 #: Per-workload Δ derivations: families whose parameters *are* the max
 #: degree. Anything not listed resolves Δ only from the row's ``extra``
 #: disclosure (algorithms that measured it) — never guessed.
@@ -242,34 +189,25 @@ def cell_frame(rows: Sequence[Mapping[str, Any]]) -> Frame:
     """Join store rows with their parsed metrics blobs into one frame.
 
     Every store column survives untouched; on top of those each record
-    gains ``has_metrics`` (False ⇒ the row predates schema v3), the
-    hoisted :data:`METRIC_COLUMNS` scalars, ``counters`` (the blob's
-    counter snapshot, ``{}`` when absent), ``warning_count``, and
+    gains the hoisted :data:`METRIC_COLUMNS` scalars, ``counters`` (the
+    blob's counter snapshot, ``{}`` when absent), ``warning_count``, and
     ``delta`` (see :func:`row_delta`).
     """
     out: List[Dict[str, Any]] = []
     for row in rows:
         metrics = row.get("metrics")
-        has_metrics = isinstance(metrics, Mapping)
+        if not isinstance(metrics, Mapping):
+            metrics = {}
         record = dict(row)
-        record["has_metrics"] = has_metrics
         for column in METRIC_COLUMNS:
-            value = metrics.get(column) if has_metrics else None
+            value = metrics.get(column)
             record[column] = (
                 float(value) if isinstance(value, (int, float)) else None
             )
-        counters = metrics.get("counters") if has_metrics else None
+        counters = metrics.get("counters")
         record["counters"] = dict(counters) if isinstance(counters, Mapping) else {}
-        warnings = metrics.get("warnings") if has_metrics else None
+        warnings = metrics.get("warnings")
         record["warning_count"] = len(warnings) if isinstance(warnings, (list, tuple)) else 0
         record["delta"] = row_delta(row)
         out.append(record)
     return Frame(out)
-
-
-def load_store_frame(store: Any, **filters: Any) -> Frame:
-    """:func:`cell_frame` over a live store's query results. ``store`` is
-    an open :class:`~repro.store.ExperimentStore`; ``filters`` pass
-    through to :meth:`~repro.store.ExperimentStore.query` (errored rows
-    included — the report discloses them rather than hiding them)."""
-    return cell_frame(store.query(**filters))

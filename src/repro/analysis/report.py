@@ -13,7 +13,7 @@ deterministic payload:
   an unknown bound instead of silently rebuilding graphs.
 * **verdicts** — the verification ledger per algorithm (ok/fail/skip/
   error/unverified), straight off the store's verdict column.
-* **campaign** — wall/queue/utilization breakdowns from the schema-v3
+* **campaign** — wall/queue/utilization breakdowns from the per-cell
   metrics blobs and the persisted ``last_campaign`` summary.
 
 Renderers: markdown, CSV, and a single self-contained static HTML file
@@ -179,9 +179,9 @@ def palette_frontier(frame: Frame) -> List[Dict[str, Any]]:
 
 def verdict_summary(frame: Frame) -> List[Dict[str, Any]]:
     """The verification ledger per algorithm: one count per verdict
-    state, ``unverified`` for rows without a verdict (pre-migration or
-    verify-disabled campaigns), ``errored_rows`` for rows whose run
-    itself errored."""
+    state, ``unverified`` for rows without a verdict (every campaign
+    verifies what it computes, so these are errored rows),
+    ``errored_rows`` for rows whose run itself errored."""
     out: List[Dict[str, Any]] = []
     for (algorithm,), group in frame.group_by("algorithm"):
         record: Dict[str, Any] = {
@@ -227,7 +227,6 @@ def campaign_breakdown(
     }
     breakdown: Dict[str, Any] = {
         "cells": len(frame),
-        "pre_v3": len(frame.where(has_metrics=False)),
         "errored_rows": len(frame.where(lambda r: bool(r.get("error")))),
         "wall_ms": _distribution(frame, "wall_ms"),
         "queue_ms": _distribution(frame, "queue_ms"),
@@ -302,7 +301,6 @@ def _md_table(columns: Sequence[str], records: Sequence[Mapping[str, Any]]) -> s
 def _campaign_records(campaign: Mapping[str, Any]) -> List[Dict[str, Any]]:
     records = [
         {"key": "cells", "value": campaign["cells"]},
-        {"key": "pre_v3 rows", "value": campaign["pre_v3"]},
         {"key": "errored rows", "value": campaign["errored_rows"]},
         {"key": "sharded cells", "value": campaign["sharded_cells"]},
         {"key": "max in-flight window", "value": campaign["window_max"]},

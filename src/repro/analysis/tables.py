@@ -223,8 +223,8 @@ def _print_records(title: str, records: List[ExperimentRecord]) -> None:
 
 
 #: Default column order for rendering experiment-store query rows.
-#: ``compute_ms`` comes from the schema-v3 metrics blob (hoisted by the
-#: dataframes join; "—" on pre-v3 rows) and ``verdict`` from the store's
+#: ``compute_ms`` comes from the metrics blob (hoisted by the dataframes
+#: join; "—" on rows without one) and ``verdict`` from the store's
 #: verification column — the table discloses kernel time and
 #: verification state, not just the run's shape.
 CELL_ROW_COLUMNS = (

@@ -7,8 +7,8 @@ checked-in ``schema_baseline.json``:
 * shape changed, version unchanged — the real bug this rule exists for:
   a column added to ``STABLE_COLUMNS`` (or a trace-event field) would
   silently break byte-comparison against every existing store/trace.
-  Fix: bump the version constant, handle migration, then refresh the
-  baseline.
+  Fix: bump the version constant (stores of the older version are then
+  refused, not migrated), then refresh the baseline.
 * version changed (with or without a shape change) — a deliberate bump;
   the build still fails until ``repro check --update-baseline`` commits
   the new fingerprint, so the bump is visible in the diff as two
@@ -73,8 +73,8 @@ class SchemaFreeze(ProjectChecker):
                     f"bump (fingerprint {entry['fingerprint'][:12]} != "
                     f"baseline {str(frozen.get('fingerprint'))[:12]}) — "
                     "existing stores/traces would silently stop "
-                    "byte-comparing; bump the version constant, migrate, "
-                    "then `repro check --update-baseline`"
+                    "byte-comparing; bump the version (older stores are "
+                    "refused), then `repro check --update-baseline`"
                 )
             else:
                 yield entry["path"], entry["version_line"], (

@@ -33,7 +33,7 @@ Subcommands:
   by prefix; scale/xl rows are marked as excluded from the default
   campaign grid).
 * ``query`` — filter and print rows of an experiment store
-  (``--unverified`` / ``--verdict`` select on verification state).
+  (``--verdict`` selects on verification state).
 * ``gc`` — drop unreachable store rows (stale code versions, errors,
   ``--failed`` verdicts).
 * ``verify`` — re-execute and re-verify persisted store rows against the
@@ -61,7 +61,7 @@ from typing import Any, Dict, List, Optional
 from repro import io as repro_io
 from repro import registry
 from repro.engine import available_engines, use_engine
-from repro.errors import ColoringError
+from repro.errors import ColoringError, InvalidParameterError
 from repro.graphs.properties import arboricity_bounds, degeneracy, max_degree
 
 #: Edge-coloring algorithms exposed by ``color`` (registry-resolved; kept
@@ -701,7 +701,10 @@ def _open_store(path: str):
             f"no experiment store at {path} "
             f"(create one with: repro campaign cells --store {path})"
         )
-    return ExperimentStore(path)
+    try:
+        return ExperimentStore(path)
+    except InvalidParameterError as exc:  # a store of another schema version
+        raise SystemExit(str(exc)) from None
 
 
 def cmd_query(args: argparse.Namespace) -> int:
@@ -719,7 +722,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     with _open_store(args.store) as store:
         rows = store.query(
             include_errors=not args.no_errors,
-            unverified=args.unverified,
             **{k: v for k, v in filters.items() if v is not None},
         )
     if args.slowest is not None:
@@ -751,10 +753,8 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def _query_slowest(rows: List[Dict[str, Any]], top: int) -> int:
     """``repro query --slowest N``: rank stored rows by the ``wall_ms``
-    column — the one timing present for every schema version — so one
-    ranking never orders the v3 metrics blob's ``compute_ms`` against
-    another row's ``wall_ms``. Each line labels its source; v3 rows also
-    show the metrics compute-phase timing as detail."""
+    column. Each line labels its source and shows the metrics blob's
+    compute-phase timing as detail, never as the sort key."""
     from repro.obs import campaign_stats
 
     stats = campaign_stats(rows, top=top)
@@ -765,13 +765,6 @@ def _query_slowest(rows: List[Dict[str, Any]], top: int) -> int:
         key = item.get("run_key") or ""
         key_text = f"  [{key[:12]}]" if key else ""
         print(f"{item['ms']:>12.1f}ms  {item['cell']}  ({item['source']}){key_text}")
-    if stats["pre_v3"]:
-        print(
-            f"note: {stats['pre_v3']} of {stats['cells']} rows predate the "
-            "metrics column (schema v3); they rank by wall_ms like every "
-            "row but carry no per-phase detail — re-run their cells with "
-            "--fresh to backfill metrics"
-        )
     if stats.get("untimed"):
         print(
             f"note: {stats['untimed']} rows have no wall_ms column and are "
@@ -867,35 +860,18 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_gc(args: argparse.Namespace) -> int:
     import repro
-    from repro import workloads
 
-    # Migration: run keys normalize the seed of unseeded (deterministic-
-    # topology) workloads to 0. Rows such workloads stored under nonzero
-    # seeds predate that normalization and can never be addressed again,
-    # so gc treats them like rows from a stale code version.
-    unseeded = [spec.name for spec in workloads.specs() if not spec.seeded]
     with _open_store(args.store) as store:
         before = len(store)
-        stale_seeds = store.gc(
-            unseeded_workloads=unseeded, drop_errors=False, dry_run=True
-        )
         affected = store.gc(
             keep_code_version=None if args.all_versions else repro.__version__,
             drop_errors=not args.keep_errors,
             drop_failed=args.failed,
             dry_run=args.dry_run,
-            unseeded_workloads=unseeded,
         )
         remaining = before - (0 if args.dry_run else affected)
     verb = "would delete" if args.dry_run else "deleted"
     print(f"{verb} {affected} of {before} rows ({remaining} remain)")
-    if stale_seeds:
-        print(
-            f"note: {stale_seeds} rows held unseeded workloads under a "
-            "nonzero seed — unreachable since run keys normalized those "
-            "seeds to 0 (pre-normalization stores recomputed identical "
-            "deterministic topologies once per seed)"
-        )
     return 0
 
 
@@ -954,8 +930,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             filters["code_version"] = repro.__version__
         with _open_store(args.store) as store:
             rows = store.query(
-                unverified=args.unverified,
-                **{k: v for k, v in filters.items() if v is not None},
+                **{k: v for k, v in filters.items() if v is not None}
             )
             if args.limit is not None:
                 rows = rows[: args.limit]
@@ -1394,12 +1369,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="filter by verification verdict",
     )
     query.add_argument(
-        "--unverified",
-        action="store_true",
-        help="only rows without a verdict (pre-migration rows, "
-        "verify-disabled campaigns) — the `repro verify` work queue",
-    )
-    query.add_argument(
         "--format",
         choices=("table", "json", "markdown"),
         default="table",
@@ -1412,8 +1381,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="print the N slowest stored cells ranked by the wall_ms column "
-        "(consistent across schema versions; v3 metrics compute_ms shown "
-        "as per-line detail) instead of a row dump",
+        "(the metrics compute_ms shown as per-line detail) instead of a "
+        "row dump",
     )
     query.add_argument("--out", help="write the result to a file")
     query.set_defaults(func=cmd_query)
@@ -1527,11 +1496,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", dest="query_engine", default=None, help="filter rows"
     )
     verify.add_argument("--seed", type=int, default=None, help="filter rows")
-    verify.add_argument(
-        "--unverified",
-        action="store_true",
-        help="only re-check rows without a verdict",
-    )
     verify.add_argument(
         "--all-versions",
         action="store_true",

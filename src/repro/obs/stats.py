@@ -1,7 +1,7 @@
 """Reporting over stored per-cell metrics: the ``repro stats`` backend.
 
 The campaign runner persists a compact metrics blob per computed cell
-(the store's schema-v3 ``metrics`` column): phase timings, the cell's
+(the store's ``metrics`` column): phase timings, the cell's
 counter snapshot (kernel dispatches and declines, engine rounds and
 delegations, warnings), queue latency and in-flight
 window occupancy at submit. This module turns a set of store rows back
@@ -9,13 +9,10 @@ into answers — which cells are slow, how often kernels declined, what
 the per-algorithm round/time distributions look like — without re-running
 anything.
 
-Rows that predate schema v3 have no blob (``metrics is None``); every
-aggregate here degrades explicitly: they are counted and reported as
-``pre_v3``, and the slowest-cell ranking orders *every* row by the
-``wall_ms`` column (present across all schema versions) so one ranking
-never compares the blob's ``compute_ms`` against another row's
-``wall_ms``. The per-row metrics timing is surfaced as labeled detail,
-not as the sort key.
+The slowest-cell ranking orders every row by the ``wall_ms`` column;
+the blob's ``compute_ms`` is surfaced as labeled detail, not as the sort
+key. A row the runner made up for a dead worker has neither: it counts
+under ``errors`` and ``untimed``.
 """
 
 from __future__ import annotations
@@ -41,14 +38,12 @@ def _cell_label(row: Mapping[str, Any]) -> str:
 
 
 def _cell_time_ms(row: Mapping[str, Any]) -> Optional[float]:
-    """The cell's ranking time: always the stored ``wall_ms`` column.
-
-    ``wall_ms`` exists for every schema version, so the slowest-cell
-    ordering compares one quantity across the whole store. The metrics
-    blob's ``compute_ms`` (v3 rows only) is reported alongside as detail
-    via :func:`_cell_compute_ms` — never as the sort key, because mixing
-    compute-only timings with build+compute+verify wall timings in one
-    ranking orders apples against oranges."""
+    """The cell's ranking time: always the stored ``wall_ms`` column, so
+    the slowest-cell ordering compares one quantity across the whole
+    store. The metrics blob's ``compute_ms`` is reported alongside as
+    detail — never as the sort key, because mixing compute-only timings
+    with build+compute+verify wall timings in one ranking orders apples
+    against oranges."""
     value = row.get("wall_ms")
     return float(value) if isinstance(value, (int, float)) else None
 
@@ -79,7 +74,6 @@ def campaign_stats(rows: Sequence[Mapping[str, Any]], top: int = 5) -> Dict[str,
     timed: List[Any] = []
     per_algorithm: Dict[str, Dict[str, List[float]]] = {}
     errors = len(frame.where(lambda r: bool(r.get("error"))))
-    pre_v3 = len(frame.where(has_metrics=False))
     verdicts: Dict[str, int] = {}
     for row in frame:
         verdict = str(row.get("verdict"))
@@ -108,7 +102,7 @@ def campaign_stats(rows: Sequence[Mapping[str, Any]], top: int = 5) -> Dict[str,
             "source": (
                 f"wall_ms; metrics compute_ms={round(compute, 3)}"
                 if compute is not None
-                else "wall_ms; pre-v3 (no metrics)"
+                else "wall_ms"
             ),
             "compute_ms": None if compute is None else round(compute, 3),
             "run_key": row.get("run_key"),
@@ -131,7 +125,6 @@ def campaign_stats(rows: Sequence[Mapping[str, Any]], top: int = 5) -> Dict[str,
         "cells": len(rows),
         "errors": errors,
         "verdicts": dict(sorted(verdicts.items())),
-        "pre_v3": pre_v3,
         "untimed": untimed,
         "slowest": slowest,
         "fallbacks": fallbacks,
@@ -164,11 +157,6 @@ def render_stats(
         f"verdicts: "
         + ", ".join(f"{k}={v}" for k, v in stats["verdicts"].items())
     )
-    if stats["pre_v3"]:
-        lines.append(
-            f"pre-v3 rows without metrics: {stats['pre_v3']} "
-            "(ranked by wall_ms like every row; no per-phase detail)"
-        )
     if stats.get("untimed"):
         lines.append(
             f"rows without a wall_ms column: {stats['untimed']} "

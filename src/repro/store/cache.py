@@ -9,7 +9,10 @@ in-flight window lost: rerun the same command and only the unfinished
 cells compute.
 
 Errored rows are persisted (so ``query`` can show failures) but never
-served as hits — a failed cell is retried on the next campaign.
+served as hits — a failed cell is retried on the next campaign. A row
+without a verification verdict is a miss too: every campaign verifies
+the cells it computes, so no campaign wrote such a row, and recomputing
+it is what gives it a verdict.
 """
 
 from __future__ import annotations
@@ -56,13 +59,11 @@ class RunCache:
             code_version=self.code_version,
         )
 
-    def get(self, key: str, require_verdict: bool = False) -> Optional[Dict[str, Any]]:
+    def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached campaign row under ``key``, or ``None`` on a miss.
-        Errored rows are misses by design (retry semantics), and with
-        ``require_verdict`` so are rows without a verification verdict
-        (migrated schema-v1 stores, ``verify=False`` campaigns): a
-        verifying campaign must not serve unverified results as hits —
-        re-executing them is what backfills their verdicts."""
+        Errored rows and rows without a verification verdict are misses
+        by design: the store file is outside input, and a campaign must
+        return only verified results."""
         if self.refresh:
             self.misses += 1
             return None
@@ -70,7 +71,7 @@ class RunCache:
         if (
             stored is None
             or stored.get("error") is not None
-            or (require_verdict and stored.get("verdict") is None)
+            or stored.get("verdict") is None
         ):
             self.misses += 1
             return None
@@ -98,8 +99,7 @@ class RunCache:
         messages = extra.get("messages") if isinstance(extra, Mapping) else None
         # Store the seed the run key hashed: unseeded workloads normalize
         # it to 0 (see workloads.normalized_seed), and a stored nonzero
-        # seed would both contradict the key and match gc's migration
-        # clause.
+        # seed would contradict the key.
         try:
             from repro import workloads
 

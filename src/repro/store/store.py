@@ -22,7 +22,7 @@ import json
 import sqlite3
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.errors import InvalidParameterError
 
@@ -57,20 +57,24 @@ STABLE_COLUMNS = (
 )
 
 #: All persisted columns (stable ones plus measurement metadata).
-#: ``metrics`` is the schema-v3 per-cell observability blob (phase
-#: timings, counter snapshot, queue latency — see :mod:`repro.obs`);
-#: NULL for rows recorded before v3 or outside a campaign. Deliberately
-#: *not* a stable column: instrumentation must never leak into
-#: resume/diff comparisons or run keys.
+#: ``metrics`` is the per-cell observability blob (phase timings,
+#: counter snapshot, queue latency — see :mod:`repro.obs`); NULL for
+#: rows the runner makes up for a cell that never returned (a dead
+#: worker) and for rows put outside a campaign. Deliberately *not* a
+#: stable column: instrumentation must never leak into resume/diff
+#: comparisons or run keys.
 COLUMNS = STABLE_COLUMNS + ("wall_ms", "extra", "metrics", "created_at")
 
 _JSON_COLUMNS = ("workload_params", "algo_params", "extra")
 
-_SCHEMA = f"""
+_META_SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
-);
+)
+"""
+
+_SCHEMA = f"""
 CREATE TABLE IF NOT EXISTS runs (
     run_key         TEXT PRIMARY KEY,
     algorithm       TEXT NOT NULL,
@@ -115,17 +119,6 @@ _FILTERS = (
     "verdict",
 )
 
-#: Columns schema v1 (PR 2/3 stores) lacks; the v1 -> v2 migration adds
-#: them with NULL values, i.e. every pre-existing row starts *unverified*
-#: and ``repro verify`` / the next campaign fills the verdicts in.
-_V2_COLUMNS = ("verdict TEXT", "violation TEXT")
-
-#: Column schema v2 (PR 4-6 stores) lacks; the v2 -> v3 migration adds it
-#: with NULL values — pre-existing rows simply have no observability blob
-#: (``repro stats`` reports them as pre-v3 and falls back to ``wall_ms``).
-_V3_COLUMNS = ("metrics TEXT",)
-
-
 def stable_row(row: Mapping[str, Any]) -> Dict[str, Any]:
     """Project ``row`` onto :data:`STABLE_COLUMNS` (deterministic subset)."""
     return {column: row.get(column) for column in STABLE_COLUMNS}
@@ -169,8 +162,13 @@ class ExperimentStore:
             delay = min(2 * delay, 0.05)
 
     def _init_schema(self) -> None:
+        """Create a fresh store, or open one of :data:`SCHEMA_VERSION`.
+
+        Any other version is refused before the ``runs`` table or its
+        indexes are touched: this code writes only its own schema, so an
+        older store is left exactly as it was."""
         with self._conn:
-            self._conn.executescript(_SCHEMA)
+            self._conn.execute(_META_SCHEMA)
             # INSERT OR IGNORE keeps concurrent first-opens race-free: two
             # processes creating the same store file must not both insert.
             self._conn.execute(
@@ -182,46 +180,14 @@ class ExperimentStore:
                 "SELECT value FROM meta WHERE key = 'schema_version'"
             ).fetchone()
             version = int(row["value"])
-            if version == 1:
-                version = self._add_columns(_V2_COLUMNS, target_version=2)
-            if version == 2:
-                version = self._add_columns(_V3_COLUMNS, target_version=3)
-            if version != SCHEMA_VERSION:
-                raise InvalidParameterError(
-                    f"{self.path}: store schema version {version} "
-                    f"!= supported {SCHEMA_VERSION}"
-                )
-
-    def _add_columns(self, columns: Sequence[str], target_version: int) -> int:
-        """One in-place additive migration step: add ``columns`` (NULL for
-        every pre-existing row) and stamp ``target_version``.
-
-        v1 -> v2 added ``verdict``/``violation`` (pre-existing rows are
-        unverified until a campaign or ``repro verify`` revisits them);
-        v2 -> v3 adds ``metrics`` (pre-existing rows have no observability
-        blob). Every other column is untouched, so earlier query results
-        reproduce byte-identically on the pre-existing column set.
-        Idempotent under concurrent first-opens (duplicate-column errors
-        mean the other writer won)."""
-        existing = {
-            raw[1] for raw in self._conn.execute("PRAGMA table_info(runs)").fetchall()
-        }
-        for column in columns:
-            if column.split()[0] in existing:
-                continue
-            try:
-                self._conn.execute(f"ALTER TABLE runs ADD COLUMN {column}")
-            except sqlite3.OperationalError as exc:  # pragma: no cover - race
-                # Only a racing writer's completed ALTER is ignorable; a
-                # lock timeout here must not stamp the version without the
-                # columns.
-                if "duplicate column" not in str(exc).lower():
-                    raise
-        self._conn.execute(
-            "UPDATE meta SET value = ? WHERE key = 'schema_version'",
-            (str(target_version),),
+            if version == SCHEMA_VERSION:
+                self._conn.executescript(_SCHEMA)
+                return
+        self._conn.close()
+        raise InvalidParameterError(
+            f"{self.path}: store schema version {version} "
+            f"!= supported {SCHEMA_VERSION}"
         )
-        return target_version
 
     def close(self) -> None:
         self._conn.close()
@@ -251,8 +217,9 @@ class ExperimentStore:
                 if column in _JSON_COLUMNS:
                     value = json.dumps(value or {}, sort_keys=True)
                 elif column == "metrics":
-                    # NULL (not '{}') when absent: "no metrics" must stay
-                    # distinguishable from "empty metrics" (pre-v3 rows).
+                    # NULL (not '{}') when absent: "no metrics" (a row made
+                    # up for a dead worker) must stay distinguishable from
+                    # "empty metrics".
                     value = (
                         None if value is None else json.dumps(value, sort_keys=True)
                     )
@@ -296,14 +263,12 @@ class ExperimentStore:
         self,
         order_by: str = "run_key",
         include_errors: bool = True,
-        unverified: bool = False,
         **filters: Any,
     ) -> List[Dict[str, Any]]:
         """Rows matching the equality ``filters`` (any of ``algorithm,
         family, workload, seed, engine, kind, code_version, verdict``),
-        ordered deterministically. ``unverified=True`` restricts to rows
-        with no verdict yet (pre-migration rows, ``verify=False``
-        campaigns) — the ``repro verify`` work queue."""
+        ordered deterministically by ``order_by`` then ``run_key``;
+        ``include_errors=False`` drops errored cells."""
         unknown = set(filters) - set(_FILTERS)
         if unknown:
             raise InvalidParameterError(
@@ -320,34 +285,11 @@ class ExperimentStore:
             values.append(value)
         if not include_errors:
             clauses.append("error IS NULL")
-        if unverified:
-            clauses.append("verdict IS NULL")
         where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
         cursor = self._conn.execute(
             f"SELECT * FROM runs{where} ORDER BY {order_by}, run_key", values
         )
         return [self._decode(raw) for raw in cursor.fetchall()]
-
-    def slowest(self, limit: int = 10, **filters: Any) -> List[Dict[str, Any]]:
-        """The ``limit`` slowest rows by stored ``wall_ms``, descending
-        (the ``repro query --slowest`` backend). Rows without a wall
-        measurement (synthesized error rows) are excluded; whether a row
-        carries a v3 ``metrics`` blob is the caller's concern."""
-        if limit < 1:
-            raise InvalidParameterError("slowest limit must be >= 1")
-        rows = self.query(**filters)
-        timed = [r for r in rows if r.get("wall_ms") is not None]
-        timed.sort(key=lambda r: (-r["wall_ms"], r["run_key"]))
-        return timed[:limit]
-
-    def distinct(self, column: str) -> List[Any]:
-        """Sorted distinct values of one column (for summaries/CLI)."""
-        if column not in COLUMNS:
-            raise InvalidParameterError(f"unknown column {column!r}")
-        cursor = self._conn.execute(
-            f"SELECT DISTINCT {column} FROM runs ORDER BY {column}"
-        )
-        return [raw[0] for raw in cursor.fetchall()]
 
     # -- meta --------------------------------------------------------------
 
@@ -403,17 +345,13 @@ class ExperimentStore:
         drop_errors: bool = True,
         drop_failed: bool = False,
         dry_run: bool = False,
-        unseeded_workloads: Optional[Sequence[str]] = None,
     ) -> int:
         """Delete unreachable rows: entries from other code versions (their
         keys can never hit again), by default errored cells (so the next
-        campaign retries them), optionally rows whose verification verdict
-        is ``fail`` (``drop_failed`` — so the next campaign recomputes
-        them with the fixed build), and — when ``unseeded_workloads``
-        names the deterministic-topology workloads — rows stored under a
-        nonzero seed for those workloads. Run keys normalize the seed of
-        unseeded workloads to 0, so such rows predate that normalization
-        and can never be addressed again. Returns the affected row count."""
+        campaign retries them), and optionally rows whose verification
+        verdict is ``fail`` (``drop_failed`` — so the next campaign
+        recomputes them with the fixed build). Returns the affected row
+        count."""
         clauses, values = [], []
         if keep_code_version is not None:
             clauses.append("code_version != ?")
@@ -422,11 +360,6 @@ class ExperimentStore:
             clauses.append("error IS NOT NULL")
         if drop_failed:
             clauses.append("verdict = 'fail'")
-        if unseeded_workloads:
-            names = sorted(unseeded_workloads)
-            placeholders = ", ".join("?" for _ in names)
-            clauses.append(f"(workload IN ({placeholders}) AND seed != 0)")
-            values.extend(names)
         if not clauses:
             return 0
         where = " OR ".join(clauses)

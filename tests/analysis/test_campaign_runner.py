@@ -243,7 +243,8 @@ class TestStreamingExecutor:
 
     def test_small_window_preserves_cell_order(self):
         inline = CampaignRunner(self.CELLS, jobs=1).run()
-        windowed = CampaignRunner(self.CELLS, jobs=2, window=2).run()
+        # the window (2 * jobs = 4 in flight) is smaller than the 6 cells
+        windowed = CampaignRunner(self.CELLS, jobs=2).run()
         # wall_ms and the metrics blob are timing measurements — they
         # differ between any two executions by nature.
         strip = lambda rows: [
@@ -252,11 +253,9 @@ class TestStreamingExecutor:
         ]
         assert strip(windowed) == strip(inline)
 
-    def test_bad_retries_and_window(self):
+    def test_bad_retries(self):
         with pytest.raises(InvalidParameterError):
             CampaignRunner([], retries=-1)
-        with pytest.raises(InvalidParameterError):
-            CampaignRunner([], window=0)
 
     def test_progress_callback_counts_every_cell(self):
         snapshots = []
@@ -414,11 +413,11 @@ class TestStreamingExecutor:
                              {"n": 16, "d": 4}, seed=s)
                 for s in range(3)
             ]
-            rows = CampaignRunner(cells, jobs=2, verify=False).run()
+            rows = CampaignRunner(cells, jobs=2).run()
             assert marker.exists()
             assert all(r["error"] is None for r in rows), rows
             assert all(r["extra"]["freeze_count"] > 0 for r in rows)
-            inline = CampaignRunner(cells[1:2], jobs=1, verify=False).run()
+            inline = CampaignRunner(cells[1:2], jobs=1).run()
             assert inline[0]["extra"]["freeze_count"] == 0
             assert gc.get_freeze_count() == 0
         finally:
@@ -484,20 +483,18 @@ class TestCachedStreaming:
     def test_unseeded_rows_store_normalized_seed_and_survive_gc(self, tmp_path):
         """Regression: a fresh unseeded-workload cell swept at a nonzero
         seed must be stored with the seed its run key hashed (0) — a raw
-        seed would contradict the key and get collected by gc's
-        pre-normalization migration clause."""
+        seed would contradict the key."""
+        import repro
         from repro.store import ExperimentStore, RunCache
 
         cells = [CampaignCell("greedy", "torus", {"rows": 4, "cols": 4}, seed=2)]
         with ExperimentStore(tmp_path / "runs.db") as store:
             CampaignRunner(cells, cache=RunCache(store)).run()
             assert store.query()[0]["seed"] == 0
-            assert (
-                store.gc(
-                    unseeded_workloads=("torus",), drop_errors=False, dry_run=True
-                )
-                == 0
-            )
+            assert store.gc(keep_code_version=repro.__version__, dry_run=True) == 0
+            rerun = CampaignRunner(cells, cache=RunCache(store))
+            rerun.run()
+            assert rerun.last_progress.hits == 1
 
     def test_record_prefers_explicit_engine_over_row(self, tmp_path):
         from repro.store import ExperimentStore, RunCache, run_key

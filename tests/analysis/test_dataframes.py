@@ -5,12 +5,7 @@ import pytest
 from repro.analysis.dataframes import (
     Frame,
     METRIC_COLUMNS,
-    agg_count,
-    agg_max,
-    agg_mean,
     cell_frame,
-    load_store_frame,
-    row_compute_ms,
     row_delta,
 )
 from repro.store import ExperimentStore
@@ -58,19 +53,10 @@ class TestFrameVerbs:
         assert frame.column("x") == [1, None, 3]
         assert frame.column("x", drop_none=True) == [1, 3]
 
-    def test_select_where_equals_and_predicate(self):
+    def test_where_equals_and_predicate(self):
         frame = Frame([{"a": 1, "b": "p"}, {"a": 2, "b": "q"}, {"a": 3, "b": "p"}])
-        assert frame.select("a").rows == [{"a": 1}, {"a": 2}, {"a": 3}]
         assert len(frame.where(b="p")) == 2
         assert len(frame.where(lambda r: r["a"] > 1, b="p")) == 1
-
-    def test_sort_is_none_and_mixed_type_safe(self):
-        frame = Frame([{"k": None}, {"k": 2}, {"k": "z"}, {"k": 1}])
-        ordered = frame.sort("k").column("k")
-        # None first, then numbers by value, then strings.
-        assert ordered == [None, 1, 2, "z"]
-        reversed_ = frame.sort("k", reverse=True).column("k")
-        assert reversed_[-1] is None
 
     def test_group_by_deterministic_order(self):
         frame = Frame([{"g": "b", "v": 1}, {"g": "a", "v": 2}, {"g": "b", "v": 3}])
@@ -78,35 +64,11 @@ class TestFrameVerbs:
         assert [key for key, _ in groups] == [("a",), ("b",)]
         assert len(groups[1][1]) == 2
 
-    def test_aggregate_skips_none_and_empty_groups(self):
-        frame = Frame(
-            [
-                {"g": "a", "v": 2.0},
-                {"g": "a", "v": None},
-                {"g": "a", "v": 4.0},
-                {"g": "b", "v": None},
-            ]
-        )
-        out = frame.aggregate(
-            ["g"], n=("v", agg_count), mean=("v", agg_mean), top=("v", agg_max)
-        )
-        rows = {r["g"]: r for r in out}
-        assert rows["a"]["n"] == 2
-        assert rows["a"]["mean"] == pytest.approx(3.0)
-        assert rows["a"]["top"] == 4.0
-        # A group with only None values aggregates to None, never 0.
-        assert rows["b"]["n"] is None
-
-    def test_distinct_sorted(self):
-        frame = Frame([{"x": 3}, {"x": 1}, {"x": 3}, {"x": 2}])
-        assert frame.distinct("x") == [1, 2, 3]
-
 
 class TestCellFrame:
     def test_v3_row_hoists_metric_columns(self):
         frame = cell_frame([_store_row("k1")])
         row = frame.rows[0]
-        assert row["has_metrics"] is True
         assert row["compute_ms"] == pytest.approx(7.5)
         assert row["queue_ms"] == pytest.approx(0.5)
         assert row["counters"] == {"engine.rounds": 6.0}
@@ -115,23 +77,22 @@ class TestCellFrame:
         assert row["colors_used"] == 20
         assert row["verdict"] == "ok"
 
-    def test_pre_v3_row_degrades_to_none(self):
+    def test_row_without_metrics_degrades_to_none(self):
         frame = cell_frame([_store_row("k1", metrics=None)])
         row = frame.rows[0]
-        assert row["has_metrics"] is False
         for column in METRIC_COLUMNS:
             assert row[column] is None
         assert row["counters"] == {}
         assert row["warning_count"] == 0
 
-    def test_mixed_rows_filterable_by_has_metrics(self):
-        frame = cell_frame([_store_row("k1"), _store_row("k2", metrics=None)])
-        assert len(frame.where(has_metrics=False)) == 1
-
-    def test_row_compute_ms(self):
-        assert row_compute_ms(_store_row("k")) == pytest.approx(7.5)
-        assert row_compute_ms(_store_row("k", metrics=None)) is None
-        assert row_compute_ms(_store_row("k", metrics={"total_ms": 1.0})) is None
+    def test_round_trip_through_a_real_store(self, tmp_path):
+        with ExperimentStore(tmp_path / "runs.db") as store:
+            store.put(_store_row("k1"))
+            store.put(_store_row("k2", seed=1, metrics=None))
+            frame = cell_frame(store.query())
+            assert frame.column("run_key") == ["k1", "k2"]
+            assert frame.column("compute_ms", drop_none=True) == [pytest.approx(7.5)]
+            assert cell_frame(store.query(seed=1)).column("run_key") == ["k2"]
 
 
 class TestRowDelta:
@@ -153,14 +114,3 @@ class TestRowDelta:
         row = _store_row("k", extra={}, workload="erdos-renyi", workload_params={"n": 48, "p": 0.15})
         assert row_delta(row) is None
 
-
-class TestLoadStoreFrame:
-    def test_round_trip_through_a_real_store(self, tmp_path):
-        with ExperimentStore(tmp_path / "runs.db") as store:
-            store.put(_store_row("k1"))
-            store.put(_store_row("k2", seed=1, metrics=None))
-            frame = load_store_frame(store)
-            assert len(frame) == 2
-            assert len(frame.where(has_metrics=True)) == 1
-            frame_seed1 = load_store_frame(store, seed=1)
-            assert frame_seed1.column("run_key") == ["k2"]

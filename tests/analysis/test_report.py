@@ -140,7 +140,7 @@ class TestReportContent:
 
 
 class TestEdgeCases:
-    def test_pre_v3_row_renders_and_is_counted(self, campaign_store, tmp_path):
+    def test_row_without_metrics_renders(self, campaign_store, tmp_path):
         mutated = tmp_path / "mutated.db"
         mutated.write_bytes(campaign_store.read_bytes())
         conn = sqlite3.connect(mutated)
@@ -151,7 +151,7 @@ class TestEdgeCases:
         conn.commit()
         conn.close()
         report = _report_for(mutated)
-        assert report["campaign"]["pre_v3"] == 1
+        assert report["campaign"]["cells"] == 3
         html = render_html(report)
         assert "</html>" in html
 
@@ -181,7 +181,7 @@ class TestCellRowsMarkdown:
         assert "verdict" in header
         assert "| ok |" in table
 
-    def test_pre_v3_row_renders_dash(self):
+    def test_row_without_metrics_renders_dash(self):
         rows = cell_frame(
             [
                 {

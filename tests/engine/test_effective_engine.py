@@ -135,7 +135,6 @@ class TestCampaignRowDisclosure:
                     "seed": 0,
                     "algo_params": {},
                     "engine": "vector",
-                    "verify": False,
                 }
             )
         assert row["error"] is None
@@ -153,7 +152,6 @@ class TestCampaignRowDisclosure:
                 "seed": 0,
                 "algo_params": {},
                 "engine": "vector",
-                "verify": True,
             }
         )
         assert row["error"] is None
@@ -177,7 +175,6 @@ class TestSection5CellsRunOnPrograms:
                 "seed": 0,
                 "algo_params": {},
                 "engine": engine,
-                "verify": True,
             }
         )
 

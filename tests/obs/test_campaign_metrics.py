@@ -91,7 +91,6 @@ class TestCellMetricsBlob:
                 "seed": 0,
                 "algo_params": {},
                 "engine": "reference",
-                "verify": True,
             }
         )
         assert row["error"] is None
@@ -113,7 +112,6 @@ class TestCellMetricsBlob:
                 "seed": 0,
                 "algo_params": {},
                 "engine": None,
-                "verify": True,
             }
         )
         assert row["error"] is not None
@@ -128,7 +126,6 @@ class TestCellMetricsBlob:
             "seed": 0,
             "algo_params": {},
             "engine": "vector",
-            "verify": False,
         }
         with warnings.catch_warnings(record=True) as leaked:
             warnings.simplefilter("always")
@@ -171,7 +168,7 @@ class TestRunnerMetrics:
         assert summary["elapsed_s"] >= 0
 
     def test_warning_deduped_to_one_emission(self, no_program_algorithm):
-        runner = CampaignRunner(WARNING_CELLS, jobs=1, verify=False)
+        runner = CampaignRunner(WARNING_CELLS, jobs=1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rows = runner.run()

@@ -43,23 +43,21 @@ class TestCampaignStats:
         assert slowest["source"].startswith("wall_ms")
         assert slowest["compute_ms"] == 50.0  # metrics detail, not the key
 
-    def test_pre_v3_rows_rank_on_the_same_column(self):
+    def test_rows_without_metrics_rank_on_wall_ms(self):
         stats = campaign_stats([_row(ms=5.0, metrics=False)], top=5)
-        assert stats["pre_v3"] == 1
         (slowest,) = stats["slowest"]
         assert slowest["ms"] == 10.0  # the wall_ms column
-        assert slowest["source"].startswith("wall_ms")
-        assert "pre-v3" in slowest["source"]
+        assert slowest["source"] == "wall_ms"
         assert slowest["compute_ms"] is None
 
     def test_mixed_rows_never_order_compute_against_wall(self):
-        # Under the old mixing, the v3 row ranked by compute_ms=50 beat
-        # the pre-v3 row's wall_ms=40 even though its own wall time (100)
-        # was larger — the ordering compared different quantities. Both
-        # now rank by wall_ms.
-        v3 = _row(ms=50.0)  # wall_ms=100
-        old = _row(ms=20.0, metrics=False)  # wall_ms=40
-        stats = campaign_stats([old, v3], top=2)
+        # Ranked by compute_ms=50, the row with metrics would beat the
+        # blobless row's wall_ms=40 even though its own wall time (100)
+        # is larger — the ordering would compare different quantities.
+        # Both rank by wall_ms.
+        with_blob = _row(ms=50.0)  # wall_ms=100
+        blobless = _row(ms=20.0, metrics=False)  # wall_ms=40
+        stats = campaign_stats([blobless, with_blob], top=2)
         assert [item["ms"] for item in stats["slowest"]] == [100.0, 40.0]
         sources = {item["source"].split(";")[0] for item in stats["slowest"]}
         assert sources == {"wall_ms"}
@@ -68,6 +66,17 @@ class TestCampaignStats:
         stats = campaign_stats([_row(), _row(wall_ms=None)], top=5)
         assert stats["untimed"] == 1
         assert len(stats["slowest"]) == 1
+
+    def test_dead_worker_row_counts_as_error_and_untimed(self):
+        """Regression: the row the runner makes up for a cell whose worker
+        died has no metrics blob; it was reported as a pre-schema-v3 row."""
+        stats = campaign_stats([_row(), _dead_worker_row()], top=5)
+        assert stats["cells"] == 2
+        assert stats["errors"] == 1
+        assert stats["untimed"] == 1
+        assert stats["verdicts"] == {"None": 1, "ok": 1}
+        assert len(stats["slowest"]) == 1
+        assert "v3" not in render_stats(stats)
 
     def test_fallback_counters_filtered_by_prefix(self):
         stats = campaign_stats([_row()], top=5)
@@ -91,6 +100,23 @@ class TestCampaignStats:
         )
         assert "3 cache hits (75.0% hit rate)" in text
         assert "worker utilization: 50.0%" in text
+
+
+def _dead_worker_row():
+    from repro.analysis.campaign import _error_row
+
+    return _error_row(
+        {
+            "algorithm": "greedy",
+            "workload": "planar-grid",
+            "workload_params": {"rows": 3, "cols": 3},
+            "seed": 1,
+            "algo_params": {},
+            "engine": "reference",
+            "shards": None,
+        },
+        "BrokenProcessPool: A process in the process pool was terminated abruptly",
+    )
 
 
 @pytest.fixture
@@ -126,7 +152,7 @@ class TestStatsCli:
 
 
 class TestQuerySlowest:
-    def test_lists_and_notes_pre_v3(self, small_store, capsys):
+    def test_lists_each_rows_source(self, small_store, capsys):
         import sqlite3
 
         conn = sqlite3.connect(small_store)
@@ -136,8 +162,38 @@ class TestQuerySlowest:
         assert main(["query", "--store", str(small_store), "--slowest", "5"]) == 0
         out = capsys.readouterr().out
         assert "(wall_ms; metrics compute_ms=" in out
-        assert "(wall_ms; pre-v3 (no metrics))" in out
-        assert "1 of 2 rows predate the metrics column" in out
+        assert "(wall_ms)" in out
+        assert "note:" not in out
+
+
+class TestDeadWorkerRow:
+    """A store holding the row made up for a dead worker: neither report
+    mentions a schema version, and the row counts as errored and untimed."""
+
+    @pytest.fixture
+    def store_with_dead_worker(self, small_store):
+        from repro.store import ExperimentStore, RunCache
+
+        row = _dead_worker_row()
+        with ExperimentStore(small_store) as store:
+            RunCache(store).record("dead" * 16, row, engine="reference")
+        return small_store
+
+    def test_stats(self, store_with_dead_worker, capsys):
+        assert main(["stats", "--store", str(store_with_dead_worker)]) == 0
+        out = capsys.readouterr().out
+        assert "cells: 3 stored, 1 errored" in out
+        assert "rows without a wall_ms column: 1" in out
+        assert "v3" not in out and "schema" not in out
+
+    def test_query_slowest(self, store_with_dead_worker, capsys):
+        assert main([
+            "query", "--store", str(store_with_dead_worker), "--slowest", "5",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "note: 1 rows have no wall_ms column" in out
+        assert "v3" not in out and "schema" not in out
+        assert "--fresh" not in out
 
 
 class TestTraceCli:

@@ -47,6 +47,20 @@ class TestCacheHitMiss:
             json.dumps(strip(second))
         )
 
+    def test_stored_row_without_verdict_is_a_miss(self, tmp_path):
+        """The store file is outside input: a row that carries no
+        verification verdict is never served, until one is recorded."""
+        with ExperimentStore(tmp_path / "runs.db") as store:
+            _run(store, cells=CELLS[:1])
+            cache = RunCache(store)
+            key = cache.key_for(CELLS[0])
+            assert store.set_verdict(key, None)
+            assert cache.get(key) is None
+            assert (cache.hits, cache.misses) == (0, 1)
+            assert store.set_verdict(key, "ok")
+            assert cache.get(key)["run_key"] == key
+            assert (cache.hits, cache.misses) == (1, 1)
+
     def test_param_change_is_a_miss(self, tmp_path):
         changed = [CampaignCell("greedy", "random-regular", {"n": 16, "d": 6}, seed=0)]
         with ExperimentStore(tmp_path / "runs.db") as store:
@@ -241,31 +255,9 @@ class TestCliStoreWorkflow:
         assert main(args) == 0
         assert "3 from cache, 0 computed" in capsys.readouterr().out
 
-    def test_gc_cli_reports_pre_normalization_rows(self, tmp_path, capsys):
-        """``repro gc`` collects unseeded-workload rows stored under
-        nonzero seeds (pre-normalization keys) and says why."""
-        import repro
-
-        db = tmp_path / "runs.db"
-        with ExperimentStore(db) as store:
-            base = {
-                "algorithm": "greedy", "workload": "torus",
-                "workload_params": {"rows": 8, "cols": 8}, "algo_params": {},
-                "engine": "reference", "code_version": repro.__version__,
-                "error": None,
-            }
-            store.put(dict(base, run_key="old-seed-1", seed=1))
-            store.put(dict(base, run_key="current", seed=0))
-        assert main(["gc", "--store", str(db)]) == 0
-        out = capsys.readouterr().out
-        assert "deleted 1 of 2 rows" in out
-        assert "nonzero seed" in out
-        with ExperimentStore(db) as store:
-            assert [r["run_key"] for r in store.query()] == ["current"]
-
-    def test_gc_cli_note_ignores_errored_rows(self, tmp_path, capsys):
-        """Errored rows are collected as errors, not misreported by the
-        pre-normalization migration note."""
+    def test_gc_cli_collects_errored_rows(self, tmp_path, capsys):
+        """``repro gc`` collects errored rows by default (the next
+        campaign retries them) and prints only its count line."""
         import repro
 
         db = tmp_path / "runs.db"
@@ -279,9 +271,7 @@ class TestCliStoreWorkflow:
                 }
             )
         assert main(["gc", "--store", str(db)]) == 0
-        out = capsys.readouterr().out
-        assert "deleted 1 of 1 rows" in out
-        assert "nonzero seed" not in out
+        assert capsys.readouterr().out == "deleted 1 of 1 rows (0 remain)\n"
 
     def test_query_missing_store(self, tmp_path):
         with pytest.raises(SystemExit, match="no experiment store"):

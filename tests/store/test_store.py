@@ -150,9 +150,6 @@ class TestQuery:
         with pytest.raises(InvalidParameterError, match="unknown query filters"):
             store.query(color="red")
 
-    def test_distinct(self, store):
-        assert store.distinct("algorithm") == ["broken", "greedy", "star4"]
-
     def test_rows_are_json_serializable(self, store):
         json.dumps([stable_row(r) for r in store.query()])
 
@@ -178,28 +175,24 @@ class TestGc:
             assert store.gc(keep_code_version=repro.__version__, drop_errors=False) == 0
             assert len(store) == 2
 
-    def test_drops_unreachable_unseeded_seeds(self, tmp_path):
-        """Migration: run keys normalize unseeded-workload seeds to 0, so
-        rows such workloads stored under nonzero seeds (written before the
-        normalization) are unreachable and collectible."""
+    def test_drop_failed_collects_only_fail_verdicts(self, tmp_path):
         with ExperimentStore(tmp_path / "runs.db") as store:
             store.put_many(
                 [
-                    _row("k1", workload="torus", seed=0),
-                    _row("k2", workload="torus", seed=1),
-                    _row("k3", workload="torus", seed=2),
-                    _row("k4", workload="random-regular", seed=2),
+                    _row("k1", verdict="ok"),
+                    _row("k2", verdict="fail", violation="bad color"),
+                    _row("k3", verdict="skip"),
                 ]
             )
-            unseeded = ("torus", "planar-grid")
-            assert store.gc(unseeded_workloads=unseeded, dry_run=True) == 2
-            assert store.gc(unseeded_workloads=unseeded) == 2
-            assert [r["run_key"] for r in store.query()] == ["k1", "k4"]
+            assert store.gc(drop_failed=True, dry_run=True) == 1
+            assert len(store) == 3
+            assert store.gc(drop_failed=True) == 1
+            assert [r["run_key"] for r in store.query()] == ["k1", "k3"]
 
     def test_no_clauses_is_a_noop(self, tmp_path):
         with ExperimentStore(tmp_path / "runs.db") as store:
             store.put(_row("k1", seed=3))
-            assert store.gc(drop_errors=False, unseeded_workloads=()) == 0
+            assert store.gc(drop_errors=False) == 0
             assert len(store) == 1
 
 

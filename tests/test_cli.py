@@ -223,26 +223,27 @@ class TestVerifyCommand:
         ]) == 0
         assert "deleted 1 of 2 rows" in capsys.readouterr().out
 
-    def test_unverified_queue(self, small_store, capsys):
+    def test_errored_rows_are_skipped_and_keep_no_verdict(self, small_store, capsys):
         import sqlite3
 
+        from repro.store import ExperimentStore
+
         conn = sqlite3.connect(small_store)
-        conn.execute("UPDATE runs SET verdict = NULL, violation = NULL")
+        key = conn.execute(
+            "SELECT run_key FROM runs WHERE algorithm='greedy'"
+        ).fetchone()[0]
+        conn.execute(
+            "UPDATE runs SET error = 'Boom', verdict = NULL, violation = NULL, "
+            "verified = NULL WHERE run_key = ?",
+            (key,),
+        )
         conn.commit()
         conn.close()
-        assert main([
-            "query", "--store", str(small_store), "--unverified",
-        ]) == 0
-        assert "(2 rows)" in capsys.readouterr().out
-        assert main([
-            "verify", "--store", str(small_store), "--unverified",
-        ]) == 0
-        capsys.readouterr()
-        # the backlog is now empty
-        assert main([
-            "query", "--store", str(small_store), "--unverified",
-        ]) == 0
-        assert "(0 rows)" in capsys.readouterr().out
+        assert main(["verify", "--store", str(small_store)]) == 0
+        out = capsys.readouterr().out
+        assert "1 rows re-checked, 0 flagged, 1 skipped (errored)" in out
+        with ExperimentStore(small_store) as store:
+            assert store.get(key)["verdict"] is None
 
     def test_diff_filters_and_runs(self, capsys):
         assert main([

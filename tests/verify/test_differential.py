@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.store import ExperimentStore, RunCache
 from repro.analysis.campaign import CampaignCell, CampaignRunner
 from repro.verify import (
@@ -106,21 +107,33 @@ class TestRecheckRow:
             assert store.get(row["run_key"])["verified"] is True
 
     def test_verdictless_rows_recomputed_by_verifying_campaign(self, tmp_path):
-        """A migrated (or verify=False) store's rows must not be served
-        as hits by a verifying campaign — re-execution backfills their
-        verdicts, so every returned cell carries one."""
+        """A stored row without a verdict (the store file is outside
+        input) must not be served as a hit — re-execution gives it its
+        verdict, so every returned cell carries one."""
         cell = CampaignCell("greedy", "random-regular", {"n": 16, "d": 4}, seed=0)
         with ExperimentStore(tmp_path / "runs.db") as store:
-            CampaignRunner([cell], cache=RunCache(store), verify=False).run()
+            cache = RunCache(store)
+            store.put(
+                {
+                    "run_key": cache.key_for(cell, engine="reference"),
+                    "algorithm": cell.algorithm,
+                    "workload": cell.workload,
+                    "workload_params": cell.workload_params,
+                    "seed": cell.seed,
+                    "engine": "reference",
+                    "code_version": repro.__version__,
+                    "colors_used": 7,
+                }
+            )
             assert store.query()[0]["verdict"] is None
 
-            runner = CampaignRunner([cell], cache=RunCache(store), verify=True)
+            runner = CampaignRunner([cell], engine="reference", cache=cache)
             rows = runner.run()
             assert runner.last_progress.hits == 0  # not served from cache
             assert rows[0]["verdict"] == "ok"
             assert store.query()[0]["verdict"] == "ok"
 
             # ... and once verified, the same grid is all hits again.
-            runner = CampaignRunner([cell], cache=RunCache(store), verify=True)
+            runner = CampaignRunner([cell], engine="reference", cache=RunCache(store))
             runner.run()
             assert runner.last_progress.hits == 1
