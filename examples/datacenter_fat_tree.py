@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 from repro import obs
-from repro.analysis import verify_edge_coloring
+from repro.verify import verify_edge_coloring
 from repro.baselines import misra_gries_edge_coloring
 from repro.core import four_delta_edge_coloring
 from repro.engine import get_engine

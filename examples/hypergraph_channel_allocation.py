@@ -10,7 +10,7 @@ channels — far fewer than the interference graph's Delta would suggest.
 Run:  python examples/hypergraph_channel_allocation.py
 """
 
-from repro.analysis import verify_vertex_coloring
+from repro.verify import verify_vertex_coloring
 from repro.baselines import greedy_vertex_coloring
 from repro.core import cd_coloring
 from repro.graphs import max_degree, random_uniform_hypergraph

@@ -18,7 +18,7 @@ from collections import defaultdict
 
 import networkx as nx
 
-from repro.analysis import verify_edge_coloring
+from repro.verify import verify_edge_coloring
 from repro.baselines import greedy_edge_coloring, misra_gries_edge_coloring
 from repro.core import four_delta_edge_coloring, star_partition_edge_coloring
 from repro.graphs import max_degree

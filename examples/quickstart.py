@@ -3,7 +3,7 @@
 Run:  python examples/quickstart.py
 """
 
-from repro.analysis import verify_edge_coloring, verify_vertex_coloring
+from repro.verify import verify_edge_coloring, verify_vertex_coloring
 from repro.baselines import greedy_edge_coloring, misra_gries_edge_coloring
 from repro.core import (
     cd_coloring,

@@ -10,7 +10,7 @@ and centralized Vizing (optimal colors, no locality at all).
 Run:  python examples/tradeoff_frontier.py
 """
 
-from repro.analysis import verify_edge_coloring
+from repro.verify import verify_edge_coloring
 from repro.baselines import forest_edge_coloring, greedy_edge_coloring, misra_gries_edge_coloring
 from repro.core import star_partition_edge_coloring
 from repro.graphs import max_degree, random_regular

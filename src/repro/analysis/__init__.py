@@ -1,42 +1,9 @@
-"""Verification, metrics, and the table/figure reproduction harnesses."""
+"""The experiment layer: campaigns, the store's dataframes and report,
+and the harnesses behind the EXPERIMENTS.md block.
 
-from repro.analysis.figures import (
-    FigureReport,
-    all_figures,
-    figure1_clique_connector,
-    figure2_edge_connector,
-    figure3_orientation_connector,
-)
-from repro.analysis.metrics import ExperimentRecord, records_to_markdown
-from repro.analysis.stats import PowerLawFit, fit_power_law, geometric_mean
-from repro.analysis.tables import run_section5, run_table1, run_table2
-from repro.verify.checkers import (
-    count_colors,
-    max_star_size,
-    verify_clique_decomposition,
-    verify_edge_coloring,
-    verify_star_partition,
-    verify_vertex_coloring,
-)
-
-__all__ = [
-    "FigureReport",
-    "all_figures",
-    "figure1_clique_connector",
-    "figure2_edge_connector",
-    "figure3_orientation_connector",
-    "ExperimentRecord",
-    "records_to_markdown",
-    "PowerLawFit",
-    "fit_power_law",
-    "geometric_mean",
-    "run_section5",
-    "run_table1",
-    "run_table2",
-    "count_colors",
-    "max_star_size",
-    "verify_clique_decomposition",
-    "verify_edge_coloring",
-    "verify_star_partition",
-    "verify_vertex_coloring",
-]
+Import each name from its submodule (``repro.analysis.campaign``,
+``.dataframes``, ``.report``, ``.tables``, ``.figures``,
+``.experiments``, ``.stats``); invariant checkers live in
+:mod:`repro.verify`. The package itself exports nothing, so importing
+one submodule loads only what that submodule needs.
+"""

@@ -37,12 +37,7 @@ __all__ = [
     "METRIC_COLUMNS",
     "cell_frame",
     "row_delta",
-    "agg_count",
-    "agg_sum",
-    "agg_mean",
-    "agg_median",
-    "agg_min",
-    "agg_max",
+    "distribution",
 ]
 
 #: Metrics-blob scalars hoisted into first-class frame columns. Every one
@@ -123,30 +118,21 @@ def _orderable(value: Any) -> Tuple[int, Any]:
     return (1, (type(value).__name__, repr(value)))
 
 
-# -- aggregate functions -----------------------------------------------------
+# -- the one aggregate ------------------------------------------------------
 
-def agg_count(values: Sequence[Any]) -> int:
-    return len(values)
-
-
-def agg_sum(values: Sequence[Any]) -> float:
-    return float(sum(values))
-
-
-def agg_mean(values: Sequence[Any]) -> float:
-    return statistics.fmean(values)
-
-
-def agg_median(values: Sequence[Any]) -> float:
-    return float(statistics.median(values))
-
-
-def agg_min(values: Sequence[Any]) -> Any:
-    return min(values)
-
-
-def agg_max(values: Sequence[Any]) -> Any:
-    return max(values)
+def distribution(values: Sequence[float]) -> Optional[Dict[str, float]]:
+    """The five-number summary of ``values`` (count, then min, median,
+    mean and max rounded to 3 decimals), or ``None`` for no values — the
+    one shape ``repro stats`` and ``repro report`` print distributions in."""
+    if not values:
+        return None
+    return {
+        "count": len(values),
+        "min": round(min(values), 3),
+        "median": round(statistics.median(values), 3),
+        "mean": round(statistics.fmean(values), 3),
+        "max": round(max(values), 3),
+    }
 
 
 # -- the store join ----------------------------------------------------------

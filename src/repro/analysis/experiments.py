@@ -20,8 +20,14 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro.analysis.figures import all_figures
-from repro.analysis.metrics import ExperimentRecord, records_to_markdown
-from repro.analysis.tables import run_section5, run_table1, run_table2
+from repro.analysis.tables import (
+    Row,
+    markdown_table,
+    run_section5,
+    run_table1,
+    run_table2,
+    verified_run,
+)
 
 BEGIN_MARKER = "<!-- BEGIN GENERATED: python -m repro experiments EXPERIMENTS.md -->"
 END_MARKER = "<!-- END GENERATED -->"
@@ -54,8 +60,8 @@ _S5_COLUMNS = [
 ]
 
 
-def _section(title: str, intro: str, records: List[ExperimentRecord], columns) -> str:
-    return f"## {title}\n\n{intro}\n\n{records_to_markdown(records, columns)}\n"
+def _section(title: str, intro: str, rows: List[Row], columns) -> str:
+    return f"## {title}\n\n{intro}\n\n{markdown_table(columns, rows)}\n"
 
 
 def generate_report() -> str:
@@ -151,11 +157,10 @@ def _ablation_section() -> str:
     """The design-choice ablations: oracle substitution cost, H-partition
     slack q, and the related-work (Delta+1) vertex coloring boundary.
 
-    Every algorithm resolves through :mod:`repro.registry` — this harness
-    names algorithms, never imports them.
+    Every algorithm resolves through :mod:`repro.registry` and every run
+    is checked by its declared oracles (:func:`verified_run`) — this
+    harness names algorithms, never imports them.
     """
-    from repro import registry
-    from repro.verify import verify_edge_coloring, verify_vertex_coloring
     from repro.graphs import max_degree, random_regular, star_forest_stack
 
     lines = ["## Ablations", ""]
@@ -172,7 +177,7 @@ def _ablation_section() -> str:
     ]
     for delta in (4, 8, 16):
         graph = random_regular(48, delta, seed=23)
-        oracle = registry.run("oracle-vertex", graph)
+        oracle = verified_run("oracle-vertex", graph)
         lines.append(
             f"| {delta} | {oracle.rounds_actual:.0f} | {oracle.rounds_modeled:.0f} |"
         )
@@ -187,9 +192,8 @@ def _ablation_section() -> str:
     ]
     workload = star_forest_stack(6, 18, 2, seed=29)
     for q in (2.5, 3.0, 6.0):
-        hp = registry.run("h-partition", workload, arboricity=2, q=q)
-        result = registry.run("thm52", workload, arboricity=2, q=q)
-        verify_edge_coloring(workload, result.coloring)
+        hp = verified_run("h-partition", workload, arboricity=2, q=q)
+        result = verified_run("thm52", workload, arboricity=2, q=q)
         lines.append(
             f"| {q} | {hp.extra['num_levels']} | {hp.extra['threshold']} "
             f"| {result.colors_used} |"
@@ -197,8 +201,7 @@ def _ablation_section() -> str:
     lines.append("")
 
     # Related work boundary: [6]'s (Delta+1)-vertex-coloring.
-    vertex = registry.run("vertex-arboricity", workload, arboricity=2)
-    verify_vertex_coloring(workload, vertex.coloring)
+    vertex = verified_run("vertex-arboricity", workload, arboricity=2)
     lines += [
         "### Related-work boundary ([6]): (Δ+1)-vertex-coloring",
         "",
@@ -252,33 +255,29 @@ def _scaling_section() -> str:
 def _baseline_section() -> str:
     """One shared workload, every executable baseline — the full
     color/round landscape the paper's Table 1 sits in. All rows resolve
-    through the unified algorithm registry."""
-    from repro import registry
-    from repro.verify import verify_edge_coloring
+    through the unified algorithm registry and pass their oracles."""
     from repro.graphs import max_degree, random_regular
 
     graph = random_regular(64, 16, seed=19)
     delta = max_degree(graph)
     rows = []
 
-    ours1 = registry.run("star4", graph)
+    ours1 = verified_run("star4", graph)
     rows.append(("star-partition x=1 (this paper, 4Δ)", ours1.colors_used, f"{ours1.rounds_modeled:.0f}"))
-    ours2 = registry.run("star", graph, x=2)
+    ours2 = verified_run("star", graph, x=2)
     rows.append(("star-partition x=2 (this paper, 8Δ)", ours2.colors_used, f"{ours2.rounds_modeled:.0f}"))
-    weak = registry.run("weak", graph)
+    weak = verified_run("weak", graph)
     rows.append(("weak Δ^(1+ε) ([6,7] regime)", weak.colors_used, f"{weak.rounds_actual:.0f}"))
-    fast = registry.run("forest", graph)
+    fast = verified_run("forest", graph)
     rows.append(("forest decomposition (O(aΔ))", fast.colors_used, f"{fast.rounds_actual:.0f}"))
-    rnd = registry.run("randomized", graph, seed=19)
+    rnd = verified_run("randomized", graph, seed=19)
     rows.append(("randomized 2Δ trial ([14,16,22] regime)", rnd.colors_used, f"{rnd.rounds_actual:.0f}"))
-    split = registry.run("split", graph)
+    split = verified_run("split", graph)
     rows.append(("degree splitting ([20,25] regime)", split.colors_used, f"{split.rounds_modeled:.0f} (modeled)"))
-    greedy = registry.run("greedy", graph)
+    greedy = verified_run("greedy", graph)
     rows.append(("greedy 2Δ-1 (sequential)", greedy.colors_used, "—"))
-    vizing = registry.run("vizing", graph)
+    vizing = verified_run("vizing", graph)
     rows.append(("Misra–Gries Δ+1 (centralized)", vizing.colors_used, "—"))
-    for coloring in (ours1.coloring, ours2.coloring):
-        verify_edge_coloring(graph, coloring)
 
     lines = [
         "## Baseline landscape",

@@ -2,8 +2,9 @@
 
 The paper's figures are schematic drawings of the three connector
 constructions. These builders create the exact gadget instances the captions
-describe, apply the construction, and render a textual (DOT + summary)
-figure, so the structural claims pictured in the appendix are checkable:
+describe, apply the construction, and summarize the result as a one-line
+degree-bound check, so the structural claims pictured in the appendix are
+checkable:
 
 * Figure 1 — clique connector with t = 4 on two cliques sharing a vertex.
 * Figure 2 — edge-connector with t = 3.
@@ -41,7 +42,6 @@ class FigureReport:
     base_max_degree: int
     connector_max_degree: int
     degree_bound: int
-    dot: str
 
     @property
     def within_bound(self) -> bool:
@@ -55,16 +55,6 @@ class FigureReport:
             f"|E|={self.connector_edges} Delta={self.connector_max_degree} "
             f"(bound {self.degree_bound}, {status})"
         )
-
-
-def _to_dot(graph: nx.Graph, name: str) -> str:
-    lines = [f'graph "{name}" {{']
-    for v in sorted(graph.nodes(), key=repr):
-        lines.append(f'  "{v}";')
-    for u, v in sorted(graph.edges(), key=lambda e: (repr(e[0]), repr(e[1]))):
-        lines.append(f'  "{u}" -- "{v}";')
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def figure1_clique_connector(t: int = 4, clique_size: int = 8) -> FigureReport:
@@ -89,7 +79,6 @@ def figure1_clique_connector(t: int = 4, clique_size: int = 8) -> FigureReport:
         base_max_degree=max_degree(graph),
         connector_max_degree=max_degree(connector),
         degree_bound=diversity * (t - 1),
-        dot=_to_dot(connector, "figure1"),
     )
 
 
@@ -115,7 +104,6 @@ def figure2_edge_connector(t: int = 3, star_size: int = 7) -> FigureReport:
         base_max_degree=max_degree(graph),
         connector_max_degree=max_degree(connector.graph),
         degree_bound=t,
-        dot=_to_dot(connector.graph, "figure2"),
     )
 
 
@@ -154,7 +142,6 @@ def figure3_orientation_connector(
         base_max_degree=max_degree(graph),
         connector_max_degree=max_degree(connector.graph),
         degree_bound=bound,
-        dot=_to_dot(connector.graph, "figure3"),
     )
 
 
@@ -164,14 +151,3 @@ def all_figures() -> List[FigureReport]:
         figure2_edge_connector(),
         figure3_orientation_connector(),
     ]
-
-
-def main() -> None:  # pragma: no cover - CLI entry point
-    for report in all_figures():
-        print(report.summary())
-        print(report.description)
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

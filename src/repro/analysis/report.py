@@ -12,7 +12,7 @@ deterministic payload:
   from what the rows themselves disclose. Rows that disclose no Δ render
   an unknown bound instead of silently rebuilding graphs.
 * **verdicts** — the verification ledger per algorithm (ok/fail/skip/
-  error/unverified), straight off the store's verdict column.
+  error), straight off the store's verdict column.
 * **campaign** — wall/queue/utilization breakdowns from the per-cell
   metrics blobs and the persisted ``last_campaign`` summary.
 
@@ -31,16 +31,7 @@ import io
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.dataframes import (
-    Frame,
-    agg_count,
-    agg_max,
-    agg_mean,
-    agg_median,
-    agg_min,
-    agg_sum,
-    cell_frame,
-)
+from repro.analysis.dataframes import Frame, cell_frame, distribution
 
 __all__ = [
     "build_report",
@@ -62,8 +53,7 @@ FRONTIER_COLUMNS = (
     "within_bound", "rounds_max", "rounds_modeled_max",
 )
 VERDICT_COLUMNS = (
-    "algorithm", "cells", "ok", "fail", "skip", "error", "unverified",
-    "errored_rows",
+    "algorithm", "cells", "ok", "fail", "skip", "error", "errored_rows",
 )
 
 
@@ -179,39 +169,23 @@ def palette_frontier(frame: Frame) -> List[Dict[str, Any]]:
 
 def verdict_summary(frame: Frame) -> List[Dict[str, Any]]:
     """The verification ledger per algorithm: one count per verdict
-    state, ``unverified`` for rows without a verdict (every campaign
-    verifies what it computes, so these are errored rows),
-    ``errored_rows`` for rows whose run itself errored."""
+    state, and ``errored_rows`` for rows whose run itself errored (the
+    only rows without a verdict: every campaign verifies what it
+    computes)."""
     out: List[Dict[str, Any]] = []
     for (algorithm,), group in frame.group_by("algorithm"):
         record: Dict[str, Any] = {
             "algorithm": algorithm,
             "cells": len(group),
             "ok": 0, "fail": 0, "skip": 0, "error": 0,
-            "unverified": 0,
             "errored_rows": len(group.where(lambda r: bool(r.get("error")))),
         }
         for row in group:
             verdict = row.get("verdict")
             if verdict in ("ok", "fail", "skip", "error"):
                 record[verdict] += 1
-            else:
-                record["unverified"] += 1
         out.append(record)
     return out
-
-
-def _distribution(frame: Frame, column: str) -> Optional[Dict[str, Any]]:
-    values = frame.column(column, drop_none=True)
-    if not values:
-        return None
-    return {
-        "count": agg_count(values),
-        "min": round(agg_min(values), 3),
-        "median": round(agg_median(values), 3),
-        "mean": round(agg_mean(values), 3),
-        "max": round(agg_max(values), 3),
-    }
 
 
 def campaign_breakdown(
@@ -220,19 +194,18 @@ def campaign_breakdown(
     """Wall/queue/utilization breakdowns from the per-cell metrics blobs
     plus the persisted ``last_campaign`` runner summary (the only place
     a cache-hit rate can come from)."""
-    phase_totals = {
-        phase: round(agg_sum(frame.column(phase, drop_none=True)), 3)
-        if frame.column(phase, drop_none=True) else None
-        for phase in ("build_ms", "compute_ms", "verify_ms", "total_ms")
-    }
+    phase_totals = {}
+    for phase in ("build_ms", "compute_ms", "verify_ms", "total_ms"):
+        values = frame.column(phase, drop_none=True)
+        phase_totals[phase] = round(sum(values), 3) if values else None
+    windows = frame.column("window", drop_none=True)
     breakdown: Dict[str, Any] = {
         "cells": len(frame),
         "errored_rows": len(frame.where(lambda r: bool(r.get("error")))),
-        "wall_ms": _distribution(frame, "wall_ms"),
-        "queue_ms": _distribution(frame, "queue_ms"),
+        "wall_ms": distribution(frame.column("wall_ms", drop_none=True)),
+        "queue_ms": distribution(frame.column("queue_ms", drop_none=True)),
         "phase_ms_total": phase_totals,
-        "window_max": agg_max(frame.column("window", drop_none=True))
-        if frame.column("window", drop_none=True) else None,
+        "window_max": max(windows) if windows else None,
         "sharded_cells": len(frame.where(lambda r: r.get("shards"))),
     }
     if isinstance(summary, Mapping):

@@ -43,12 +43,3 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
         exponent=float(slope), coefficient=float(np.exp(intercept)), residual=residual
     )
 
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """The geometric mean (the right average for ratios/speedups)."""
-    array = np.asarray(values, dtype=float)
-    if array.size == 0:
-        raise InvalidParameterError("geometric mean of empty sequence")
-    if np.any(array <= 0):
-        raise InvalidParameterError("geometric mean needs positive values")
-    return float(np.exp(np.mean(np.log(array))))

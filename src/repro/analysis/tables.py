@@ -1,33 +1,25 @@
 """Harnesses regenerating the paper's Tables 1 and 2 and the Section 5
-results on concrete workloads.
+results on concrete workloads, and the markdown renderer for their rows.
 
-Each ``run_*`` function executes the paper's algorithm on generated graphs,
-verifies properness and the color bound, and returns
-:class:`~repro.analysis.metrics.ExperimentRecord` rows carrying both measured
-values (colors, simulator rounds) and the modeled round bounds the paper's
-tables are stated in. ``python -m repro.analysis.tables`` prints everything.
+Table 1 and Section 5 resolve every algorithm through
+:func:`repro.registry.run` and check each run with
+:func:`repro.verify.verify_run`, the oracle path campaign cells take; a
+verdict other than ``ok`` raises. Table 2 runs ``cd_coloring`` on the
+explicit clique covers its instances come with (no registered algorithm
+takes a cover). Each ``run_*`` function returns plain dict rows carrying
+the measured values (colors, simulator rounds), the modeled round bounds
+the paper's tables are stated in, ``within_bound`` and one ``param_*``
+key per instance parameter.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.analysis.metrics import ExperimentRecord
-from repro.baselines import (
-    degree_splitting_edge_coloring,
-    greedy_edge_coloring,
-    misra_gries_edge_coloring,
-    table1_row,
-    table2_row,
-)
-from repro.core import (
-    cd_coloring,
-    edge_color_bounded_arboricity,
-    edge_color_delta_plus_o_delta,
-    edge_color_orientation_connector,
-    edge_color_recursive,
-    star_partition_edge_coloring,
-)
+from repro import registry
+from repro.baselines import table1_row, table2_row
+from repro.core import cd_coloring
+from repro.errors import ColoringError
 from repro.graphs import (
     line_graph_with_cover,
     max_degree,
@@ -35,8 +27,51 @@ from repro.graphs import (
     random_uniform_hypergraph,
     star_forest_stack,
 )
-from repro.local import RoundLedger
-from repro.verify import verify_edge_coloring, verify_vertex_coloring
+from repro.verify import verify_run, verify_vertex_coloring
+
+Row = Dict[str, Any]
+
+
+def _row(
+    experiment: str,
+    workload: str,
+    graph,
+    delta: int,
+    params: Mapping[str, Any],
+    colors_used: int,
+    colors_bound: Optional[float],
+    rounds_actual: Optional[float] = None,
+    rounds_modeled: Optional[float] = None,
+    baseline_colors: Optional[float] = None,
+    baseline_rounds: Optional[float] = None,
+    notes: str = "",
+) -> Row:
+    return {
+        "experiment": experiment,
+        "workload": workload,
+        "n": graph.number_of_nodes(),
+        "m": graph.number_of_edges(),
+        "delta": delta,
+        **{f"param_{k}": v for k, v in params.items()},
+        "colors_used": colors_used,
+        "colors_bound": colors_bound,
+        "within_bound": None if colors_bound is None else colors_used <= colors_bound,
+        "rounds_actual": rounds_actual,
+        "rounds_modeled": rounds_modeled,
+        "baseline_colors": baseline_colors,
+        "baseline_rounds": baseline_rounds,
+        "notes": notes,
+    }
+
+
+def verified_run(name: str, graph, **params: Any) -> registry.AlgorithmRun:
+    """``registry.run(name, graph, **params)``, raising unless every
+    oracle the algorithm declares returns ``ok``."""
+    run = registry.run(name, graph, **params)
+    verdict = verify_run(graph, run, params=params)
+    if verdict.status != "ok":
+        raise ColoringError(f"{name}: verdict {verdict.status}: {verdict.violation}")
+    return run
 
 
 def run_table1(
@@ -44,35 +79,32 @@ def run_table1(
     x_values: Sequence[int] = (1, 2, 3),
     n: int = 96,
     seed: int = 7,
-) -> List[ExperimentRecord]:
+) -> List[Row]:
     """Table 1: (2^(x+1) Delta)-edge-coloring of general (regular) graphs,
     vs. the analytic previous [7]+[17] bound."""
-    records: List[ExperimentRecord] = []
+    rows: List[Row] = []
     for delta in deltas:
         nodes = n if (n * delta) % 2 == 0 else n + 1
         graph = random_regular(nodes, delta, seed=seed)
         for x in x_values:
-            ledger = RoundLedger()
-            result = star_partition_edge_coloring(graph, x=x, ledger=ledger)
-            verify_edge_coloring(graph, result.coloring, palette=result.target_colors)
+            run = verified_run("star", graph, x=x)
             previous = table1_row(delta, nodes, x)
-            records.append(
-                ExperimentRecord(
-                    experiment="table1",
-                    workload=f"random-regular(n={nodes}, d={delta})",
-                    n=nodes,
-                    m=graph.number_of_edges(),
-                    delta=delta,
-                    params={"x": x},
-                    colors_used=result.colors_used,
-                    colors_bound=result.target_colors,
-                    rounds_actual=result.rounds_actual,
-                    rounds_modeled=result.rounds_modeled,
-                    baseline_colors=previous.previous_colors,
-                    baseline_rounds=previous.previous_rounds,
+            rows.append(
+                _row(
+                    "table1",
+                    f"random-regular(n={nodes}, d={delta})",
+                    graph,
+                    delta,
+                    {"x": x},
+                    run.colors_used,
+                    run.extra["target_colors"],
+                    run.rounds_actual,
+                    run.rounds_modeled,
+                    previous.previous_colors,
+                    previous.previous_rounds,
                 )
             )
-    return records
+    return rows
 
 
 def run_table2(
@@ -84,13 +116,13 @@ def run_table2(
     ),
     x_values: Sequence[int] = (1, 2, 3),
     seed: int = 11,
-) -> List[ExperimentRecord]:
+) -> List[Row]:
     """Table 2: (D^(x+1) S)-vertex-coloring of bounded-diversity graphs.
 
     D = 2 instances are line graphs of regular graphs; D = c instances are
     line graphs of c-uniform hypergraphs.
     """
-    records: List[ExperimentRecord] = []
+    rows: List[Row] = []
     for config in configs:
         diversity = config["diversity"]
         delta = config["delta"]
@@ -106,120 +138,85 @@ def run_table2(
             workload = f"hypergraph-line({diversity}-uniform)"
         d_measured = cover.diversity()
         s_measured = cover.max_clique_size()
+        graph_delta = max_degree(graph)
         for x in x_values:
-            ledger = RoundLedger()
-            result = cd_coloring(graph, cover, x=x, ledger=ledger)
+            result = cd_coloring(graph, cover, x=x)
             verify_vertex_coloring(graph, result.coloring)
             previous = table2_row(
-                d_measured, s_measured, max_degree(graph), graph.number_of_nodes(), x
+                d_measured, s_measured, graph_delta, graph.number_of_nodes(), x
             )
-            records.append(
-                ExperimentRecord(
-                    experiment="table2",
-                    workload=workload,
-                    n=graph.number_of_nodes(),
-                    m=graph.number_of_edges(),
-                    delta=max_degree(graph),
-                    params={"x": x, "D": d_measured, "S": s_measured},
-                    colors_used=result.colors_used,
-                    colors_bound=max(result.target_colors, result.palette_bound),
-                    rounds_actual=result.rounds_actual,
-                    rounds_modeled=result.rounds_modeled,
-                    baseline_colors=previous.previous_colors,
-                    baseline_rounds=previous.previous_rounds,
+            rows.append(
+                _row(
+                    "table2",
+                    workload,
+                    graph,
+                    graph_delta,
+                    {"x": x, "D": d_measured, "S": s_measured},
+                    result.colors_used,
+                    max(result.target_colors, result.palette_bound),
+                    result.rounds_actual,
+                    result.rounds_modeled,
+                    previous.previous_colors,
+                    previous.previous_rounds,
                 )
             )
-    return records
+    return rows
+
+
+#: Section 5's pipelines: (row label, registered name, extra parameters).
+_SECTION5_RUNS = (
+    ("thm5.2", "thm52", {}),
+    ("thm5.3", "thm53", {}),
+    ("thm5.4(x=2)", "thm54", {"x": 2}),
+    ("cor5.5", "cor55", {}),
+)
 
 
 def run_section5(
     arboricities: Sequence[int] = (2, 3),
     seed: int = 13,
-    include_recursive: bool = True,
-) -> List[ExperimentRecord]:
+) -> List[Row]:
     """Section 5: the (Delta + o(Delta)) pipeline on low-arboricity graphs,
     with centralized Vizing and greedy baselines for the color counts."""
-    records: List[ExperimentRecord] = []
+    rows: List[Row] = []
     for a in arboricities:
         graph = star_forest_stack(n_centers=6, leaves_per_center=24, a=a, seed=seed)
         delta = max_degree(graph)
         workload = f"star-forest-stack(a={a}, Delta={delta})"
-        vizing = misra_gries_edge_coloring(graph)
-        greedy = greedy_edge_coloring(graph)
-        baseline_colors = len(set(vizing.values()))
-        greedy_colors = len(set(greedy.values()))
-
-        runs = [
-            ("thm5.2", lambda: edge_color_bounded_arboricity(graph, arboricity=a)),
-            ("thm5.3", lambda: edge_color_orientation_connector(graph, arboricity=a)),
-        ]
-        if include_recursive:
-            runs.append(
-                ("thm5.4(x=2)", lambda: edge_color_recursive(graph, x=2, arboricity=a))
-            )
-            runs.append(
-                ("cor5.5", lambda: edge_color_delta_plus_o_delta(graph, arboricity=a))
-            )
-        for name, run in runs:
-            result = run()
-            verify_edge_coloring(graph, result.coloring)
-            records.append(
-                ExperimentRecord(
-                    experiment=name,
-                    workload=workload,
-                    n=graph.number_of_nodes(),
-                    m=graph.number_of_edges(),
-                    delta=delta,
-                    params={"a": a, "dhat": result.dhat},
-                    colors_used=result.colors_used,
-                    colors_bound=result.palette_bound or None,
-                    rounds_actual=result.rounds_actual,
-                    rounds_modeled=result.rounds_modeled,
-                    baseline_colors=baseline_colors,
+        baseline_colors = verified_run("vizing", graph).colors_used
+        greedy_colors = verified_run("greedy", graph).colors_used
+        for experiment, name, params in _SECTION5_RUNS:
+            run = verified_run(name, graph, arboricity=a, **params)
+            rows.append(
+                _row(
+                    experiment,
+                    workload,
+                    graph,
+                    delta,
+                    {"a": a, "dhat": run.extra["dhat"]},
+                    run.colors_used,
+                    run.extra["palette_bound"] or None,
+                    run.rounds_actual,
+                    run.rounds_modeled,
+                    baseline_colors,
                     notes=f"greedy(2D-1)={greedy_colors}",
                 )
             )
-        split = degree_splitting_edge_coloring(graph)
-        verify_edge_coloring(graph, split.coloring)
-        records.append(
-            ExperimentRecord(
-                experiment="baseline-degree-splitting",
-                workload=workload,
-                n=graph.number_of_nodes(),
-                m=graph.number_of_edges(),
-                delta=delta,
-                params={"a": a},
-                colors_used=split.colors_used,
-                colors_bound=None,
+        split = verified_run("split", graph)
+        rows.append(
+            _row(
+                "baseline-degree-splitting",
+                workload,
+                graph,
+                delta,
+                {"a": a},
+                split.colors_used,
+                None,
                 rounds_modeled=split.rounds_modeled,
                 baseline_colors=baseline_colors,
             )
         )
-    return records
-
-
-def _print_records(title: str, records: List[ExperimentRecord]) -> None:
-    from repro.analysis.metrics import records_to_markdown
-
-    print(f"\n## {title}\n")
-    print(
-        records_to_markdown(
-            records,
-            [
-                "experiment",
-                "workload",
-                "delta",
-                "param_x",
-                "colors_used",
-                "colors_bound",
-                "within_bound",
-                "rounds_actual",
-                "rounds_modeled",
-                "baseline_colors",
-                "baseline_rounds",
-            ],
-        )
-    )
+    return rows
 
 
 #: Default column order for rendering experiment-store query rows.
@@ -243,33 +240,25 @@ CELL_ROW_COLUMNS = (
 )
 
 
-def cell_rows_markdown(
-    rows: Sequence[Dict[str, object]],
-    columns: Sequence[str] = CELL_ROW_COLUMNS,
-) -> str:
-    """Render experiment-store query rows (plain dicts — the output of
-    :meth:`repro.store.ExperimentStore.query`) as a GitHub-flavoured
-    markdown table, the same surface the ExperimentRecord tables use.
-    Rows go through :func:`repro.analysis.dataframes.cell_frame`, so
-    metrics-blob columns (``compute_ms``, …) are addressable like any
-    store column."""
-    from repro.analysis.dataframes import cell_frame
-    from repro.analysis.metrics import _fmt
+def _fmt(value: Any) -> str:
+    if value is None:
+        return "—"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return f"{value:.1f}"
+    return str(value)
 
+
+def markdown_table(columns: Sequence[str], rows: Sequence[Mapping[str, Any]]) -> str:
+    """Render dict rows as a GitHub-flavoured markdown table: the harness
+    rows of the EXPERIMENTS.md block, and ``repro query --format
+    markdown`` over a :func:`~repro.analysis.dataframes.cell_frame`. A
+    missing key renders as "—", floats with one decimal."""
     header = "| " + " | ".join(columns) + " |"
     rule = "|" + "|".join("---" for _ in columns) + "|"
     body = [
         "| " + " | ".join(_fmt(row.get(column)) for column in columns) + " |"
-        for row in cell_frame(rows)
+        for row in rows
     ]
     return "\n".join([header, rule, *body])
-
-
-def main() -> None:  # pragma: no cover - CLI entry point
-    _print_records("Table 1 — edge coloring of general graphs", run_table1())
-    _print_records("Table 2 — vertex coloring, bounded diversity", run_table2())
-    _print_records("Section 5 — bounded arboricity", run_section5())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -39,9 +39,10 @@ Subcommands:
 * ``verify`` — re-execute and re-verify persisted store rows against the
   invariant oracles (:mod:`repro.verify`), and ``--diff``: run sampled
   cells under every engine and compare the outputs field by field.
-* ``tables`` / ``figures`` / ``experiments`` — the paper-reproduction
-  harnesses; ``experiments PATH`` regenerates only the marked block of
-  PATH (the committed paper tables in ``EXPERIMENTS.md``).
+* ``experiments`` — the paper-reproduction harnesses (Tables 1-2,
+  Section 5, Figures 1-3 and the rest of the generated block);
+  ``experiments PATH`` regenerates only the marked block of PATH (the
+  committed paper tables in ``EXPERIMENTS.md``).
 
 Engine selection (``--engine {reference,vector}``) routes every simulated
 round through :mod:`repro.engine`; ``--jobs N`` parallelizes across worker
@@ -361,21 +362,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def cmd_tables(args: argparse.Namespace) -> int:
-    from repro.analysis.tables import main as tables_main
-
-    with use_engine(args.engine):
-        tables_main()
-    return 0
-
-
-def cmd_figures(args: argparse.Namespace) -> int:
-    from repro.analysis.figures import main as figures_main
-
-    figures_main()
-    return 0
-
-
 def cmd_experiments(args: argparse.Namespace) -> int:
     from repro.analysis.experiments import main as experiments_main
 
@@ -483,9 +469,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     cache = None
     try:
         if args.store:
-            from repro.store import ExperimentStore, RunCache
+            from repro.store import RunCache
 
-            store = ExperimentStore(args.store)
+            store = _connect_store(args.store)
             cache = RunCache(store, refresh=args.fresh)
         runner = CampaignRunner(
             cells,
@@ -693,18 +679,26 @@ def cmd_graph(args: argparse.Namespace) -> int:
     }[args.action](args)
 
 
-def _open_store(path: str):
+def _connect_store(path: str):
+    """The store at ``path``, created when missing; a store of another
+    schema version exits with its one-line refusal, untouched."""
     from repro.store import ExperimentStore
 
+    try:
+        return ExperimentStore(path)
+    except InvalidParameterError as exc:
+        raise SystemExit(str(exc)) from None
+
+
+def _open_store(path: str):
+    """The existing store at ``path`` (the read-side commands never
+    create one)."""
     if not Path(path).exists():
         raise SystemExit(
             f"no experiment store at {path} "
             f"(create one with: repro campaign cells --store {path})"
         )
-    try:
-        return ExperimentStore(path)
-    except InvalidParameterError as exc:  # a store of another schema version
-        raise SystemExit(str(exc)) from None
+    return _connect_store(path)
 
 
 def cmd_query(args: argparse.Namespace) -> int:
@@ -728,20 +722,20 @@ def cmd_query(args: argparse.Namespace) -> int:
         return _query_slowest(rows, args.slowest)
     if args.format == "json":
         text = json.dumps([stable_row(r) for r in rows], indent=1, sort_keys=True)
-    elif args.format == "markdown":
-        from repro.analysis.tables import cell_rows_markdown
-
-        text = cell_rows_markdown(rows)
     else:
         from repro.analysis.dataframes import cell_frame
-        from repro.analysis.tables import CELL_ROW_COLUMNS
+        from repro.analysis.tables import CELL_ROW_COLUMNS, markdown_table
 
-        header = " ".join(f"{c:>14}" for c in CELL_ROW_COLUMNS)
-        body = [
-            " ".join(f"{str(r.get(c, '')):>14}" for c in CELL_ROW_COLUMNS)
-            for r in cell_frame(rows)
-        ]
-        text = "\n".join([header, *body, f"({len(rows)} rows)"])
+        frame = cell_frame(rows)
+        if args.format == "markdown":
+            text = markdown_table(CELL_ROW_COLUMNS, frame)
+        else:
+            header = " ".join(f"{c:>14}" for c in CELL_ROW_COLUMNS)
+            body = [
+                " ".join(f"{str(r.get(c, '')):>14}" for c in CELL_ROW_COLUMNS)
+                for r in frame
+            ]
+            text = "\n".join([header, *body, f"({len(rows)} rows)"])
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -1195,13 +1189,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", help="write structured JSON results")
     _add_engine_jobs(sweep)
     sweep.set_defaults(func=cmd_sweep)
-
-    tables = sub.add_parser("tables", help="print the table reproductions")
-    tables.add_argument("--engine", choices=available_engines(), default=None)
-    tables.set_defaults(func=cmd_tables)
-
-    figures = sub.add_parser("figures", help="print the figure bound checks")
-    figures.set_defaults(func=cmd_figures)
 
     experiments = sub.add_parser(
         "experiments", help="regenerate the paper tables in EXPERIMENTS.md"

@@ -69,24 +69,18 @@ def cd_hyperedge_coloring(
 def verify_hyperedge_coloring(
     hypergraph: Hypergraph,
     coloring: Dict[FrozenSet[NodeId], int],
-    strict: bool = True,
 ) -> bool:
     """Check that every hyperedge is colored and intersecting hyperedges
     have distinct colors."""
-    try:
-        missing = [e for e in hypergraph.edges if e not in coloring]
-        if missing:
-            raise ColoringError(f"{len(missing)} hyperedges uncolored")
-        edges = list(hypergraph.edges)
-        for i, e in enumerate(edges):
-            for f in edges[i + 1 :]:
-                if e & f and coloring[e] == coloring[f]:
-                    raise ColoringError(
-                        f"intersecting hyperedges share color {coloring[e]}: "
-                        f"{sorted(e)!r} and {sorted(f)!r}"
-                    )
-    except ColoringError:
-        if strict:
-            raise
-        return False
+    missing = [e for e in hypergraph.edges if e not in coloring]
+    if missing:
+        raise ColoringError(f"{len(missing)} hyperedges uncolored")
+    edges = list(hypergraph.edges)
+    for i, e in enumerate(edges):
+        for f in edges[i + 1 :]:
+            if e & f and coloring[e] == coloring[f]:
+                raise ColoringError(
+                    f"intersecting hyperedges share color {coloring[e]}: "
+                    f"{sorted(e)!r} and {sorted(f)!r}"
+                )
     return True

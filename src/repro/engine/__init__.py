@@ -8,8 +8,8 @@ Public surface:
 * :class:`~repro.engine.vector.VectorEngine` — registered array
   programs over CSR arrays; every other run delegated to the reference.
 * :func:`~repro.engine.base.use_engine` / :func:`~repro.engine.base.current_engine`
-  / :func:`~repro.engine.base.set_default_engine` — dynamically scoped
-  engine selection honored by every ``run_on_graph`` call.
+  — dynamically scoped engine selection honored by every ``run_on_graph``
+  call; outside any scope the engine is ``DEFAULT_ENGINE`` (reference).
 * :func:`~repro.engine.base.get_engine` / :func:`~repro.engine.base.available_engines`
   — the two engines, by name.
 """
@@ -24,7 +24,6 @@ from repro.engine.base import (
     get_engine,
     note_engine_run,
     record_engine_runs,
-    set_default_engine,
     use_engine,
 )
 from repro.engine.reference import ReferenceEngine
@@ -40,7 +39,6 @@ __all__ = [
     "current_engine",
     "current_engine_name",
     "get_engine",
-    "set_default_engine",
     "use_engine",
     "ReferenceEngine",
     "VectorEngine",

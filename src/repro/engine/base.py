@@ -104,7 +104,6 @@ def get_engine(name: str) -> Engine:
 _current: contextvars.ContextVar[Optional[str]] = contextvars.ContextVar(
     "repro_engine", default=None
 )
-_default_engine = DEFAULT_ENGINE
 
 # ---- effective-engine accounting -----------------------------------------
 # Engines report each run they actually schedule via note_engine_run; a
@@ -156,23 +155,14 @@ def record_engine_runs() -> Iterator[List[str]]:
         _run_sink.reset(token)
 
 
-def set_default_engine(name: str) -> None:
-    """Set the process-wide default engine (validated eagerly)."""
-    # repro-check: ok fork-global-write — deliberately process-wide: a config
-    # knob set once at startup; workers inherit the pre-fork value by design
-    global _default_engine
-    get_engine(name)
-    _default_engine = name
-
-
 def current_engine() -> Engine:
     """The engine in effect: the innermost :func:`use_engine` scope, else
-    the process default (``reference`` unless changed)."""
-    return get_engine(_current.get() or _default_engine)
+    :data:`DEFAULT_ENGINE`."""
+    return get_engine(_current.get() or DEFAULT_ENGINE)
 
 
 def current_engine_name() -> str:
-    return (_current.get() or _default_engine)
+    return _current.get() or DEFAULT_ENGINE
 
 
 @contextlib.contextmanager

@@ -17,7 +17,6 @@ under ``errors`` and ``untimed``.
 
 from __future__ import annotations
 
-import statistics
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 __all__ = ["campaign_stats", "render_stats"]
@@ -48,16 +47,6 @@ def _cell_time_ms(row: Mapping[str, Any]) -> Optional[float]:
     return float(value) if isinstance(value, (int, float)) else None
 
 
-def _distribution(values: Sequence[float]) -> Dict[str, float]:
-    return {
-        "count": len(values),
-        "min": round(min(values), 3),
-        "median": round(statistics.median(values), 3),
-        "mean": round(statistics.fmean(values), 3),
-        "max": round(max(values), 3),
-    }
-
-
 def campaign_stats(rows: Sequence[Mapping[str, Any]], top: int = 5) -> Dict[str, Any]:
     """Aggregate a set of store rows into the ``repro stats`` payload.
 
@@ -66,7 +55,7 @@ def campaign_stats(rows: Sequence[Mapping[str, Any]], top: int = 5) -> Dict[str,
     ``repro.obs`` loads on every run path, the analysis package only
     here), so this module aggregates hoisted columns instead of
     re-walking blobs."""
-    from repro.analysis.dataframes import cell_frame
+    from repro.analysis.dataframes import cell_frame, distribution
 
     frame = cell_frame(rows)
     counters: Dict[str, float] = {}
@@ -116,8 +105,8 @@ def campaign_stats(rows: Sequence[Mapping[str, Any]], top: int = 5) -> Dict[str,
     }
     distributions = {
         algo: {
-            "wall_ms": _distribution(dist["wall_ms"]) if dist["wall_ms"] else None,
-            "rounds": _distribution(dist["rounds"]) if dist["rounds"] else None,
+            "wall_ms": distribution(dist["wall_ms"]),
+            "rounds": distribution(dist["rounds"]),
         }
         for algo, dist in sorted(per_algorithm.items())
     }
@@ -129,7 +118,7 @@ def campaign_stats(rows: Sequence[Mapping[str, Any]], top: int = 5) -> Dict[str,
         "slowest": slowest,
         "fallbacks": fallbacks,
         "counters": dict(sorted(counters.items())),
-        "queue_ms": _distribution(queue_ms) if queue_ms else None,
+        "queue_ms": distribution(queue_ms),
         "per_algorithm": distributions,
     }
 

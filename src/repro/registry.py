@@ -5,10 +5,13 @@ and ``repro.baselines`` self-registers an :class:`AlgorithmSpec` at import
 time: a stable name, its family and output kind, the paper's color/round
 guarantees, the graph properties it needs, and a uniform
 ``runner(graph, **params) -> AlgorithmRun`` adapter. The CLI, the
-experiment harnesses, the campaign runner and the benchmarks all resolve
-algorithms through this table instead of importing algorithm functions
-directly, so a new algorithm becomes a CLI subcommand choice, a campaign
-cell and a parity-test subject by registering itself once.
+campaign runner, the benchmarks and the EXPERIMENTS.md harnesses
+(``analysis/tables.py::verified_run``, which also checks each run with
+:func:`repro.verify.verify_run`) resolve algorithms through this table
+instead of importing algorithm functions directly; only Table 2 calls
+``cd_coloring`` itself, because its instances come with explicit clique
+covers. A new algorithm becomes a CLI subcommand choice, a campaign cell
+and a parity-test subject by registering itself once.
 
 Engine selection composes orthogonally: ``run(name, graph, engine="vector")``
 scopes the whole invocation with :func:`repro.engine.use_engine`.

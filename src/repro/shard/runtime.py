@@ -283,13 +283,11 @@ class ShardingScope:
         *,
         inline: bool = False,
         checkpoint: Optional[Path] = None,
-        checkpoint_every: int = 1,
     ):
         self.graph = graph
         self.bundle = bundle
         self.inline = inline
         self.checkpoint = Path(checkpoint) if checkpoint else None
-        self.checkpoint_every = max(1, int(checkpoint_every))
         self.last_stats: Optional[Dict[str, Any]] = None
         self._pool = None
         self._table: Optional[Dict[str, Any]] = None
@@ -495,7 +493,7 @@ class ShardingScope:
             )
             _emit_worker_spans("step", stats, round_no=completed)
             arg = program.next_action(plan, completed, stats)
-            if self.checkpoint is not None and completed % self.checkpoint_every == 0:
+            if self.checkpoint is not None:
                 self.checkpoint.mkdir(parents=True, exist_ok=True)
                 pool.request(
                     [("save", str(self._state_path(s))) for s in range(num)]
@@ -531,7 +529,6 @@ def sharding(
     *,
     inline: bool = False,
     checkpoint: Optional[Path] = None,
-    checkpoint_every: int = 1,
     parent_digest: Optional[str] = None,
 ):
     """Install a sharded-execution scope for ``graph``.
@@ -553,7 +550,6 @@ def sharding(
         bundle,
         inline=inline,
         checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every,
     )
     token = _context._ACTIVE.set(scope)
     try:

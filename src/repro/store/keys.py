@@ -49,7 +49,7 @@ def run_key(
 
     ``workload_params`` are resolved through the workload registry (so
     explicit defaults and omitted defaults hash identically) and ``engine``
-    ``None`` resolves to the process default before hashing.
+    ``None`` resolves to the current engine before hashing.
     """
     from repro.engine import current_engine_name
     from repro.workloads import canonical_instance

@@ -137,6 +137,7 @@ class ExperimentStore:
         self.path = str(path)
         self._conn = sqlite3.connect(self.path, timeout=timeout)
         self._conn.row_factory = sqlite3.Row
+        self._refuse_other_versions()
         self._enable_wal(timeout)
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute(f"PRAGMA busy_timeout={int(timeout * 1000)}")
@@ -161,12 +162,30 @@ class ExperimentStore:
             time.sleep(delay)
             delay = min(2 * delay, 0.05)
 
-    def _init_schema(self) -> None:
-        """Create a fresh store, or open one of :data:`SCHEMA_VERSION`.
+    def _refuse_other_versions(self) -> None:
+        """Refuse a store of any schema version but :data:`SCHEMA_VERSION`
+        before anything writes to the file (not even the switch to WAL,
+        which rewrites the header): this code reads and writes only its
+        own schema, so another version's store stays byte-identical."""
+        try:
+            row = self._conn.execute(
+                "SELECT value FROM meta WHERE key = 'schema_version'"
+            ).fetchone()
+        except sqlite3.OperationalError as exc:
+            if "no such table" not in str(exc):
+                raise
+            return  # a fresh file
+        version = SCHEMA_VERSION if row is None else int(row["value"])
+        if version != SCHEMA_VERSION:
+            self._conn.close()
+            raise InvalidParameterError(
+                f"{self.path}: store schema version {version} "
+                f"!= supported {SCHEMA_VERSION}"
+            )
 
-        Any other version is refused before the ``runs`` table or its
-        indexes are touched: this code writes only its own schema, so an
-        older store is left exactly as it was."""
+    def _init_schema(self) -> None:
+        """Create the tables and indexes a fresh store lacks; on a store
+        of :data:`SCHEMA_VERSION` every statement is a no-op."""
         with self._conn:
             self._conn.execute(_META_SCHEMA)
             # INSERT OR IGNORE keeps concurrent first-opens race-free: two
@@ -176,18 +195,7 @@ class ExperimentStore:
                 "VALUES ('schema_version', ?)",
                 (str(SCHEMA_VERSION),),
             )
-            row = self._conn.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
-            version = int(row["value"])
-            if version == SCHEMA_VERSION:
-                self._conn.executescript(_SCHEMA)
-                return
-        self._conn.close()
-        raise InvalidParameterError(
-            f"{self.path}: store schema version {version} "
-            f"!= supported {SCHEMA_VERSION}"
-        )
+            self._conn.executescript(_SCHEMA)
 
     def close(self) -> None:
         self._conn.close()

@@ -2,8 +2,8 @@
 
 Two independent lines of defense beyond the per-run oracles:
 
-* :func:`differential_check` executes one cell under *every* engine
-  (ReferenceEngine vs VectorEngine by default) and compares the resulting
+* :func:`differential_check` executes one cell under both engines
+  (ReferenceEngine and VectorEngine) and compares the resulting
   :class:`~repro.registry.AlgorithmRun`s field by field — coloring,
   colors_used, rounds, and every ``extra`` key. Any divergence means an
   array program changed semantics.
@@ -18,7 +18,7 @@ Two independent lines of defense beyond the per-run oracles:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.verify.oracles import Verdict, verify_run
 
@@ -36,6 +36,9 @@ RECHECK_COLUMNS = (
 
 #: Run fields compared across engines, before the per-key ``extra`` diff.
 DIFF_FIELDS = ("kind", "coloring", "colors_used", "rounds_actual", "rounds_modeled")
+
+#: The engines a differential cell runs under; the first is the reference.
+DIFF_ENGINES = ("reference", "vector")
 
 
 @dataclass(frozen=True)
@@ -104,10 +107,10 @@ def differential_check(
     workload_params: Optional[Mapping[str, Any]] = None,
     seed: int = 0,
     algo_params: Optional[Mapping[str, Any]] = None,
-    engines: Sequence[str] = ("reference", "vector"),
 ) -> DiffResult:
-    """Run one cell under every engine in ``engines`` on the *same* built
-    graph and diff each run against the first engine's."""
+    """Run one cell under both engines (:data:`DIFF_ENGINES`) on the
+    *same* built graph and diff the vector run against the reference
+    run."""
     from repro import registry
     from repro import workloads
 
@@ -117,16 +120,13 @@ def differential_check(
         workload_params=dict(workload_params or {}),
         seed=seed,
         algo_params=dict(algo_params or {}),
-        engines=tuple(engines),
+        engines=DIFF_ENGINES,
     )
-    if len(engines) < 2:
-        result.error = "differential checking needs at least two engines"
-        return result
     try:
         graph = workloads.build(workload, workload_params, seed=seed)
         runs = [
             registry.run(algorithm, graph, engine=engine, **dict(algo_params or {}))
-            for engine in engines
+            for engine in DIFF_ENGINES
         ]
     except Exception as exc:  # noqa: BLE001 - a cell error is a result
         result.error = f"{type(exc).__name__}: {exc}"

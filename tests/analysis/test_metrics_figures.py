@@ -1,40 +1,18 @@
-"""Tests for experiment records and the figure reproductions."""
+"""Tests for the block's markdown renderer and the figure reproductions."""
 
-from repro.analysis import (
-    ExperimentRecord,
+from repro.analysis.figures import (
     all_figures,
     figure1_clique_connector,
     figure2_edge_connector,
     figure3_orientation_connector,
-    records_to_markdown,
 )
+from repro.analysis.tables import markdown_table
 
 
-class TestExperimentRecord:
-    def test_within_bound(self):
-        r = ExperimentRecord(
-            experiment="t", workload="w", n=1, m=1, delta=1,
-            colors_used=5, colors_bound=10,
-        )
-        assert r.within_bound is True
-        r.colors_used = 20
-        assert r.within_bound is False
-
-    def test_within_bound_none_without_bound(self):
-        r = ExperimentRecord(experiment="t", workload="w", n=1, m=1, delta=1)
-        assert r.within_bound is None
-
-    def test_as_dict_flattens_params(self):
-        r = ExperimentRecord(
-            experiment="t", workload="w", n=1, m=2, delta=3, params={"x": 9}
-        )
-        assert r.as_dict()["param_x"] == 9
-
+class TestMarkdownTable:
     def test_markdown_rendering(self):
-        r = ExperimentRecord(
-            experiment="t1", workload="w", n=1, m=2, delta=3, colors_used=4
-        )
-        table = records_to_markdown([r], ["experiment", "colors_used", "colors_bound"])
+        row = {"experiment": "t1", "n": 1, "m": 2, "delta": 3, "colors_used": 4}
+        table = markdown_table(["experiment", "colors_used", "colors_bound"], [row])
         assert "| t1 | 4 | — |" in table
         assert table.splitlines()[0].startswith("| experiment")
 
@@ -64,5 +42,4 @@ class TestFigures:
         assert len(reports) == 3
         for report in reports:
             assert report.within_bound
-            assert report.dot.startswith("graph")
             assert report.summary()

@@ -14,7 +14,7 @@ from repro.analysis.report import (
     render_markdown,
     write_report,
 )
-from repro.analysis.tables import cell_rows_markdown
+from repro.analysis.tables import CELL_ROW_COLUMNS, markdown_table
 from repro.store import ExperimentStore, RunCache
 
 TIMESTAMP = "2026-01-01T00:00:00+00:00"
@@ -175,7 +175,7 @@ class TestCellRowsMarkdown:
     def test_includes_compute_ms_and_verdict(self, campaign_store):
         with ExperimentStore(campaign_store) as store:
             rows = store.query()
-        table = cell_rows_markdown(rows)
+        table = markdown_table(CELL_ROW_COLUMNS, cell_frame(rows))
         header = table.splitlines()[0]
         assert "compute_ms" in header
         assert "verdict" in header
@@ -201,5 +201,5 @@ class TestCellRowsMarkdown:
                 }
             ]
         )
-        table = cell_rows_markdown(rows.rows)
+        table = markdown_table(CELL_ROW_COLUMNS, rows)
         assert "—" in table

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.analysis.stats import fit_power_law, geometric_mean
+from repro.analysis.stats import fit_power_law
 
 
 class TestPowerLawFit:
@@ -33,18 +33,6 @@ class TestPowerLawFit:
             fit_power_law([1, 2], [2])
         with pytest.raises(InvalidParameterError):
             fit_power_law([1, -2], [2, 3])
-
-
-class TestGeometricMean:
-    def test_values(self):
-        assert geometric_mean([2, 8]) == pytest.approx(4.0)
-        assert geometric_mean([5]) == pytest.approx(5.0)
-
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            geometric_mean([])
-        with pytest.raises(InvalidParameterError):
-            geometric_mean([1, 0])
 
 
 class TestTableShapeClaims:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ColoringError
 from repro.graphs import CliqueCover
-from repro.analysis import (
+from repro.verify import (
     max_star_size,
     verify_clique_decomposition,
     verify_edge_coloring,
@@ -34,10 +34,6 @@ class TestVertexVerifier:
         with pytest.raises(ColoringError):
             verify_vertex_coloring(g, {0: 0, 1: 1, 2: 2}, palette=2)
 
-    def test_non_strict_returns_false(self):
-        g = nx.path_graph(2)
-        assert verify_vertex_coloring(g, {0: 1, 1: 1}, strict=False) is False
-
 
 class TestEdgeVerifier:
     def test_accepts_proper(self):
@@ -59,10 +55,6 @@ class TestEdgeVerifier:
         coloring = {(0, 1): 0, (0, 2): 1, (0, 3): 2}
         with pytest.raises(ColoringError):
             verify_edge_coloring(g, coloring, palette=2)
-
-    def test_non_strict(self):
-        g = nx.path_graph(3)
-        assert verify_edge_coloring(g, {(0, 1): 0, (1, 2): 0}, strict=False) is False
 
 
 class TestStarPartition:

@@ -5,7 +5,7 @@ import math
 import networkx as nx
 import pytest
 
-from repro.analysis import verify_edge_coloring
+from repro.verify import verify_edge_coloring
 from repro.errors import ColoringError, InvalidParameterError
 from repro.graphs import (
     arboricity_bounds,

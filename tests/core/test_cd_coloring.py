@@ -5,7 +5,7 @@ import math
 import networkx as nx
 import pytest
 
-from repro.analysis import verify_vertex_coloring
+from repro.verify import verify_vertex_coloring
 from repro.errors import InvalidParameterError
 from repro.graphs import (
     CliqueCover,
@@ -134,7 +134,7 @@ class TestEdgeColoringViaLineGraph:
         base = random_regular(20, 8, seed=8)
         result = cd_edge_coloring(base, x=x)
         # result is a vertex coloring of the line graph == edge coloring
-        from repro.analysis import verify_edge_coloring
+        from repro.verify import verify_edge_coloring
 
         verify_edge_coloring(base, result.coloring, palette=result.target_colors)
         assert result.target_colors == 2 ** (x + 1) * 8

@@ -100,7 +100,7 @@ class TestEdgeConnector:
         # a proper edge coloring of the connector induces classes with star
         # size at most ceil(Delta/t) (Section 4)
         from repro.substrates import oracle_edge_coloring
-        from repro.analysis import max_star_size
+        from repro.verify import max_star_size
 
         g = random_regular(16, 8, seed=3)
         t = 3

@@ -3,7 +3,7 @@ polylog-time corollary, and the Theorem 5.2 fast-internal-coloring knob."""
 
 import pytest
 
-from repro.analysis import verify_edge_coloring, verify_vertex_coloring
+from repro.verify import verify_edge_coloring, verify_vertex_coloring
 from repro.errors import InvalidParameterError
 from repro.graphs import (
     line_graph_with_cover,

@@ -3,7 +3,7 @@
 import networkx as nx
 import pytest
 
-from repro.analysis import verify_edge_coloring
+from repro.verify import verify_edge_coloring
 from repro.core import merge_cross_edges
 from repro.core.arboricity import CrossMergeAlgorithm
 from repro.local import RoundLedger, run_on_graph

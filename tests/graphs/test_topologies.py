@@ -60,7 +60,7 @@ class TestFatTree:
             fat_tree(0)
 
     def test_schedulable_with_four_delta(self):
-        from repro.analysis import verify_edge_coloring
+        from repro.verify import verify_edge_coloring
         from repro.core import four_delta_edge_coloring
 
         g = fat_tree(4)

@@ -11,7 +11,7 @@ import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis import verify_edge_coloring, verify_vertex_coloring
+from repro.verify import verify_edge_coloring, verify_vertex_coloring
 from repro.graphs import CliqueCover, line_graph_with_cover, max_degree
 from repro.baselines import weak_vertex_coloring
 from repro.core import (

@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis import verify_edge_coloring, verify_vertex_coloring
+from repro.verify import verify_edge_coloring, verify_vertex_coloring
 from repro.graphs import max_degree
 from repro.baselines import (
     forest_edge_coloring,

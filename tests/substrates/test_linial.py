@@ -3,7 +3,7 @@
 import networkx as nx
 import pytest
 
-from repro.analysis import verify_vertex_coloring
+from repro.verify import verify_vertex_coloring
 from repro.errors import InvalidParameterError
 from repro.graphs import erdos_renyi, max_degree, random_regular
 from repro.local import RoundLedger

@@ -87,14 +87,6 @@ class TestColor:
             ), algorithm
 
 
-class TestFigures:
-    def test_figures_command(self, capsys):
-        assert main(["figures"]) == 0
-        out = capsys.readouterr().out
-        assert "figure-1-clique-connector" in out
-        assert "OK" in out
-
-
 class TestWorkloadsCommand:
     def test_lists_registry(self, capsys):
         assert main(["workloads"]) == 0

@@ -266,18 +266,121 @@ class TestStoreContract:
 
         path = tmp_path / f"v{version}.db"
         _hand_built_store(path, version)
-        before = _store_snapshot(path)
+        before = _store_snapshot(path), path.read_bytes()
         with pytest.raises(
             InvalidParameterError,
             match=rf"store schema version {version} != supported 3$",
         ):
             ExperimentStore(path)
-        assert _store_snapshot(path) == before  # no migration happened
+        # no migration happened, and not even the journal mode changed
+        assert (_store_snapshot(path), path.read_bytes()) == before
 
-    def test_cli_reports_the_refusal(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query"],
+            ["stats"],
+            ["report", "--out", "{tmp}/report"],
+            ["gc"],
+            ["verify"],
+            [
+                "campaign", "cells", "--algorithms", "greedy",
+                "--workloads", "complete", "--seeds", "0",
+            ],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_cli_reports_the_refusal(self, tmp_path, argv):
         from repro.cli import main
 
         path = tmp_path / "v2.db"
         _hand_built_store(path, 2)
+        before = path.read_bytes()
+        argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--store", str(path)]
         with pytest.raises(SystemExit, match="store schema version 2 != supported 3"):
-            main(["query", "--store", str(path)])
+            main(argv)
+        assert path.read_bytes() == before
+
+
+class TestAnalysisContract:
+    """The paper block runs on one path: registered algorithms through
+    ``registry.run`` and ``verify_run``, one markdown renderer, no
+    re-exports, and no option that no caller sets."""
+
+    @staticmethod
+    def _params(function):
+        return [p for p in inspect.signature(function).parameters if p != "self"]
+
+    @pytest.mark.parametrize("command", ["tables", "figures"])
+    def test_parser_rejects_the_removed_verbs(self, command, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_analysis_package_exports_nothing(self):
+        import importlib.util
+        import types
+
+        import repro.analysis
+
+        assert not hasattr(repro.analysis, "__all__")
+        for name, value in vars(repro.analysis).items():
+            if not name.startswith("_"):
+                # only submodules, bound as attributes once imported
+                assert isinstance(value, types.ModuleType), name
+                assert value.__name__ == f"repro.analysis.{name}", name
+        assert importlib.util.find_spec("repro.analysis.metrics") is None
+
+    def test_tables_imports_only_cd_coloring_and_the_row_formulas(self):
+        import ast
+
+        from repro.analysis import tables
+
+        def algorithm_package(module):
+            return module.split(".")[:2] in (["repro", "core"], ["repro", "baselines"])
+
+        imported = {}
+        for node in ast.walk(ast.parse(inspect.getsource(tables))):
+            if isinstance(node, ast.ImportFrom) and algorithm_package(node.module or ""):
+                imported.setdefault(node.module, set()).update(a.name for a in node.names)
+            if isinstance(node, ast.Import):
+                assert not any(algorithm_package(a.name) for a in node.names)
+        assert imported == {
+            "repro.core": {"cd_coloring"},
+            "repro.baselines": {"table1_row", "table2_row"},
+        }
+
+    def test_figure_report_has_no_dot(self):
+        import dataclasses
+
+        from repro.analysis.figures import FigureReport
+
+        assert "dot" not in {f.name for f in dataclasses.fields(FigureReport)}
+
+    def test_removed_options(self):
+        import repro.engine
+        from repro.analysis.tables import run_section5
+        from repro.core.hyperedge import verify_hyperedge_coloring
+        from repro.shard.runtime import ShardingScope, sharding
+        from repro.verify import (
+            differential_check,
+            verify_defective_coloring,
+            verify_edge_coloring,
+            verify_vertex_coloring,
+        )
+
+        for checker in (
+            verify_vertex_coloring,
+            verify_edge_coloring,
+            verify_defective_coloring,
+            verify_hyperedge_coloring,
+        ):
+            assert "strict" not in self._params(checker), checker.__name__
+        for function in (sharding, ShardingScope.__init__):
+            assert "checkpoint_every" not in self._params(function)
+        assert "engines" not in self._params(differential_check)
+        assert self._params(run_section5) == ["arboricities", "seed"]
+        assert not hasattr(repro.engine, "set_default_engine")

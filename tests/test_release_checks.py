@@ -35,12 +35,10 @@ class TestVerifyExports:
         assert importlib.util.find_spec("repro.analysis.verify") is None
 
     def test_reexports_are_the_checkers(self):
-        import repro.analysis
         from repro.verify import checkers
 
         for name in ("verify_edge_coloring", "verify_vertex_coloring"):
             assert getattr(repro, name) is getattr(checkers, name)
-            assert getattr(repro.analysis, name) is getattr(checkers, name)
 
 
 class TestReportSections:

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from repro.analysis import verify_edge_coloring, verify_vertex_coloring
+from repro.verify import verify_edge_coloring, verify_vertex_coloring
 from repro.core import (
     edge_color_bounded_arboricity,
     four_delta_edge_coloring,

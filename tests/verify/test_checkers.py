@@ -35,7 +35,8 @@ class TestVertexColoringEdgeCases:
 
     def test_partial_coloring_is_explicit_violation(self):
         g = nx.path_graph(4)
-        assert verify_vertex_coloring(g, {0: 0, 1: 1}, strict=False) is False
+        with pytest.raises(ColoringError, match="2 vertices uncolored"):
+            verify_vertex_coloring(g, {0: 0, 1: 1})
 
     def test_none_assignment_rejected(self):
         g = nx.path_graph(2)
@@ -81,10 +82,6 @@ class TestEdgeColoringEdgeCases:
         g = nx.path_graph(3)
         with pytest.raises(ColoringError, match="None assignment"):
             verify_edge_coloring(g, {(0, 1): 0, (1, 2): None})
-
-    def test_non_strict_returns_false_on_partial(self):
-        g = nx.path_graph(3)
-        assert verify_edge_coloring(g, {(0, 1): 0}, strict=False) is False
 
 
 class TestNodeIdsThatDoNotCompare:

@@ -27,13 +27,6 @@ class TestDifferential:
         assert not result.ok
         assert "InvalidParameterError" in result.error
 
-    def test_single_engine_rejected(self):
-        result = differential_check(
-            "star4", "random-regular", {"n": 8, "d": 3}, engines=("reference",)
-        )
-        assert not result.ok
-        assert "at least two engines" in result.error
-
     def test_compare_runs_reports_field_and_extra_diffs(self):
         from repro import registry
         from repro.graphs import random_regular

@@ -178,13 +178,28 @@ CREATE TABLE runs (
     error TEXT, wall_ms REAL, extra TEXT, created_at REAL NOT NULL
 );
 EOF
+cp "$SMOKE_DIR/v2.db" "$SMOKE_DIR/v2.before.db"
 if python -m repro query --store "$SMOKE_DIR/v2.db" > "$SMOKE_DIR/v2.out" 2>&1; then
   echo "FAIL: repro query exited 0 on a schema-v2 store"; exit 1
 fi
 if ! grep -q "store schema version 2 != supported 3" "$SMOKE_DIR/v2.out"; then
   echo "FAIL: schema-v2 store not refused by its version, got:"; cat "$SMOKE_DIR/v2.out"; exit 1
 fi
-echo "verify smoke: corrupted row flagged exactly; differential engines agree; schema-v2 store refused"
+# campaign cells opens (and would create) its store itself: same refusal,
+# one line, no traceback, and the file left byte for byte as it was.
+if python -m repro campaign cells --store "$SMOKE_DIR/v2.db" --algorithms greedy \
+    --workloads complete --seeds 0 > "$SMOKE_DIR/v2.campaign.out" 2>&1; then
+  echo "FAIL: repro campaign cells exited 0 on a schema-v2 store"; exit 1
+fi
+if ! grep -q "store schema version 2 != supported 3" "$SMOKE_DIR/v2.campaign.out" \
+    || grep -q "Traceback" "$SMOKE_DIR/v2.campaign.out"; then
+  echo "FAIL: campaign cells did not refuse the schema-v2 store in one line, got:"
+  cat "$SMOKE_DIR/v2.campaign.out"; exit 1
+fi
+if ! cmp -s "$SMOKE_DIR/v2.before.db" "$SMOKE_DIR/v2.db"; then
+  echo "FAIL: refusing the schema-v2 store changed the file"; exit 1
+fi
+echo "verify smoke: corrupted row flagged exactly; differential engines agree; schema-v2 store refused unchanged by query and campaign cells"
 
 echo "== graph smoke: build -> info -> convert -> run from .csrg =="
 # A size-reduced xl instance through the whole graph-store surface: build
