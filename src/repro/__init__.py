@@ -15,7 +15,9 @@ Public API highlights:
   bounded-arboricity (Delta + o(Delta))-edge-colorings (Section 5).
 * ``repro.baselines`` — Vizing/Misra–Gries, greedy, degree-splitting and the
   analytic [7]+[17] comparison rows.
-* ``repro.analysis`` — verifiers, table/figure harnesses.
+* ``repro.verify`` — the coloring checkers, ``verify_run`` and the
+  cross-engine differential check.
+* ``repro.analysis`` — table/figure harnesses, campaigns, the report.
 """
 
 from repro.errors import (

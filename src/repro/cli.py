@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``info --graph FILE`` — structural parameters (n, m, Delta, arboricity
-  bounds, degeneracy) of an edge-list or ``.csrg`` graph.
+  bounds, degeneracy) of a graph file.
 * ``algorithms`` — the unified algorithm registry: every runnable
   algorithm with its family, kind, color bound and parameters.
 * ``kernels`` — the whole-round CSR kernel layer: which per-node
@@ -11,11 +11,8 @@ Subcommands:
   also runs sharded under ``run --shards``).
 * ``run`` — run any registered algorithm on a graph file or a named
   workload; ``--seeds`` + ``--jobs`` fan a seed batch across processes,
-  ``--engine`` picks the execution engine.
-* ``color --graph FILE --algorithm NAME`` — the original edge-coloring
-  front-end (kept for compatibility; now registry-resolved).
-* ``sweep`` — a Delta ladder for one algorithm across random regular
-  graphs, with per-point engine/jobs control.
+  ``--engine`` picks the execution engine, ``--shards N`` runs it
+  sharded out-of-core.
 * ``campaign cells`` — streams the (algorithm x workload x seed) cell
   grid across a process pool with bounded in-flight submission, optionally
   against a content-addressed experiment store (``--store runs.db``) that
@@ -25,15 +22,17 @@ Subcommands:
   status line (done/total, hit/miss/error counts, ETA).
 * ``graph`` — the compact graph store front-end: ``build`` streams a
   named workload into a ``.csrg`` CSR file (the xl family never touches
-  networkx), ``info`` prints a file's header and shape, ``convert``
-  moves between edge-list / METIS / ``.csrg`` representations. Saved
-  graphs feed back into ``run --graph FILE.csrg`` (memory-mapped open).
+  networkx), ``info`` prints a ``.csrg`` file's header and shape,
+  ``convert`` moves between edge-list / METIS / ``.csrg``
+  representations, ``partition`` writes a shard bundle.
 * ``workloads`` — the declarative workload registry: every named graph
   scenario with its family and default parameters (``--family`` filters
   by prefix; scale/xl rows are marked as excluded from the default
   campaign grid).
 * ``query`` — filter and print rows of an experiment store
   (``--verdict`` selects on verification state).
+* ``stats`` — aggregate stored per-cell metrics: the ``--top N`` slowest
+  cells by ``wall_ms``, fallback counters, per-algorithm distributions.
 * ``gc`` — drop unreachable store rows (stale code versions, errors,
   ``--failed`` verdicts).
 * ``verify`` — re-execute and re-verify persisted store rows against the
@@ -44,6 +43,11 @@ Subcommands:
   ``experiments PATH`` regenerates only the marked block of PATH (the
   committed paper tables in ``EXPERIMENTS.md``).
 
+Every graph file enters through :mod:`repro.graphcore`'s readers
+(``.csrg`` memory-mapped, ``.metis``/``.graph``, otherwise a whitespace
+edge list) as the ``CompactGraph`` the engines run on, so a graph gives
+the same answer in every file format.
+
 Engine selection (``--engine {reference,vector}``) routes every simulated
 round through :mod:`repro.engine`; ``--jobs N`` parallelizes across worker
 processes wherever the subcommand has more than one unit of work
@@ -53,21 +57,17 @@ processes wherever the subcommand has more than one unit of work
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro import io as repro_io
 from repro import registry
 from repro.engine import available_engines, use_engine
 from repro.errors import ColoringError, InvalidParameterError
 from repro.graphs.properties import arboricity_bounds, degeneracy, max_degree
-
-#: Edge-coloring algorithms exposed by ``color`` (registry-resolved; kept
-#: as a module constant for backwards compatibility).
-EDGE_ALGORITHMS = tuple(registry.names(kind="edge-coloring"))
 
 
 def _algorithm_params(spec: registry.AlgorithmSpec, args: argparse.Namespace) -> Dict[str, Any]:
@@ -93,14 +93,32 @@ def _verify_run(graph, run: registry.AlgorithmRun, params=None) -> None:
         raise ColoringError(f"{run.name}: {verdict.violation}")
 
 
-def _read_graph_file(path: str):
-    """A graph from disk: ``.csrg`` files open memory-mapped through the
-    graph core, anything else parses as a whitespace edge list."""
-    if str(path).endswith(".csrg"):
-        from repro import graphcore
+@contextlib.contextmanager
+def _reading(path: str):
+    """A missing, unreadable or malformed graph file ends the command
+    with one line naming the file, not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise SystemExit(f"{path}: {exc.strerror or exc}") from None
+    except (InvalidParameterError, UnicodeDecodeError) as exc:
+        text = str(exc)
+        raise SystemExit(text if text.startswith(path) else f"{path}: {text}") from None
 
-        return graphcore.load(path, mmap=True)
-    return repro_io.read_edge_list(path)
+
+def _read_graph_file(path: str, mmap: bool = True):
+    """A graph file as the ``CompactGraph`` the engines run on: ``.csrg``
+    opens through :func:`repro.graphcore.load` (memory-mapped unless
+    ``mmap=False``, which also checks the stored digest), ``.metis`` and
+    ``.graph`` parse as METIS, anything else as a whitespace edge list."""
+    from repro import graphcore
+
+    with _reading(path):
+        if path.endswith(".csrg"):
+            return graphcore.load(path, mmap=mmap)
+        if path.endswith((".metis", ".graph")):
+            return graphcore.read_metis(path)
+        return graphcore.read_edge_list(path)
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -148,26 +166,6 @@ def cmd_kernels(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_color(args: argparse.Namespace) -> int:
-    graph = repro_io.read_edge_list(args.graph)
-    spec = registry.get(args.algorithm)
-    params = _algorithm_params(spec, args)
-    run = registry.run(args.algorithm, graph, engine=args.engine, **params)
-    _verify_run(graph, run, params=params)
-    delta = max_degree(graph)
-    print(f"algorithm      = {args.algorithm}")
-    print(f"Delta          = {delta}")
-    print(f"colors         = {run.colors_used}")
-    if run.rounds_actual is not None:
-        print(f"rounds         = {run.rounds_actual:.0f}")
-    if run.rounds_modeled is not None:
-        print(f"rounds modeled = {run.rounds_modeled:.0f}")
-    if args.output:
-        repro_io.save_edge_coloring(run.coloring, args.output)
-        print(f"wrote {args.output}")
-    return 0
-
-
 def _enter_cli_sharding(stack, graph, args: argparse.Namespace):
     """Install a sharded-execution scope for ``repro run --graph ...
     --shards N``: reuse a valid bundle from ``--shard-dir`` (same parent
@@ -179,11 +177,6 @@ def _enter_cli_sharding(stack, graph, args: argparse.Namespace):
     from repro import graphcore
     from repro.shard import ShardBundle, partition, sharding
 
-    if not isinstance(graph, graphcore.CompactGraph):
-        raise SystemExit(
-            "--shards needs a .csrg graph (partitioning works on CSR "
-            "arrays; convert first with: repro graph convert)"
-        )
     # the .csrg header already carries the content digest — don't re-hash
     # a memory-mapped multi-million-node array set.
     if str(args.graph).endswith(".csrg"):
@@ -222,13 +215,12 @@ def _enter_cli_sharding(stack, graph, args: argparse.Namespace):
 def cmd_run(args: argparse.Namespace) -> int:
     from repro import workloads
     from repro.analysis.campaign import CampaignCell, CampaignRunner
+    from repro.engine import record_engine_runs
 
     spec = registry.get(args.algorithm)
     params = _algorithm_params(spec, args)
 
     if args.graph:
-        import contextlib
-
         graph = _read_graph_file(args.graph)
         shard_stats = None
         with contextlib.ExitStack() as stack:
@@ -237,7 +229,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                 if getattr(args, "shards", None)
                 else None
             )
-            run = registry.run(args.algorithm, graph, engine=args.engine, **params)
+            with record_engine_runs() as engines_ran:
+                run = registry.run(args.algorithm, graph, engine=args.engine, **params)
             if scope is not None:
                 shard_stats = scope.last_stats
         _verify_run(graph, run, params=params)
@@ -265,6 +258,9 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"worker peak rss {shard_stats['worker_peak_rss_kb']} KB"
                 + (" [resumed]" if shard_stats["resumed"] else "")
             )
+        elif "sharded" in engines_ran:
+            # the shard program answered from its plan: no exchange round
+            print(f"sharded: {args.shards} shards, 0 exchange rounds")
         elif getattr(args, "shards", None):
             print(
                 "sharded: requested but the run fell back to the engine "
@@ -318,50 +314,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.analysis.campaign import CampaignCell, CampaignRunner
-
-    spec = registry.get(args.algorithm)
-    params = _algorithm_params(spec, args)
-    cells = []
-    for delta in args.deltas:
-        nodes = args.n if (args.n * delta) % 2 == 0 else args.n + 1
-        cells.append(
-            CampaignCell(
-                algorithm=args.algorithm,
-                workload="random-regular",
-                workload_params={"n": nodes, "d": delta},
-                seed=args.seed,
-                algo_params=params,
-            )
-        )
-    rows = CampaignRunner(cells, engine=args.engine, jobs=_resolve_jobs(args)).run()
-    print(f"# {args.algorithm} Delta sweep (engine={args.engine or 'default'})")
-    print("| Delta | n | m | colors | rounds | modeled | wall_ms |")
-    print("|---|---|---|---|---|---|---|")
-    failures = 0
-    for delta, row in zip(args.deltas, rows):
-        if row["error"]:
-            failures += 1
-            print(f"| {delta} | FAILED: {row['error']} |")
-            continue
-        actual = (
-            f"{row['rounds_actual']:.0f}" if row.get("rounds_actual") is not None else "—"
-        )
-        modeled = (
-            f"{row['rounds_modeled']:.0f}" if row.get("rounds_modeled") is not None else "—"
-        )
-        print(
-            f"| {delta} | {row['n']} | {row['m']} | {row['colors_used']} "
-            f"| {actual} | {modeled} | {row['wall_ms']:.1f} |"
-        )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(rows, handle, indent=1)
-        print(f"wrote {args.out}")
-    return 1 if failures else 0
-
-
 def cmd_experiments(args: argparse.Namespace) -> int:
     from repro.analysis.experiments import main as experiments_main
 
@@ -374,8 +326,6 @@ def _trace_env(path: Optional[str]):
     pool forks (children inherit the env and append to the same JSONL
     file), restore the previous value on exit so repeated ``main()``
     calls (tests) cannot leak a trace gate into each other."""
-    import contextlib
-
     from repro.obs import TRACE_ENV
 
     if not path:
@@ -587,8 +537,9 @@ def _graph_info(args: argparse.Namespace) -> int:
 
     if not args.graph:
         raise SystemExit("graph info requires --graph")
-    info = graphcore.read_info(args.graph)
-    graph = graphcore.load(args.graph, mmap=True)
+    with _reading(args.graph):
+        info = graphcore.read_info(args.graph)
+        graph = graphcore.load(args.graph, mmap=True)
     n = info["n"]
     print(f"path        = {info['path']}")
     print(f"format      = csrg v{info['version']}")
@@ -610,12 +561,7 @@ def _graph_convert(args: argparse.Namespace) -> int:
     src, dst = args.input, args.out
     if not src or not dst:
         raise SystemExit("graph convert requires --in and --out")
-    if src.endswith(".csrg"):
-        graph = graphcore.load(src, mmap=False, verify=True)
-    elif src.endswith((".metis", ".graph")):
-        graph = graphcore.read_metis(src)
-    else:
-        graph = graphcore.read_edge_list(src)
+    graph = _read_graph_file(src, mmap=False)
     if dst.endswith(".csrg"):
         digest = graphcore.save(graph, dst)
     elif dst.endswith((".metis", ".graph")):
@@ -638,16 +584,15 @@ def _graph_convert(args: argparse.Namespace) -> int:
 
 
 def _graph_partition(args: argparse.Namespace) -> int:
-    from repro import graphcore
     from repro.shard import partition
 
     if not args.graph:
-        raise SystemExit("graph partition requires --graph FILE.csrg")
+        raise SystemExit("graph partition requires --graph FILE")
     if not args.out:
         raise SystemExit("graph partition requires --out DIR")
     if not args.shards or args.shards < 1:
         raise SystemExit("graph partition requires --shards N (N >= 1)")
-    graph = graphcore.load(args.graph, mmap=True)
+    graph = _read_graph_file(args.graph)
     bundle = partition(graph, args.shards, args.out)
     total_halo = sum(
         bundle.shard(s).n_halo for s in range(bundle.num_shards)
@@ -718,8 +663,6 @@ def cmd_query(args: argparse.Namespace) -> int:
             include_errors=not args.no_errors,
             **{k: v for k, v in filters.items() if v is not None},
         )
-    if args.slowest is not None:
-        return _query_slowest(rows, args.slowest)
     if args.format == "json":
         text = json.dumps([stable_row(r) for r in rows], indent=1, sort_keys=True)
     else:
@@ -742,28 +685,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
         print(text)
-    return 0
-
-
-def _query_slowest(rows: List[Dict[str, Any]], top: int) -> int:
-    """``repro query --slowest N``: rank stored rows by the ``wall_ms``
-    column. Each line labels its source and shows the metrics blob's
-    compute-phase timing as detail, never as the sort key."""
-    from repro.obs import campaign_stats
-
-    stats = campaign_stats(rows, top=top)
-    if not stats["slowest"]:
-        print("(no timed rows — the store has no wall_ms data)")
-        return 0
-    for item in stats["slowest"]:
-        key = item.get("run_key") or ""
-        key_text = f"  [{key[:12]}]" if key else ""
-        print(f"{item['ms']:>12.1f}ms  {item['cell']}  ({item['source']}){key_text}")
-    if stats.get("untimed"):
-        print(
-            f"note: {stats['untimed']} rows have no wall_ms column and are "
-            "excluded from the ranking"
-        )
     return 0
 
 
@@ -1086,7 +1007,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     info = sub.add_parser("info", help="structural parameters of a graph")
-    info.add_argument("--graph", required=True, help="edge-list file")
+    info.add_argument(
+        "--graph", required=True, help="graph file: .csrg, .metis/.graph or edge list"
+    )
     info.set_defaults(func=cmd_info)
 
     algorithms = sub.add_parser(
@@ -1110,7 +1033,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run any registered algorithm on a graph file or named workload",
     )
     source = run.add_mutually_exclusive_group(required=True)
-    source.add_argument("--graph", help="edge-list file")
+    source.add_argument(
+        "--graph", help="graph file: .csrg, .metis/.graph or edge list"
+    )
     source.add_argument("--workload", help="named workload generator")
     run.add_argument(
         "--workload-param",
@@ -1166,29 +1091,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_jobs(run)
     run.set_defaults(func=cmd_run)
-
-    color = sub.add_parser("color", help="edge-color a graph")
-    color.add_argument("--graph", required=True, help="edge-list file")
-    color.add_argument("--algorithm", default="star4", choices=EDGE_ALGORITHMS)
-    color.add_argument("--x", type=int, default=1, help="recursion depth")
-    color.add_argument("--output", help="write the coloring as JSON")
-    color.add_argument("--engine", choices=available_engines(), default=None)
-    color.set_defaults(func=cmd_color)
-
-    sweep = sub.add_parser(
-        "sweep", help="Delta ladder for one algorithm on random regular graphs"
-    )
-    sweep.add_argument("--algorithm", default="star", choices=registry.names())
-    sweep.add_argument(
-        "--deltas", type=_int_list, default=[8, 16, 24], help="comma-separated degrees"
-    )
-    sweep.add_argument("--n", type=int, default=80, help="vertices per point")
-    sweep.add_argument("--seed", type=int, default=5, help="workload seed")
-    sweep.add_argument("--x", type=int, default=None, help="recursion depth")
-    sweep.add_argument("--arboricity", type=int, default=None)
-    sweep.add_argument("--out", help="write structured JSON results")
-    _add_engine_jobs(sweep)
-    sweep.set_defaults(func=cmd_sweep)
 
     experiments = sub.add_parser(
         "experiments", help="regenerate the paper tables in EXPERIMENTS.md"
@@ -1280,8 +1182,8 @@ def build_parser() -> argparse.ArgumentParser:
         "action",
         choices=("build", "info", "convert", "partition"),
         help="build a workload into a .csrg file, print a file's header, "
-        "convert between edge-list/METIS/.csrg, or partition a .csrg "
-        "into a shard bundle for out-of-core execution",
+        "convert between edge-list/METIS/.csrg, or partition a graph "
+        "file into a shard bundle for out-of-core execution",
     )
     graph.add_argument(
         "--workload", default=None, help="named workload to build (build)"
@@ -1299,7 +1201,8 @@ def build_parser() -> argparse.ArgumentParser:
     graph.add_argument(
         "--graph",
         default=None,
-        help=".csrg file to inspect (info) or partition (partition)",
+        help=".csrg file to inspect (info), or graph file to partition "
+        "(partition)",
     )
     graph.add_argument(
         "--shards",
@@ -1361,15 +1264,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="table",
         help="json is deterministic (stable columns, sorted keys) — "
         "use it for resume/diff comparisons",
-    )
-    query.add_argument(
-        "--slowest",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="print the N slowest stored cells ranked by the wall_ms column "
-        "(the metrics compute_ms shown as per-line detail) instead of a "
-        "row dump",
     )
     query.add_argument("--out", help="write the result to a file")
     query.set_defaults(func=cmd_query)

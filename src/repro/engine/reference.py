@@ -26,7 +26,9 @@ class ReferenceEngine(Engine):
     transparently (the reference scheduler is defined over nx adjacency),
     so parity suites can hold the array programs of
     :class:`~repro.engine.vector.VectorEngine` against this engine on the
-    *same* compact instance or view.
+    *same* compact instance or view. A ``CompactGraph`` converts over the
+    dense ids its ``nodes()`` reports, never its label sideband: the
+    algorithm keyed its extras by those ids.
     """
 
     name = "reference"
@@ -41,6 +43,10 @@ class ReferenceEngine(Engine):
         from repro.graphcore import CompactGraph, Interned
 
         note_engine_run(self.name)
+        if isinstance(graph, CompactGraph) and graph.labels is not None:
+            graph = CompactGraph(
+                graph.indptr, graph.indices, node_attrs=graph.node_attrs, validate=False
+            )
         if isinstance(graph, (CompactGraph, Interned)):
             graph = graph.to_networkx()
         network = Network(graph)

@@ -24,9 +24,11 @@ memory-mapped opens skip verification by default — hashing would fault
 in every page and defeat the point — but ``verify=True`` forces it.
 
 Text ingestion covers the two interchange formats the ecosystem
-actually uses: the whitespace edge list (:mod:`repro.io`'s format,
-streamed straight into CSR without a networkx intermediate) and METIS
-adjacency files. :func:`write_edge_list` exports back out.
+actually uses: the whitespace edge list (streamed straight into CSR
+without a networkx intermediate) and METIS adjacency files.
+:func:`write_edge_list` exports back out. These readers are the only way
+a graph file enters the program; their errors name the file (and the
+line, for text).
 """
 
 from __future__ import annotations
@@ -256,15 +258,22 @@ def load(
 # --------------------------------------------------------------------------
 
 
+def _line_ints(parts, path: PathLike, line_no: int) -> list:
+    try:
+        return [int(p) for p in parts]
+    except ValueError as exc:
+        raise InvalidParameterError(f"{path}:{line_no}: {exc}") from None
+
+
 def read_edge_list(path: PathLike) -> CompactGraph:
     """Stream a whitespace ``u v`` edge list (``#`` comments, bare ids as
-    isolated nodes — :mod:`repro.io`'s format) straight into CSR.
+    isolated nodes) straight into CSR.
 
-    Node-set semantics match :func:`repro.io.read_edge_list`: the graph
-    holds exactly the ids the file mentions — sparse ids are interned to
-    dense indices with the originals kept in the label sideband, never
-    padded with phantom isolated nodes. Never materializes a networkx
-    graph: memory is O(m) ints, so million-edge files ingest in seconds.
+    The graph holds exactly the ids the file mentions — sparse ids are
+    interned to dense indices in ascending order with the originals kept
+    in the label sideband, never padded with phantom isolated nodes.
+    Never materializes a networkx graph: memory is O(m) ints, so
+    million-edge files ingest in seconds.
     """
     heads = array("q")
     tails = array("q")
@@ -274,11 +283,7 @@ def read_edge_list(path: PathLike) -> CompactGraph:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            try:
-                ids = [int(p) for p in parts]
-            except ValueError as exc:
-                raise InvalidParameterError(f"{path}:{line_no}: {exc}") from exc
+            ids = _line_ints(line.split(), path, line_no)
             if len(ids) == 1:
                 isolated.append(ids[0])
                 continue
@@ -318,7 +323,8 @@ def read_edge_list(path: PathLike) -> CompactGraph:
 def read_metis(path: PathLike) -> CompactGraph:
     """Read a METIS adjacency file: header ``n m [fmt]``, then line ``i``
     lists the (1-indexed) neighbors of node ``i``. Weighted formats are
-    rejected — CompactGraph is unweighted."""
+    rejected — CompactGraph is unweighted. Every error names the file,
+    and the line where there is one."""
     heads = array("q")
     tails = array("q")
     n = m = None
@@ -328,14 +334,14 @@ def read_metis(path: PathLike) -> CompactGraph:
             line = raw.split("%", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
+            values = _line_ints(line.split(), path, line_no)
             if n is None:
-                if len(parts) < 2:
+                if len(values) < 2:
                     raise InvalidParameterError(
                         f"{path}:{line_no}: METIS header needs 'n m [fmt]'"
                     )
-                n, m = int(parts[0]), int(parts[1])
-                if len(parts) > 2 and int(parts[2] or 0) != 0:
+                n, m = values[0], values[1]
+                if len(values) > 2 and values[2] != 0:
                     raise InvalidParameterError(
                         f"{path}:{line_no}: weighted METIS graphs are not supported"
                     )
@@ -345,12 +351,13 @@ def read_metis(path: PathLike) -> CompactGraph:
                 raise InvalidParameterError(
                     f"{path}:{line_no}: more adjacency lines than the declared n={n}"
                 )
-            for p in parts:
-                nbr = int(p)
+            for nbr in values:
                 if not 1 <= nbr <= n:
                     raise InvalidParameterError(
                         f"{path}:{line_no}: neighbor {nbr} outside 1..{n}"
                     )
+                if nbr == node:
+                    raise InvalidParameterError(f"{path}:{line_no}: self-loop {nbr}")
                 heads.append(node - 1)
                 tails.append(nbr - 1)
     if n is None:

@@ -1,91 +1,19 @@
-"""Serialization helpers: edge lists and colorings on disk.
+"""A colored graph as a graphviz DOT file.
 
-File formats:
-
-* **Edge list** — one ``u v`` pair per line, ``#`` comments allowed,
-  integer vertex ids (the format `networkx` and most graph tools exchange).
-* **Colorings** — JSON. Vertex colorings are ``{"type": "vertex",
-  "colors": {str(v): color}}``; edge colorings are ``{"type": "edge",
-  "colors": [[u, v, color], ...]}`` (edges as canonical pairs).
+Graph files are read and written by :mod:`repro.graphcore` (``.csrg``,
+METIS, whitespace edge lists).
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Union
 
 import networkx as nx
 
-from repro.errors import InvalidParameterError
 from repro.types import EdgeColoring, VertexColoring, edge_key
 
 PathLike = Union[str, Path]
-
-
-def read_edge_list(path: PathLike) -> nx.Graph:
-    """Read a whitespace-separated integer edge list (``#`` comments)."""
-    graph = nx.Graph()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) == 1:
-                graph.add_node(int(parts[0]))
-                continue
-            if len(parts) != 2:
-                raise InvalidParameterError(
-                    f"{path}:{line_no}: expected 'u v', got {raw.rstrip()!r}"
-                )
-            u, v = int(parts[0]), int(parts[1])
-            if u == v:
-                raise InvalidParameterError(f"{path}:{line_no}: self-loop {u}")
-            graph.add_edge(u, v)
-    return graph
-
-
-def write_edge_list(graph: nx.Graph, path: PathLike) -> None:
-    """Write an integer edge list (isolated vertices as single-id lines)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"# n={graph.number_of_nodes()} m={graph.number_of_edges()}\n")
-        for v in sorted(graph.nodes()):
-            if graph.degree(v) == 0:
-                handle.write(f"{v}\n")
-        for u, v in sorted(edge_key(a, b) for a, b in graph.edges()):
-            handle.write(f"{u} {v}\n")
-
-
-def save_vertex_coloring(coloring: VertexColoring, path: PathLike) -> None:
-    payload = {
-        "type": "vertex",
-        "colors": {str(v): int(c) for v, c in sorted(coloring.items(), key=lambda kv: repr(kv[0]))},
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-
-
-def save_edge_coloring(coloring: EdgeColoring, path: PathLike) -> None:
-    rows = sorted([int(u), int(v), int(c)] for (u, v), c in coloring.items())
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"type": "edge", "colors": rows}, handle, indent=1)
-
-
-def load_vertex_coloring(path: PathLike) -> VertexColoring:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("type") != "vertex":
-        raise InvalidParameterError(f"{path}: not a vertex coloring file")
-    return {int(v): int(c) for v, c in payload["colors"].items()}
-
-
-def load_edge_coloring(path: PathLike) -> EdgeColoring:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("type") != "edge":
-        raise InvalidParameterError(f"{path}: not an edge coloring file")
-    return {edge_key(u, v): int(c) for u, v, c in payload["colors"]}
 
 
 # A qualitative palette (12 distinguishable hues) recycled for larger

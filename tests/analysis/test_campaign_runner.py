@@ -523,17 +523,18 @@ class TestCliEngineJobs:
         assert all(r["error"] is None for r in rows)
         assert "colors=" in capsys.readouterr().out
 
-    def test_sweep_prints_table(self, capsys):
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_delta_point_is_one_workload_run(self, d, capsys):
         code = main(
             [
-                "sweep", "--algorithm", "greedy", "--deltas", "4,6",
-                "--n", "16", "--engine", "vector",
+                "run", "--workload", "random-regular",
+                "--workload-param", "n=16", "--workload-param", f"d={d}",
+                "--algorithm", "greedy", "--engine", "vector",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "| Delta |" in out
-        assert "| 4 |" in out and "| 6 |" in out
+        assert f"n=16 m={16 * d // 2} colors=" in out
 
     def test_campaign_cells(self, tmp_path, capsys, monkeypatch):
         from repro.analysis import campaign as campaign_mod

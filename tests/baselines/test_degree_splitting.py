@@ -7,7 +7,7 @@ import pytest
 
 from repro.verify import verify_edge_coloring
 from repro.errors import InvalidParameterError
-from repro.graphs import erdos_renyi, max_degree, random_regular
+from repro.graphs import max_degree, random_regular
 from repro.baselines import degree_splitting_edge_coloring, euler_split
 from repro.types import edge_key
 

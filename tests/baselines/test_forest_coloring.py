@@ -1,7 +1,6 @@
 """Tests for the forest-decomposition edge-coloring baseline."""
 
 import networkx as nx
-import pytest
 
 from repro.verify import verify_edge_coloring
 from repro.graphs import degeneracy, erdos_renyi, forest_union, max_degree

@@ -5,7 +5,7 @@ import pytest
 
 from repro.verify import verify_edge_coloring, verify_vertex_coloring
 from repro.errors import InvalidParameterError
-from repro.graphs import erdos_renyi, max_degree, random_regular
+from repro.graphs import erdos_renyi, random_regular
 from repro.baselines import (
     randomized_edge_coloring,
     weak_edge_coloring,

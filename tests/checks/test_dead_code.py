@@ -1,5 +1,6 @@
-"""Dead-code guards over ``src/repro``: no unused module-level import and
-no module-level function that nothing in the project references."""
+"""Dead-code guards: no unused module-level import in ``src/repro`` or
+``tests`` and no module-level function in ``src/repro`` that nothing in
+the project references."""
 
 import ast
 from pathlib import Path
@@ -45,12 +46,16 @@ def _read_names(tree):
 
 def test_no_unused_top_level_imports():
     unused = []
-    for path, tree in _trees("src/repro"):
+    for path, tree in _trees("src/repro", "tests"):
         read = _read_names(tree)
+        lines = path.read_text().splitlines()
         for stmt in tree.body:
             if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 continue
             if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            # an import kept for its side effect says so
+            if any("# noqa: F401" in line for line in lines[stmt.lineno - 1 : stmt.end_lineno]):
                 continue
             for alias in stmt.names:
                 bound = alias.asname or alias.name.split(".")[0]

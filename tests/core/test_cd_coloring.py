@@ -25,7 +25,7 @@ from repro.core import (
     choose_t_clique,
 )
 from repro.substrates import oracle_vertex_coloring
-from repro.types import color_classes, edge_key
+from repro.types import color_classes
 
 
 def line_graph_instance(d=8, n=24, seed=1):

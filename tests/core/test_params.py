@@ -1,7 +1,5 @@
 """Tests for the Section 3 / Corollary 5.5 parameter selection."""
 
-import math
-
 import pytest
 
 from repro.errors import InvalidParameterError

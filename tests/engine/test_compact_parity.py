@@ -584,3 +584,53 @@ class TestEngineLevelParity:
         assert delegated.outputs == program.outputs
         assert delegated.messages == program.messages
         assert delegated.round_messages == program.round_messages
+
+
+def _sparse_id_compact(graph):
+    """``graph`` over the ids ``v -> 3v + 5``, interned the way the
+    edge-list reader interns a sparse-id file: dense ids in ascending
+    order, the file's ids in the label sideband."""
+    import networkx as nx
+
+    compact = CompactGraph.from_networkx(nx.relabel_nodes(graph, lambda v: 3 * v + 5))
+    assert compact.labels == [3 * v + 5 for v in range(compact.n)]
+    return compact
+
+
+def _registry_outcome(engine, graph, algorithm):
+    try:
+        return registry.run(algorithm, graph, engine=engine)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome under test
+        return ("raised", type(exc), str(exc))
+
+
+class TestLabelledCompactParity:
+    """A CompactGraph with a label sideband runs over the dense ids its
+    ``nodes()`` reports under both engines: the reference engine must not
+    convert it back to the labels, which the algorithm's node-keyed
+    extras do not use."""
+
+    @pytest.mark.parametrize("shape", ["gnm", "forest"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_engines_agree(self, algorithm, shape):
+        import networkx as nx
+
+        source = (
+            nx.gnm_random_graph(60, 300, seed=7)
+            if shape == "gnm"
+            else nx.random_labeled_tree(40, seed=3)
+        )
+        compact = _sparse_id_compact(source)
+        reference = _registry_outcome("reference", compact, algorithm)
+        vector = _registry_outcome("vector", compact, algorithm)
+        assert reference == vector
+        if shape == "forest" or algorithm != "cole-vishkin":
+            assert not isinstance(reference, tuple), reference
+
+    def test_reference_converts_an_unlabelled_graph_as_before(self):
+        compact = workloads.build("xl-grid", {"rows": 5, "cols": 6})
+        # sparse initial colors leave Linial rounds to run
+        extras = {"initial_coloring": {v: 1000 * v for v in compact}, "m0": 1000 * compact.n}
+        ran = _outcome("reference", compact, LinialAlgorithm(), dict(extras))
+        assert ran[0] == "ran" and ran[2] > 0
+        assert ran == _outcome("reference", compact.to_networkx(), LinialAlgorithm(), extras)

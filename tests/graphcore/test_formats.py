@@ -158,34 +158,57 @@ class TestTextIngestion:
         write_edge_list(graph, path)
         assert read_edge_list(path).digest() == graph.digest()
 
-    def test_edge_list_matches_repro_io(self, tmp_path):
-        # the streaming reader accepts exactly repro.io's format,
-        # isolated-node lines and comments included
-        from repro import io as repro_io
+    @staticmethod
+    def _write_nx(graph, path):
+        # the edge-list format as networkx writes it, isolated nodes as
+        # bare ids: the reference the streaming reader must reproduce
+        lines = [str(v) for v in graph.nodes() if graph.degree(v) == 0]
+        lines += [f"{u} {v}" for u, v in graph.edges()]
+        path.write_text("# n=%d\n" % graph.number_of_nodes() + "\n".join(lines) + "\n")
 
+    def test_edge_list_matches_networkx(self, tmp_path):
+        # isolated-node lines and comments included
         g = nx.Graph([(0, 1), (2, 3)])
         g.add_nodes_from([4, 5])
         path = tmp_path / "g.txt"
-        repro_io.write_edge_list(g, path)
+        self._write_nx(g, path)
         c = read_edge_list(path)
         assert nx.utils.graphs_equal(c.to_networkx(), g)
 
-    def test_edge_list_sparse_ids_match_repro_io(self, tmp_path):
-        # no phantom nodes: `5 7` is a two-node graph, exactly as
-        # repro.io reads it, with the original ids in the label sideband
-        from repro import io as repro_io
-
+    def test_edge_list_sparse_ids_match_networkx(self, tmp_path):
+        # no phantom nodes: `5 7` is a two-node graph, with the original
+        # ids in the label sideband and dense ids in ascending order
         path = tmp_path / "sparse.txt"
         path.write_text("5 7\n42\n")
         c = read_edge_list(path)
-        g = repro_io.read_edge_list(path)
+        g = nx.Graph([(5, 7)])
+        g.add_node(42)
         assert c.n == 3 == g.number_of_nodes()
+        assert c.labels == [5, 7, 42]
         assert nx.utils.graphs_equal(c.to_networkx(), g)
+
+    def test_edge_list_round_trips_a_random_graph(self, tmp_path):
+        g = nx.gnp_random_graph(30, 0.2, seed=1)
+        path = tmp_path / "g.edges"
+        self._write_nx(g, path)
+        assert nx.utils.graphs_equal(read_edge_list(path).to_networkx(), g)
+
+    def test_edge_list_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("# header\n\n1 2  # inline\n2 3\n")
+        assert sorted(read_edge_list(path).to_networkx().edges()) == [(1, 2), (2, 3)]
 
     def test_edge_list_rejects_self_loop(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("0 0\n")
         with pytest.raises(InvalidParameterError, match="self-loop"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("line", ["1 2 3", "1 x"])
+    def test_edge_list_malformed_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "g.edges"
+        path.write_text(f"0 1\n{line}\n")
+        with pytest.raises(InvalidParameterError, match=f"^{path}:2: "):
             read_edge_list(path)
 
     def test_metis_round_trip(self, tmp_path):
@@ -207,4 +230,15 @@ class TestTextIngestion:
         path = tmp_path / "m.metis"
         path.write_text("2 5\n2\n1\n")
         with pytest.raises(InvalidParameterError, match="declares"):
+            read_metis(path)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("2 x\n2\n1\n", 1), ("2 1\n2\nq\n", 3), ("2 1\n1\n1\n", 2)],
+        ids=["header", "neighbour", "self-loop"],
+    )
+    def test_metis_errors_name_file_and_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.metis"
+        path.write_text(text)
+        with pytest.raises(InvalidParameterError, match=f"^{path}:{line}: "):
             read_metis(path)

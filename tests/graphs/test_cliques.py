@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.errors import CliqueCoverError
-from repro.graphs import CliqueCover, disjoint_cliques, shared_vertex_cliques
+from repro.graphs import CliqueCover, shared_vertex_cliques
 
 
 def triangle_with_tail() -> nx.Graph:

@@ -1,7 +1,6 @@
 """Tests for line graphs with the star clique identification (diversity 2)."""
 
 import networkx as nx
-import pytest
 
 from repro.graphs import line_graph_with_cover, max_degree
 from repro.graphs.linegraph import (

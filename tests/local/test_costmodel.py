@@ -1,7 +1,5 @@
 """Tests for the closed-form cost models."""
 
-import math
-
 import pytest
 
 from repro.errors import InvalidParameterError

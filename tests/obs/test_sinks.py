@@ -3,8 +3,6 @@
 import json
 import os
 
-import pytest
-
 from repro import obs
 from repro.obs import (
     EVENT_SCHEMA_VERSION,

@@ -1,5 +1,5 @@
 """The reporting read side: campaign_stats aggregation, render_stats,
-and the stats / trace / query --slowest CLI surfaces."""
+and the stats / trace CLI surfaces."""
 
 import pytest
 
@@ -151,7 +151,7 @@ class TestStatsCli:
             main(["stats", "--store", str(tmp_path / "nope.db")])
 
 
-class TestQuerySlowest:
+class TestStatsTop:
     def test_lists_each_rows_source(self, small_store, capsys):
         import sqlite3
 
@@ -159,11 +159,11 @@ class TestQuerySlowest:
         conn.execute("UPDATE runs SET metrics = NULL WHERE algorithm = 'greedy'")
         conn.commit()
         conn.close()
-        assert main(["query", "--store", str(small_store), "--slowest", "5"]) == 0
+        assert main(["stats", "--store", str(small_store), "--top", "5"]) == 0
         out = capsys.readouterr().out
-        assert "(wall_ms; metrics compute_ms=" in out
-        assert "(wall_ms)" in out
-        assert "note:" not in out
+        assert "[wall_ms; metrics compute_ms=" in out
+        assert "[wall_ms]" in out
+        assert "rows without a wall_ms column" not in out
 
 
 class TestDeadWorkerRow:
@@ -186,12 +186,12 @@ class TestDeadWorkerRow:
         assert "rows without a wall_ms column: 1" in out
         assert "v3" not in out and "schema" not in out
 
-    def test_query_slowest(self, store_with_dead_worker, capsys):
+    def test_stats_top(self, store_with_dead_worker, capsys):
         assert main([
-            "query", "--store", str(store_with_dead_worker), "--slowest", "5",
+            "stats", "--store", str(store_with_dead_worker), "--top", "5",
         ]) == 0
         out = capsys.readouterr().out
-        assert "note: 1 rows have no wall_ms column" in out
+        assert "rows without a wall_ms column: 1" in out
         assert "v3" not in out and "schema" not in out
         assert "--fresh" not in out
 

@@ -5,14 +5,12 @@ algorithm's output, the connector degree bounds, the H-partition property,
 and the palette bounds — checked on arbitrary generated graphs.
 """
 
-import math
-
 import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.verify import verify_edge_coloring, verify_vertex_coloring
-from repro.graphs import CliqueCover, line_graph_with_cover, max_degree
+from repro.graphs import line_graph_with_cover, max_degree
 from repro.baselines import weak_vertex_coloring
 from repro.core import (
     build_clique_connector,

@@ -1,7 +1,6 @@
 """Property-based tests for the extension substrates and baselines."""
 
 import networkx as nx
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.verify import verify_edge_coloring, verify_vertex_coloring

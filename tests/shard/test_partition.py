@@ -11,7 +11,6 @@ import pytest
 
 from repro import workloads
 from repro.errors import InvalidParameterError
-from repro.graphcore import CompactGraph
 from repro.shard import ShardBundle, load_shard, partition
 from repro.shard.partition import HEADER_SIZE, MANIFEST_NAME, _shard_filename
 

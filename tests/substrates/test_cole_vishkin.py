@@ -5,7 +5,7 @@ import pytest
 
 from repro.verify import verify_vertex_coloring
 from repro.errors import InvalidParameterError
-from repro.graphs import forest_union, planar_grid, random_tree
+from repro.graphs import random_tree
 from repro.local import RoundLedger
 from repro.substrates import (
     cole_vishkin_forest_coloring,

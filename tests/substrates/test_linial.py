@@ -8,7 +8,7 @@ from repro.errors import InvalidParameterError
 from repro.graphs import erdos_renyi, max_degree, random_regular
 from repro.local import RoundLedger
 from repro.substrates import linial_coloring, linial_schedule
-from repro.substrates.linial import LinialStep, _best_step, _encode, _refine
+from repro.substrates.linial import LinialStep, _encode, _refine
 
 
 class TestSchedule:

@@ -1,20 +1,48 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
 
-from repro import io as repro_io
-from repro import registry
-from repro.cli import EDGE_ALGORITHMS, main
+from repro import graphcore, registry
+from repro.cli import main
 from repro.graphs import random_regular
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _write_edge_list(graph, path):
+    graphcore.write_edge_list(graphcore.CompactGraph.from_networkx(graph), path)
 
 
 @pytest.fixture
 def graph_file(tmp_path):
-    g = random_regular(16, 4, seed=1)
     path = tmp_path / "g.edges"
-    repro_io.write_edge_list(g, path)
+    _write_edge_list(random_regular(16, 4, seed=1), path)
     return path
+
+
+@pytest.fixture(scope="module")
+def sparse_files(tmp_path_factory):
+    """Two edge lists over the sparse ids ``v -> 3v + 5`` (a 60-node,
+    300-edge G(n, m) graph and a 40-node tree) and the ``.csrg`` twin of
+    each, made by ``graph convert``."""
+    root = tmp_path_factory.mktemp("sparse")
+    files = {}
+    for name, graph in (
+        ("sp", nx.gnm_random_graph(60, 300, seed=7)),
+        ("forest", nx.random_labeled_tree(40, seed=3)),
+    ):
+        text = root / f"{name}.txt"
+        text.write_text("".join(f"{3 * u + 5} {3 * v + 5}\n" for u, v in graph.edges()))
+        csrg = root / f"{name}.csrg"
+        assert main(["graph", "convert", "--in", str(text), "--out", str(csrg)]) == 0
+        files[name] = (text, csrg)
+    return files
 
 
 class TestInfo:
@@ -31,60 +59,95 @@ class TestInfo:
         ids=["regular", "gnp"],
     )
     def test_csrg_matches_edge_list_twin(self, tmp_path, capsys, graph):
-        # a .csrg is read as the CompactGraph it is, never converted to nx
-        from repro import graphcore
-
         edges = tmp_path / "g.edges"
-        repro_io.write_edge_list(graph, edges)
+        _write_edge_list(graph, edges)
         compact = tmp_path / "g.csrg"
-        graphcore.save(
-            graphcore.CompactGraph.from_networkx(repro_io.read_edge_list(edges)), compact
-        )
+        graphcore.save(graphcore.read_edge_list(edges), compact)
         assert main(["info", "--graph", str(edges)]) == 0
         from_edges = capsys.readouterr().out
         assert main(["info", "--graph", str(compact)]) == 0
         assert capsys.readouterr().out == from_edges
 
 
-class TestColor:
-    @pytest.mark.parametrize("algorithm", ["star4", "vizing", "greedy", "forest"])
-    def test_algorithms_run(self, graph_file, capsys, algorithm):
-        assert main(["color", "--graph", str(graph_file), "--algorithm", algorithm]) == 0
+def _run_line(path, algorithm, capsys, *extra):
+    """The result line of ``run --graph path``, its path blanked; an
+    algorithm that refuses the graph answers with its error instead."""
+    try:
+        assert main(["run", "--graph", str(path), "--algorithm", algorithm, *extra]) == 0
+    except Exception as exc:  # noqa: BLE001 - the refusal is the answer compared
+        return ("raised", type(exc), str(exc))
+    return capsys.readouterr().out.splitlines()[-1].replace(str(path), "FILE")
+
+
+class TestRunGraphFile:
+    @pytest.mark.parametrize("algorithm", registry.names())
+    def test_one_answer_per_file_format(self, sparse_files, capsys, algorithm):
+        # one reader assigns a file's ids, so the edge list and the .csrg
+        # converted from it run as the same graph
+        for text, csrg in sparse_files.values():
+            assert _run_line(text, algorithm, capsys) == _run_line(csrg, algorithm, capsys)
+
+    def test_sharded_sparse_edge_list(self, sparse_files, capsys):
+        text, _ = sparse_files["sp"]
+        assert main(
+            ["run", "--graph", str(text), "--algorithm", "linial", "--shards", "2"]
+        ) == 0
         out = capsys.readouterr().out
-        assert "colors" in out
+        assert "sharded: 2 shards" in out and "fell back" not in out
 
-    def test_writes_output(self, graph_file, tmp_path, capsys):
-        out_path = tmp_path / "coloring.json"
-        assert (
-            main(
-                [
-                    "color",
-                    "--graph",
-                    str(graph_file),
-                    "--algorithm",
-                    "greedy",
-                    "--output",
-                    str(out_path),
-                ]
-            )
-            == 0
-        )
-        coloring = repro_io.load_edge_coloring(out_path)
-        graph = repro_io.read_edge_list(graph_file)
-        assert len(coloring) == graph.number_of_edges()
+    def test_fallback_line_only_without_a_sharded_run(self, sparse_files, capsys):
+        _, csrg = sparse_files["sp"]
+        argv = ["run", "--graph", str(csrg), "--shards", "2", "--algorithm"]
+        # linial finishes inside the shard plan: zero exchange rounds,
+        # but the sharded engine ran
+        assert main(argv + ["linial"]) == 0
+        out = capsys.readouterr().out
+        assert "sharded: 2 shards, 0 exchange rounds" in out
+        assert "fell back" not in out
+        # cd has no shard program: the engine path answers
+        assert main(argv + ["cd"]) == 0
+        assert "sharded: requested but the run fell back" in capsys.readouterr().out
 
-    def test_x_parameter(self, graph_file, capsys):
-        assert (
-            main(["color", "--graph", str(graph_file), "--algorithm", "star", "--x", "2"])
-            == 0
-        )
 
-    def test_all_algorithms_are_wired(self, graph_file, capsys):
-        for algorithm in EDGE_ALGORITHMS:
-            assert (
-                main(["color", "--graph", str(graph_file), "--algorithm", algorithm])
-                == 0
-            ), algorithm
+def _cli(*argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+class TestGraphFileErrors:
+    """A missing or malformed graph file ends a graph-file verb with one
+    line that names the file, never a traceback."""
+
+    VERBS = {
+        "run": ("run", "--algorithm", "greedy", "--graph"),
+        "info": ("info", "--graph"),
+        "graph-info": ("graph", "info", "--graph"),
+        "graph-convert": ("graph", "convert", "--out", "OUT.csrg", "--in"),
+        "graph-partition": ("graph", "partition", "--shards", "2", "--out", "OUT", "--graph"),
+    }
+
+    @pytest.mark.parametrize("problem", ["missing", "malformed"])
+    @pytest.mark.parametrize("verb", list(VERBS))
+    def test_one_line_naming_the_file(self, tmp_path, verb, problem):
+        if problem == "missing":
+            path = tmp_path / "absent.txt"
+        elif verb == "graph-info":
+            path = tmp_path / "bad.csrg"
+            path.write_bytes(b"not a csrg file")
+        else:
+            path = tmp_path / "bad.metis"
+            path.write_text("3 x\n")
+        argv = [a.replace("OUT", str(tmp_path / "out")) for a in self.VERBS[verb]]
+        done = _cli(*argv, str(path))
+        assert done.returncode != 0
+        assert str(path) in done.stderr
+        assert "Traceback" not in done.stderr
+        assert len(done.stderr.strip().splitlines()) == 1, done.stderr
 
 
 class TestWorkloadsCommand:
@@ -141,16 +204,18 @@ class TestKernelsCommand:
 
 
 class TestEngineJobsDefaults:
+    RUN = ["run", "--algorithm", "greedy", "--workload", "torus"]
+
     def test_unknown_engine_is_actionable(self, capsys):
         with pytest.raises(SystemExit):
-            main(["sweep", "--algorithm", "greedy", "--engine", "warp-drive"])
+            main(self.RUN + ["--engine", "warp-drive"])
         err = capsys.readouterr().err
         assert "unknown engine 'warp-drive'" in err
         assert "reference" in err and "vector" in err
 
     def test_jobs_rejects_nonpositive(self, capsys):
         with pytest.raises(SystemExit):
-            main(["sweep", "--algorithm", "greedy", "--jobs", "0"])
+            main(self.RUN + ["--jobs", "0"])
         assert "positive integer" in capsys.readouterr().err
 
     def test_jobs_defaults_to_cpu_count(self):
@@ -158,12 +223,10 @@ class TestEngineJobsDefaults:
 
         from repro.cli import _resolve_jobs, build_parser
 
-        args = build_parser().parse_args(["sweep", "--algorithm", "greedy"])
+        args = build_parser().parse_args(self.RUN)
         assert args.jobs is None
         assert _resolve_jobs(args) == max(1, os.cpu_count() or 1)
-        args = build_parser().parse_args(
-            ["sweep", "--algorithm", "greedy", "--jobs", "3"]
-        )
+        args = build_parser().parse_args(self.RUN + ["--jobs", "3"])
         assert _resolve_jobs(args) == 3
 
 

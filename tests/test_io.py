@@ -1,75 +1,4 @@
-"""Tests for edge-list and coloring serialization."""
-
-import networkx as nx
-import pytest
-
-from repro import io as repro_io
-from repro.errors import InvalidParameterError
-from repro.graphs import erdos_renyi
-
-
-class TestEdgeList:
-    def test_roundtrip(self, tmp_path):
-        g = erdos_renyi(30, 0.2, seed=1)
-        path = tmp_path / "g.edges"
-        repro_io.write_edge_list(g, path)
-        back = repro_io.read_edge_list(path)
-        assert set(back.nodes()) == set(g.nodes())
-        assert {tuple(sorted(e)) for e in back.edges()} == {
-            tuple(sorted(e)) for e in g.edges()
-        }
-
-    def test_isolated_vertices_preserved(self, tmp_path):
-        g = nx.Graph([(0, 1)])
-        g.add_node(7)
-        path = tmp_path / "g.edges"
-        repro_io.write_edge_list(g, path)
-        back = repro_io.read_edge_list(path)
-        assert 7 in back.nodes()
-        assert back.degree(7) == 0
-
-    def test_comments_and_blank_lines(self, tmp_path):
-        path = tmp_path / "g.edges"
-        path.write_text("# header\n\n1 2  # inline\n2 3\n")
-        g = repro_io.read_edge_list(path)
-        assert sorted(g.edges()) == [(1, 2), (2, 3)]
-
-    def test_self_loop_rejected(self, tmp_path):
-        path = tmp_path / "g.edges"
-        path.write_text("3 3\n")
-        with pytest.raises(InvalidParameterError):
-            repro_io.read_edge_list(path)
-
-    def test_malformed_line_rejected(self, tmp_path):
-        path = tmp_path / "g.edges"
-        path.write_text("1 2 3\n")
-        with pytest.raises(InvalidParameterError):
-            repro_io.read_edge_list(path)
-
-
-class TestColorings:
-    def test_vertex_roundtrip(self, tmp_path):
-        coloring = {0: 2, 1: 0, 5: 1}
-        path = tmp_path / "c.json"
-        repro_io.save_vertex_coloring(coloring, path)
-        assert repro_io.load_vertex_coloring(path) == coloring
-
-    def test_edge_roundtrip(self, tmp_path):
-        coloring = {(0, 1): 3, (1, 2): 0}
-        path = tmp_path / "c.json"
-        repro_io.save_edge_coloring(coloring, path)
-        assert repro_io.load_edge_coloring(path) == coloring
-
-    def test_edge_keys_canonicalized_on_load(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text('{"type": "edge", "colors": [[5, 2, 1]]}')
-        assert repro_io.load_edge_coloring(path) == {(2, 5): 1}
-
-    def test_type_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "c.json"
-        repro_io.save_vertex_coloring({0: 1}, path)
-        with pytest.raises(InvalidParameterError):
-            repro_io.load_edge_coloring(path)
+"""Tests for the graphviz DOT writer."""
 
 
 class TestColoredDot:

@@ -384,3 +384,38 @@ class TestAnalysisContract:
         assert "engines" not in self._params(differential_check)
         assert self._params(run_section5) == ["arboricities", "seed"]
         assert not hasattr(repro.engine, "set_default_engine")
+
+
+class TestCliContract:
+    """A graph file enters through graphcore's readers only, and the verbs
+    that repeated ``run`` and ``stats`` are gone."""
+
+    @pytest.mark.parametrize("command", ["color", "sweep"])
+    def test_parser_rejects_the_removed_verbs(self, command, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_query_rejects_slowest(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["query", "--store", "runs.db", "--slowest", "3"])
+        assert exc.value.code == 2
+        assert "--slowest" in capsys.readouterr().err
+
+    def test_io_keeps_only_the_dot_writer(self):
+        import repro.io
+
+        public = {
+            name
+            for name, value in vars(repro.io).items()
+            if inspect.isfunction(value) and value.__module__ == "repro.io"
+        }
+        assert public == {"write_colored_dot", "_dot_color"}
+        for name in ("read_edge_list", "write_edge_list"):
+            assert not hasattr(repro.io, name)
+        assert not [name for name in vars(repro.io) if name.endswith("_coloring")]

@@ -133,9 +133,3 @@ class TestRegistration:
         finally:
             registry._REGISTRY.pop("test-mislabeled", None)
 
-
-class TestCliIntegration:
-    def test_edge_algorithms_constant_is_registry_backed(self):
-        from repro.cli import EDGE_ALGORITHMS
-
-        assert set(EDGE_ALGORITHMS) == set(registry.names(kind="edge-coloring"))

@@ -8,8 +8,6 @@ Everything stays under a couple of seconds per test.
 
 import math
 
-import pytest
-
 from repro.verify import verify_edge_coloring, verify_vertex_coloring
 from repro.core import (
     edge_color_bounded_arboricity,

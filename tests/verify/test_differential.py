@@ -1,7 +1,5 @@
 """Differential cross-engine checking and stored-row re-verification."""
 
-import pytest
-
 import repro
 from repro.store import ExperimentStore, RunCache
 from repro.analysis.campaign import CampaignCell, CampaignRunner
