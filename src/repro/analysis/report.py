@@ -6,9 +6,9 @@ deterministic payload:
 
 * **frontier** — per (algorithm × workload): the worst observed palette
   and round counts next to the theoretical palette bound, recomputed
-  through :func:`repro.verify.oracles.claimed_palette_bound` — i.e. the
+  by the algorithm's ``AlgorithmSpec.palette_bound`` — i.e. the
   same ``core/params.py`` formulas (``star_target_colors``,
-  ``cd_target_colors``, Section 5's ``palette_bound``) as f(Δ, a, n) —
+  ``cd_target_colors``, Section 5's ``palette_bound``) as f(Δ, n, params) —
   from what the rows themselves disclose. Rows that disclose no Δ render
   an unknown bound instead of silently rebuilding graphs.
 * **verdicts** — the verification ledger per algorithm (ok/fail/skip/
@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.dataframes import Frame, cell_frame, distribution
+from repro.errors import InvalidParameterError
 
 __all__ = [
     "build_report",
@@ -78,22 +79,21 @@ class _BoundUnknown(Exception):
 
 
 class _RowOracleView:
-    """Duck-typed :class:`~repro.verify.oracles.OracleContext` stand-in
-    built from one store row — no graph behind it. ``delta`` and
-    ``arboricity`` resolve from the row's disclosures (the runner's
-    ``extra`` dict, or a workload family that pins Δ by construction)
-    and raise :class:`_BoundUnknown` otherwise, so a bound function that
-    needs an undisclosed quantity yields "unknown", never a wrong
-    number."""
+    """The slice of :class:`~repro.verify.oracles.OracleContext` a spec's
+    ``palette_bound`` reads (``delta``, ``n``, ``m``, ``params``,
+    ``extra``), built from one store row — no graph behind it. ``delta``
+    resolves from the row's disclosures (the runner's ``extra`` dict, or
+    a workload family that pins Δ by construction) and raises
+    :class:`_BoundUnknown` otherwise, so a bound that needs an
+    undisclosed Δ yields "unknown", never a wrong number."""
 
-    __slots__ = ("extra", "params", "algorithm", "n", "m", "_delta")
+    __slots__ = ("extra", "params", "n", "m", "_delta")
 
     def __init__(self, row: Mapping[str, Any]):
         extra = row.get("extra")
         self.extra = extra if isinstance(extra, Mapping) else {}
         params = row.get("algo_params")
         self.params = params if isinstance(params, Mapping) else {}
-        self.algorithm = row.get("algorithm")
         self.n = int(row.get("n") or 0)
         self.m = int(row.get("m") or 0)
         delta = row.get("delta")
@@ -109,23 +109,23 @@ class _RowOracleView:
             raise _BoundUnknown("row discloses no Delta")
         return int(self._delta)
 
-    @property
-    def arboricity(self) -> int:
-        value = self.extra.get("arboricity")
-        if not isinstance(value, (int, float)):
-            raise _BoundUnknown("row discloses no arboricity")
-        return int(value)
-
 
 def row_palette_bound(row: Mapping[str, Any]) -> Optional[int]:
     """The palette bound the row's algorithm claims on this instance,
-    recomputed from the registered bound formulas (which delegate to
-    ``core/params.py``), or ``None`` when the algorithm states no exact
-    bound or the row lacks the disclosures the formula needs."""
-    from repro.verify.oracles import claimed_palette_bound
+    recomputed by its spec's ``palette_bound`` (which delegates to
+    ``core/params.py``), or ``None`` when the algorithm is not
+    registered, states no exact bound, or the row lacks the disclosures
+    the formula needs."""
+    from repro import registry
 
     try:
-        bound = claimed_palette_bound(str(row.get("algorithm")), _RowOracleView(row))
+        bound_of = registry.get(str(row.get("algorithm"))).palette_bound
+    except InvalidParameterError:
+        return None
+    if bound_of is None:
+        return None
+    try:
+        bound = bound_of(_RowOracleView(row))
     except _BoundUnknown:
         return None
     except (TypeError, ValueError, KeyError, ArithmeticError):

@@ -219,7 +219,7 @@ _registry.register(
         color_bound="2*Delta * (1 + O(levels*threshold/Delta))",
         rounds_bound="modeled only (Euler splits are global)",
         runner=_run_split,
-        invariants=("proper-edge-coloring", "palette-bound"),
+        invariants=("proper-edge-coloring",),
         params=("threshold",),
     )
 )

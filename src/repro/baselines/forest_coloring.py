@@ -137,6 +137,6 @@ _registry.register(
         color_bound="O(a * Delta)",
         rounds_bound="O(log* n)",
         runner=_run_forest,
-        invariants=("proper-edge-coloring", "palette-bound"),
+        invariants=("proper-edge-coloring",),
     )
 )

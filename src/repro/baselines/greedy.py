@@ -101,6 +101,7 @@ _registry.register(
         rounds_bound="centralized",
         runner=_run_greedy,
         invariants=("proper-edge-coloring", "palette-bound"),
+        palette_bound=lambda ctx: max(2 * ctx.delta - 1, 0),
     )
 )
 _registry.register(
@@ -113,5 +114,6 @@ _registry.register(
         rounds_bound="centralized",
         runner=_run_greedy_vertex,
         invariants=("proper-vertex-coloring", "palette-bound"),
+        palette_bound=lambda ctx: ctx.delta + 1,
     )
 )

@@ -14,6 +14,7 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
@@ -136,6 +137,11 @@ def _run_randomized(
     )
 
 
+def _randomized_bound(ctx) -> int:
+    factor = float(ctx.params.get("palette_factor", 2.0))
+    return int(math.ceil(factor * ctx.delta))
+
+
 _registry.register(
     _registry.AlgorithmSpec(
         name="randomized",
@@ -146,6 +152,7 @@ _registry.register(
         rounds_bound="O(log m) w.h.p.",
         runner=_run_randomized,
         invariants=("proper-edge-coloring", "palette-bound"),
+        palette_bound=_randomized_bound,
         params=("palette_factor", "seed"),
     )
 )

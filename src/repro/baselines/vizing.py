@@ -184,5 +184,6 @@ _registry.register(
         rounds_bound="centralized",
         runner=_run_vizing,
         invariants=("proper-edge-coloring", "palette-bound"),
+        palette_bound=lambda ctx: ctx.delta + 1,
     )
 )

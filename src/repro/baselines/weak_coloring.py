@@ -188,7 +188,7 @@ _registry.register(
         color_bound="Delta^(1+eps)",
         rounds_bound="O(log* n) per level",
         runner=_run_weak,
-        invariants=("proper-edge-coloring", "palette-bound"),
+        invariants=("proper-edge-coloring",),
         params=("exponent",),
     )
 )
@@ -201,7 +201,7 @@ _registry.register(
         color_bound="Delta^(1+eps)",
         rounds_bound="O(log* n) per level",
         runner=_run_weak_vertex,
-        invariants=("proper-vertex-coloring", "palette-bound"),
+        invariants=("proper-vertex-coloring",),
         params=("exponent",),
     )
 )

@@ -2,15 +2,14 @@
 
 The registries are how a new algorithm/kernel becomes a CLI choice, a
 campaign cell and a parity subject in one step — but a registration with
-missing metadata fails *silently* (the verifier falls back to weaker
-defaults; the lazy kernel loader simply never finds the module). These
-rules make the contracts mechanical:
+missing metadata can fail *silently* (the lazy kernel loader simply
+never finds the module). These rules make the contracts mechanical:
 
 * ``reg-spec-invariants`` — every ``AlgorithmSpec(...)`` construction
-  passes ``invariants=`` explicitly. An algorithm without declared
-  oracles would verify against kind-level defaults only, so the
-  omission must be a visible decision (``invariants=()`` with a waiver),
-  never an accident.
+  passes ``invariants=`` explicitly. ``invariants`` has no default, so
+  an omission also fails when the spec is built; the rule names it
+  without importing anything, and an algorithm that declares no oracles
+  says so visibly (``invariants=()`` with a waiver), never by accident.
 * ``reg-kernel-module`` — the lazy kernel registry
   (``kernels/__init__._KERNEL_MODULES``) and the registrations in the
   kernel modules describe the same mapping: every registering module is

@@ -572,6 +572,13 @@ def _run_cor55(
     )
 
 
+def _claimed_palette(ctx) -> Optional[int]:
+    """Section 5's exact palette for the instance, which the result
+    computes and carries as ``extra['palette_bound']``."""
+    bound = ctx.extra.get("palette_bound")
+    return int(bound) if bound is not None else None
+
+
 _registry.register(
     _registry.AlgorithmSpec(
         name="thm52",
@@ -582,6 +589,7 @@ _registry.register(
         rounds_bound="O(a * log n)",
         runner=_run_thm52,
         invariants=("proper-edge-coloring", "palette-bound"),
+        palette_bound=_claimed_palette,
         requires=("bounded-arboricity",),
         params=("arboricity", "q"),
     )
@@ -596,6 +604,7 @@ _registry.register(
         rounds_bound="O(sqrt(a) * log n)",
         runner=_run_thm53,
         invariants=("proper-edge-coloring", "palette-bound"),
+        palette_bound=_claimed_palette,
         requires=("bounded-arboricity",),
         params=("arboricity", "q"),
     )
@@ -610,6 +619,7 @@ _registry.register(
         rounds_bound="O(a_hat^(1/x) * (x + log n / log q))",
         runner=_run_thm54,
         invariants=("proper-edge-coloring", "palette-bound"),
+        palette_bound=_claimed_palette,
         requires=("bounded-arboricity",),
         params=("x", "arboricity", "q"),
     )
@@ -624,6 +634,7 @@ _registry.register(
         rounds_bound="O(log n) for a = O(Delta^(1-eps))",
         runner=_run_cor55,
         invariants=("proper-edge-coloring", "palette-bound"),
+        palette_bound=_claimed_palette,
         requires=("bounded-arboricity",),
         params=("arboricity",),
     )

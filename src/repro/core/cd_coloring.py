@@ -245,6 +245,15 @@ def _run_cd(graph: nx.Graph, x: int = 1) -> _registry.AlgorithmRun:
     )
 
 
+def _cd_bound(ctx) -> int:
+    # Theorem 3.3(ii) runs CD-Coloring on the line graph: diversity 2,
+    # clique size max(Delta, 3) (the line-graph cover pads tiny stars).
+    if ctx.m == 0:
+        return 0
+    x = ctx.extra.get("x", ctx.params.get("x", 1))
+    return cd_target_colors(2, max(ctx.delta, 3), int(x) if x is not None else 1)
+
+
 _registry.register(
     _registry.AlgorithmSpec(
         name="cd",
@@ -256,5 +265,6 @@ _registry.register(
         runner=_run_cd,
         params=("x",),
         invariants=("proper-edge-coloring", "palette-bound", "clique-decomposition"),
+        palette_bound=_cd_bound,
     )
 )

@@ -194,6 +194,18 @@ def _run_star(graph: nx.Graph, x: int = 1, t: Optional[int] = None) -> _registry
     )
 
 
+def _claimed_x(ctx) -> int:
+    x = ctx.extra.get("x", ctx.params.get("x", 1))
+    return int(x) if x is not None else 1
+
+
+def _star_bound(ctx, x: int) -> int:
+    # The trim pass reduces any raw product palette down to the headline
+    # target (2^(x+1) * Delta >= 2*Delta - 1 always, so the reduction is
+    # admissible), making the Theorem 4.1 target the hard ceiling.
+    return star_target_colors(ctx.delta, x) if ctx.delta else 0
+
+
 _registry.register(
     _registry.AlgorithmSpec(
         name="star4",
@@ -204,6 +216,7 @@ _registry.register(
         rounds_bound="O~(Delta^(1/4) + log* n)",
         runner=_run_star4,
         invariants=("proper-edge-coloring", "palette-bound", "star-partition"),
+        palette_bound=lambda ctx: _star_bound(ctx, 1),
     )
 )
 _registry.register(
@@ -217,5 +230,6 @@ _registry.register(
         runner=_run_star,
         params=("x", "t"),
         invariants=("proper-edge-coloring", "palette-bound", "star-partition"),
+        palette_bound=lambda ctx: _star_bound(ctx, _claimed_x(ctx)),
     )
 )

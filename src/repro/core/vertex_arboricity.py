@@ -144,6 +144,7 @@ _registry.register(
         rounds_bound="O((sqrt(d_hat) + d_hat) * log n)",
         runner=_run_vertex_arboricity,
         invariants=("proper-vertex-coloring", "palette-bound"),
+        palette_bound=lambda ctx: ctx.delta + 1,
         requires=("bounded-arboricity",),
         params=("arboricity", "q"),
     )

@@ -154,17 +154,37 @@ class CompactGraph:
         return iter(range(self.n))
 
     def __contains__(self, v: Any) -> bool:
-        return isinstance(v, int) and 0 <= v < self.n
+        return self.node_id(v) is not None
+
+    def node_id(self, v: Any) -> Optional[int]:
+        """``v``'s dense id, or None when ``v`` is not a node (an
+        unhashable value included).
+
+        It answers exactly as a dict over ``0..n-1`` — networkx's
+        node table — would: a key hash-equal to node ``i`` (``2.0``,
+        ``True``, a numpy integer) is node ``i``. It answers
+        arithmetically (an int below ``2**61 - 1`` is its own hash), so
+        no million-entry identity index is ever built."""
+        try:
+            h = hash(v)
+        except TypeError:
+            return None
+        return h if 0 <= h < self.n and v == h else None
 
     # ----------------------------------------------------------- adjacency
 
     def nodes(self) -> range:
         return range(self.n)
 
-    def neighbors(self, v: int) -> List[int]:
-        if not 0 <= v < self.n:
+    def neighbors(self, v: Any) -> List[int]:
+        i = self._require(v)
+        return self.indices[self.indptr[i] : self.indptr[i + 1]].tolist()
+
+    def _require(self, v: Any) -> int:
+        i = self.node_id(v)
+        if i is None:
             raise InvalidParameterError(f"node {v!r} not in graph")
-        return self.indices[self.indptr[v] : self.indptr[v + 1]].tolist()
+        return i
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Each undirected edge once, as ``(u, v)`` with ``u < v``, in
@@ -175,15 +195,14 @@ class CompactGraph:
                 if u < v:
                     yield (u, v)
 
-    def degree(self, v: Optional[int] = None):
+    def degree(self, v: Any = None):
         """``degree()`` iterates ``(node, degree)`` pairs (the nx view
         contract); ``degree(v)`` returns one node's degree."""
         if v is None:
             diffs = np.diff(self.indptr)
             return ((i, int(d)) for i, d in enumerate(diffs))
-        if not 0 <= v < self.n:
-            raise InvalidParameterError(f"node {v!r} not in graph")
-        return int(self.indptr[v + 1] - self.indptr[v])
+        i = self._require(v)
+        return int(self.indptr[i + 1] - self.indptr[i])
 
     @property
     def degrees(self) -> np.ndarray:
@@ -199,13 +218,12 @@ class CompactGraph:
     def has_edge(self, u: Any, v: Any) -> bool:
         """Whether ``{u, v}`` is an edge (False for unknown nodes, matching
         the networkx contract). Binary search in ``u``'s sorted row."""
-        if not (isinstance(u, int) and isinstance(v, int)):
+        i, j = self.node_id(u), self.node_id(v)
+        if i is None or j is None:
             return False
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            return False
-        row = self.indices[self.indptr[u] : self.indptr[u + 1]]
-        pos = int(np.searchsorted(row, v))
-        return pos < row.size and int(row[pos]) == v
+        row = self.indices[self.indptr[i] : self.indptr[i + 1]]
+        pos = int(np.searchsorted(row, j))
+        return pos < row.size and int(row[pos]) == j
 
     def subgraph(self, nodes: Any) -> Any:
         """The induced subgraph on ``nodes`` as a ``networkx.Graph``.
@@ -218,9 +236,7 @@ class CompactGraph:
         """
         import networkx as nx
 
-        members = sorted(
-            {int(v) for v in nodes if isinstance(v, int) and 0 <= v < self.n}
-        )
+        members = sorted({self.node_id(v) for v in nodes} - {None})
         sub = nx.Graph()
         sub.add_nodes_from(members)
         if members and self.indices.size:

@@ -103,25 +103,14 @@ def node_space(graph: Any) -> Tuple[Sequence[Any], Callable[[Any], Optional[int]
     to its dense id, None for anything that is not a node (an unhashable
     value included).
 
-    A ``CompactGraph``'s ids are the dense ids, and its lookup answers
-    exactly as a dict over them (its int-id twin's index) would: a key
-    hash-equal to node ``i`` — ``2.0``, ``True``, a numpy integer — is
-    node ``i``. It answers arithmetically (an int below ``2**61 - 1`` is
-    its own hash), so no million-entry identity index is ever built. An
+    A ``CompactGraph``'s ids are the dense ids, and its lookup is
+    :meth:`~repro.graphcore.CompactGraph.node_id`, which answers as a
+    dict over them would (a numpy integer or ``2.0`` is a node). An
     :class:`~repro.graphcore.Interned` view looks ids up in its index,
     which only a node map or cross-merge's partners ever need; a
     directed view is declined, since programs read symmetric rows."""
     if isinstance(graph, CompactGraph):
-        n = graph.n
-
-        def lookup(v: Any) -> Optional[int]:
-            try:
-                h = hash(v)
-            except TypeError:
-                return None
-            return h if 0 <= h < n and v == h else None
-
-        return graph.nodes(), lookup
+        return graph.nodes(), graph.node_id
     if graph.directed:
         raise KernelUnsupported("directed graph")
 

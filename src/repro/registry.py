@@ -66,8 +66,13 @@ class AlgorithmSpec:
     workloads. ``params`` lists the keyword arguments the runner accepts —
     :func:`run` rejects anything else eagerly so campaign grids fail fast.
     ``invariants`` names the :mod:`repro.verify` oracles this algorithm's
-    output must satisfy; an empty tuple falls back to the kind-level
-    defaults (properness + claimed palette bound) at verification time.
+    output must satisfy, in the order they run; ``()`` declares none.
+    ``palette_bound(ctx)`` is the exact palette the algorithm claims on
+    one instance (``None`` when it claims none there), read only through
+    ``ctx.delta``, ``ctx.n``, ``ctx.m``, ``ctx.params`` and ``ctx.extra``;
+    a spec has one exactly when it declares the ``palette-bound``
+    invariant, so a claim never detaches from its check. Algorithms with
+    asymptotic-only guarantees (Linial's O(Delta^2)) have none.
 
     A runner receives the workload's graph as built — a networkx graph or
     a :class:`~repro.graphcore.CompactGraph` — and reads it only through
@@ -82,9 +87,12 @@ class AlgorithmSpec:
     color_bound: str
     rounds_bound: str
     runner: Callable[..., AlgorithmRun] = field(repr=False)
+    invariants: Tuple[str, ...]
     requires: Tuple[str, ...] = ()
     params: Tuple[str, ...] = ()
-    invariants: Tuple[str, ...] = ()
+    palette_bound: Optional[Callable[[Any], Optional[int]]] = field(
+        default=None, repr=False
+    )
 
 
 _REGISTRY: Dict[str, AlgorithmSpec] = {}
@@ -109,6 +117,17 @@ def register(spec: AlgorithmSpec) -> AlgorithmSpec:
     if spec.kind not in KINDS:
         raise InvalidParameterError(
             f"algorithm {spec.name!r}: unknown kind {spec.kind!r}"
+        )
+    declared = "palette-bound" in spec.invariants
+    if declared and spec.palette_bound is None:
+        raise InvalidParameterError(
+            f"algorithm {spec.name!r} declares the palette-bound invariant "
+            f"but has no palette_bound"
+        )
+    if spec.palette_bound is not None and not declared:
+        raise InvalidParameterError(
+            f"algorithm {spec.name!r} has a palette_bound but does not "
+            f"declare the palette-bound invariant"
         )
     existing = _REGISTRY.get(spec.name)
     if existing is not None and existing.runner is not spec.runner:

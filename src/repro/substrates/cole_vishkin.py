@@ -266,6 +266,7 @@ _registry.register(
         rounds_bound="O(log* n)",
         runner=_run_cole_vishkin,
         invariants=("proper-vertex-coloring", "palette-bound"),
+        palette_bound=lambda ctx: min(3, ctx.n),
         requires=("forest",),
     )
 )

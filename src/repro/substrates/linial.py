@@ -233,6 +233,6 @@ _registry.register(
         color_bound="O(Delta^2)",
         rounds_bound="O(log* n)",
         runner=_run_linial,
-        invariants=("proper-vertex-coloring", "palette-bound"),
+        invariants=("proper-vertex-coloring",),
     )
 )

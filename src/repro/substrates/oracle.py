@@ -198,6 +198,7 @@ _registry.register(
         rounds_bound="measured O(Delta*log Delta + log* n); modeled O~(sqrt(Delta)) + O(log* n)",
         runner=_run_oracle_vertex,
         invariants=("proper-vertex-coloring", "palette-bound"),
+        palette_bound=lambda ctx: ctx.delta + 1,
     )
 )
 _registry.register(
@@ -210,5 +211,6 @@ _registry.register(
         rounds_bound="measured O(Delta*log Delta + log* n); modeled O~(sqrt(Delta)) + O(log* n)",
         runner=_run_oracle_edge,
         invariants=("proper-edge-coloring", "palette-bound"),
+        palette_bound=lambda ctx: max(2 * ctx.delta - 1, 0),
     )
 )

@@ -6,11 +6,12 @@ Three layers, each load-bearing in the pipeline:
   claim the paper states (proper vertex/edge colorings, star partitions,
   clique decompositions, defective colorings, H-partitions). Partial and
   spurious assignments are explicit violations.
-* :mod:`repro.verify.oracles` — the :class:`InvariantOracle` registry.
-  Every algorithm in :mod:`repro.registry` declares the invariants its
-  output must satisfy (``AlgorithmSpec.invariants``); palette bounds are
-  recomputed from :mod:`repro.core.params` as functions of
-  ``(Delta, a, n, params)``. :func:`verify_run` folds the oracles into a
+* :mod:`repro.verify.oracles` — the invariant oracles, one table from
+  name to check. Every algorithm in :mod:`repro.registry` declares the
+  invariants its output must satisfy (``AlgorithmSpec.invariants``) and,
+  with the ``palette-bound`` invariant, the palette it claims
+  (``AlgorithmSpec.palette_bound``, recomputed from
+  :mod:`repro.core.params`). :func:`verify_run` folds the oracles into a
   :class:`Verdict` — the value the campaign runner persists per cell.
 * :mod:`repro.verify.differential` — cross-engine differential execution
   (ReferenceEngine vs VectorEngine, field-by-field) and
@@ -19,7 +20,6 @@ Three layers, each load-bearing in the pipeline:
 """
 
 from repro.verify.checkers import (
-    count_colors,
     max_star_size,
     verify_clique_decomposition,
     verify_defective_coloring,
@@ -39,20 +39,12 @@ from repro.verify.differential import (
 )
 from repro.verify.oracles import (
     VERDICTS,
-    InvariantOracle,
     OracleContext,
     Verdict,
-    claimed_palette_bound,
-    get_oracle,
-    oracle_names,
-    oracles_for,
-    register_oracle,
-    register_palette_bound,
     verify_run,
 )
 
 __all__ = [
-    "count_colors",
     "max_star_size",
     "verify_clique_decomposition",
     "verify_defective_coloring",
@@ -68,14 +60,7 @@ __all__ = [
     "differential_check",
     "recheck_row",
     "VERDICTS",
-    "InvariantOracle",
     "OracleContext",
     "Verdict",
-    "claimed_palette_bound",
-    "get_oracle",
-    "oracle_names",
-    "oracles_for",
-    "register_oracle",
-    "register_palette_bound",
     "verify_run",
 ]

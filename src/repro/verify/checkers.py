@@ -32,6 +32,27 @@ def _check_assignment_values(coloring: Dict, what: str) -> None:
         )
 
 
+def _check_total_over_nodes(
+    graph: nx.Graph, assignment: Dict, missing: str, spurious: str
+) -> None:
+    """``assignment`` keys exactly the vertices of ``graph`` and decides
+    each: ``missing`` and ``spurious`` name the two ways it can fail
+    ("vertices uncolored", "colored vertices are not in the graph")."""
+    nodes = set(graph.nodes())
+    keys = set(assignment)
+    absent = nodes - keys
+    if absent:
+        raise ColoringError(
+            f"{len(absent)} {missing}: {sorted(absent, key=repr)[:5]!r}"
+        )
+    extra = keys - nodes
+    if extra:
+        raise ColoringError(
+            f"{len(extra)} {spurious}: {sorted(extra, key=repr)[:5]!r}"
+        )
+    _check_assignment_values(assignment, "vertices")
+
+
 def verify_vertex_coloring(
     graph: nx.Graph,
     coloring: VertexColoring,
@@ -41,18 +62,9 @@ def verify_vertex_coloring(
     included), assigns no vertex outside the graph, is proper, and (if
     given) fits in ``palette`` colors. The empty graph is only valid with
     the empty coloring."""
-    missing = set(graph.nodes()) - set(coloring)
-    if missing:
-        raise ColoringError(
-            f"{len(missing)} vertices uncolored: {sorted(missing, key=repr)[:5]!r}"
-        )
-    spurious = set(coloring) - set(graph.nodes())
-    if spurious:
-        raise ColoringError(
-            f"{len(spurious)} colored vertices are not in the graph: "
-            f"{sorted(spurious, key=repr)[:5]!r}"
-        )
-    _check_assignment_values(coloring, "vertices")
+    _check_total_over_nodes(
+        graph, coloring, "vertices uncolored", "colored vertices are not in the graph"
+    )
     for u, v in graph.edges():
         if coloring[u] == coloring[v]:
             raise ColoringError(f"monochromatic edge ({u!r},{v!r}) color {coloring[u]}")
@@ -173,18 +185,9 @@ def verify_defective_coloring(
     """Check a ``defect``-defective coloring ([27] and the [6, 7] machinery):
     total assignment, every vertex has at most ``defect`` same-colored
     neighbors, and (if given) the palette bound."""
-    missing = set(graph.nodes()) - set(coloring)
-    if missing:
-        raise ColoringError(
-            f"{len(missing)} vertices uncolored: {sorted(missing, key=repr)[:5]!r}"
-        )
-    spurious = set(coloring) - set(graph.nodes())
-    if spurious:
-        raise ColoringError(
-            f"{len(spurious)} colored vertices are not in the graph: "
-            f"{sorted(spurious, key=repr)[:5]!r}"
-        )
-    _check_assignment_values(coloring, "vertices")
+    _check_total_over_nodes(
+        graph, coloring, "vertices uncolored", "colored vertices are not in the graph"
+    )
     for v in graph.nodes():
         same = sum(1 for u in graph.neighbors(v) if coloring[u] == coloring[v])
         if same > defect:
@@ -208,19 +211,9 @@ def verify_h_partition(
     ``threshold`` neighbors in ``H_i ∪ ... ∪ H_l`` — equivalently, the
     induced orientation (toward higher index) has out-degree at most
     ``threshold``, the arboricity-bound certificate of Section 5."""
-    missing = set(graph.nodes()) - set(index)
-    if missing:
-        raise ColoringError(
-            f"{len(missing)} vertices missing an H-index: "
-            f"{sorted(missing, key=repr)[:5]!r}"
-        )
-    spurious = set(index) - set(graph.nodes())
-    if spurious:
-        raise ColoringError(
-            f"{len(spurious)} indexed vertices are not in the graph: "
-            f"{sorted(spurious, key=repr)[:5]!r}"
-        )
-    _check_assignment_values(index, "vertices")
+    _check_total_over_nodes(
+        graph, index, "vertices missing an H-index", "indexed vertices are not in the graph"
+    )
     for v in graph.nodes():
         later = sum(1 for u in graph.neighbors(v) if index[u] >= index[v])
         if later > threshold:
@@ -229,7 +222,3 @@ def verify_h_partition(
                 f"levels >= its own > out-degree bound {threshold}"
             )
     return True
-
-
-def count_colors(coloring: Dict) -> int:
-    return len(set(coloring.values())) if coloring else 0

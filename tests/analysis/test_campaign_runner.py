@@ -126,6 +126,7 @@ class TestCampaignRunner:
                 name="test-exploder", family="baseline", kind="edge-coloring",
                 summary="always raises a non-ReproError", color_bound="-",
                 rounds_bound="-", runner=explode,
+                invariants=("proper-edge-coloring",),
             )
         )
         try:
@@ -293,6 +294,7 @@ class TestStreamingExecutor:
                 name="test-flaky", family="baseline", kind="edge-coloring",
                 summary="fails a fixed number of times, then succeeds",
                 color_bound="-", rounds_bound="-", runner=flaky,
+                invariants=("proper-edge-coloring",),
             )
         )
 
@@ -348,6 +350,7 @@ class TestStreamingExecutor:
                 name="test-worker-killer", family="baseline",
                 kind="edge-coloring", summary="SIGKILLs its own worker",
                 color_bound="-", rounds_bound="-", runner=worker_killer,
+                invariants=("proper-edge-coloring",),
             )
         )
         try:
@@ -403,6 +406,7 @@ class TestStreamingExecutor:
                     name=name, family="baseline", kind="edge-coloring",
                     summary="reports its worker's gc freeze count",
                     color_bound="-", rounds_bound="-", runner=runner,
+                    invariants=("proper-edge-coloring",),
                 )
             )
         try:

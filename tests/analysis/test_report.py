@@ -1,10 +1,13 @@
 """Tests for the campaign report layer: determinism, edge cases and the
 CLI surface."""
 
+import dataclasses
+import re
 import sqlite3
 
 import pytest
 
+from repro import registry, workloads
 from repro.analysis.campaign import CampaignCell, CampaignRunner
 from repro.analysis.dataframes import cell_frame
 from repro.analysis.report import (
@@ -12,10 +15,12 @@ from repro.analysis.report import (
     render_csv,
     render_html,
     render_markdown,
+    row_palette_bound,
     write_report,
 )
 from repro.analysis.tables import CELL_ROW_COLUMNS, markdown_table
 from repro.store import ExperimentStore, RunCache
+from repro.verify import verify_run
 
 TIMESTAMP = "2026-01-01T00:00:00+00:00"
 
@@ -137,6 +142,48 @@ class TestReportContent:
         campaign = report["campaign"]
         assert campaign["cells"] == 3
         assert campaign["last_campaign"]["done"] == 3
+
+
+class TestRowPaletteBound:
+    """The report's bound is the one verification checks: both come from
+    the spec's ``palette_bound``, once fed from the graph and once from
+    what the stored row discloses."""
+
+    @pytest.fixture(scope="class")
+    def bounded_rows(self, tmp_path_factory):
+        bounded = [s.name for s in registry.specs() if s.palette_bound is not None]
+        cells = [
+            # cole-vishkin needs a forest; its bound needs no Delta
+            CampaignCell(name, "random-tree", {"n": 24})
+            if name == "cole-vishkin"
+            else CampaignCell(name, "random-regular", {"n": 48, "d": 4})
+            for name in bounded
+        ]
+        path = tmp_path_factory.mktemp("bounds") / "runs.db"
+        with ExperimentStore(path) as store:
+            CampaignRunner(cells, cache=RunCache(store), jobs=1).run()
+            rows = store.query()
+        assert sorted(r["algorithm"] for r in rows if not r["error"]) == sorted(bounded)
+        return rows
+
+    def test_row_bound_is_the_bound_verify_run_used(self, bounded_rows):
+        for row in bounded_rows:
+            graph = workloads.build(row["workload"], row["workload_params"], row["seed"])
+            run = registry.run(row["algorithm"], graph, **row["algo_params"])
+            # one color per element: proper, and over every bound here,
+            # so the palette check names the bound it used
+            keys = sorted(run.coloring, key=repr)
+            planted = dataclasses.replace(
+                run, coloring={k: i for i, k in enumerate(keys)}, colors_used=len(keys)
+            )
+            verdict = verify_run(graph, planted, params=row["algo_params"])
+            used = re.search(r"claimed bound (\d+) ", verdict.violation or "")
+            assert used, (row["algorithm"], verdict)
+            assert row_palette_bound(row) == int(used.group(1)), row["algorithm"]
+
+    def test_unregistered_algorithm_has_no_bound(self, bounded_rows):
+        row = dict(bounded_rows[0], algorithm="retired-algorithm")
+        assert row_palette_bound(row) is None
 
 
 class TestEdgeCases:

@@ -115,7 +115,7 @@ class TestCampaignRowDisclosure:
         spec = registry.AlgorithmSpec(
             name=name, family="baseline", kind="decomposition",
             summary="test-only delegated runner", color_bound="1",
-            rounds_bound="1", runner=runner,
+            rounds_bound="1", runner=runner, invariants=(),
         )
         registry._ensure_loaded()
         registry._REGISTRY[name] = spec

@@ -80,6 +80,74 @@ class TestReadApi:
             _path3().degree(-1)
 
 
+#: Keys hash-equal to node 1 (numpy integer, float, bool, int) and keys
+#: that are no node at all: networkx's node table answers for both.
+NODE_KEYS = (np.int64(1), 1.0, True, 1, "1", (1,), -1, 4, 2.5)
+
+
+def _outcome(call):
+    try:
+        return ("value", call())
+    except Exception:
+        return ("raised",)
+
+
+class TestNodeKeysAnswerAsNetworkx:
+    """A key is node ``i`` exactly when networkx's dict of nodes would say
+    so: the CSR graph and the ``nx.Graph`` it came from agree on every
+    node question, whatever type the key has."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        g = nx.path_graph(4)
+        return g, CompactGraph.from_networkx(g)
+
+    @pytest.mark.parametrize("key", NODE_KEYS, ids=repr)
+    def test_membership_and_has_edge(self, graphs, key):
+        g, c = graphs
+        assert (key in c) == (key in g)
+        assert c.has_edge(key, 2) == g.has_edge(key, 2)
+        assert c.has_edge(2, key) == g.has_edge(2, key)
+
+    @pytest.mark.parametrize("key", NODE_KEYS, ids=repr)
+    def test_neighbors_and_degree(self, graphs, key):
+        g, c = graphs
+        assert _outcome(lambda: c.neighbors(key)) == _outcome(
+            lambda: list(g.neighbors(key))
+        )
+        if key in g:
+            assert c.degree(key) == g.degree(key)
+        else:
+            # networkx reads an iterable non-node as a node bunch; a
+            # CompactGraph answers one node at a time and names the miss
+            with pytest.raises(InvalidParameterError, match="not in graph"):
+                c.degree(key)
+            with pytest.raises(InvalidParameterError, match="not in graph"):
+                c.neighbors(key)
+
+    @pytest.mark.parametrize("key", NODE_KEYS, ids=repr)
+    def test_subgraph(self, graphs, key):
+        g, c = graphs
+        sub, nx_sub = c.subgraph([key, 2]), g.subgraph([key, 2])
+        assert sorted(sub.nodes()) == sorted(nx_sub.nodes())
+        assert sorted(sub.edges()) == sorted(nx_sub.edges())
+
+    def test_numpy_ids_select_a_subgraph(self, graphs):
+        _, c = graphs
+        sub = c.subgraph([np.int64(1), np.int64(2)])
+        assert sorted(sub.nodes()) == [1, 2] and list(sub.edges()) == [(1, 2)]
+        assert all(type(v) is int for v in sub.nodes())
+
+    def test_node_id_is_the_kernel_lookup(self, graphs):
+        from repro.kernels.program import node_space
+
+        _, c = graphs
+        ids, lookup = node_space(c)
+        assert lookup == c.node_id
+        assert [lookup(k) for k in NODE_KEYS] == [1, 1, 1, 1, None, None, None, None, None]
+        assert lookup([1]) is None
+
+
 class TestNetworkxConversion:
     def test_int_labels_stay_dense(self):
         g = nx.path_graph(4)

@@ -1,5 +1,7 @@
 """The unified algorithm registry: metadata, lookup, dispatch, guards."""
 
+import dataclasses
+
 import pytest
 
 from repro import registry
@@ -93,6 +95,7 @@ class TestRegistration:
             color_bound="?",
             rounds_bound="?",
             runner=lambda graph: None,
+            invariants=(),
         )
         with pytest.raises(InvalidParameterError, match="registered twice"):
             registry.register(clone)
@@ -110,8 +113,23 @@ class TestRegistration:
                     color_bound="",
                     rounds_bound="",
                     runner=lambda graph: None,
+                    invariants=(),
                 )
             )
+
+    def test_palette_bound_and_its_invariant_come_together(self):
+        greedy = registry.get("greedy")
+        with pytest.raises(InvalidParameterError, match="has no palette_bound"):
+            registry.register(
+                dataclasses.replace(greedy, name="test-unbounded", palette_bound=None)
+            )
+        with pytest.raises(InvalidParameterError, match="does not declare"):
+            registry.register(
+                dataclasses.replace(
+                    greedy, name="test-undeclared", invariants=("proper-edge-coloring",)
+                )
+            )
+        assert not {"test-unbounded", "test-undeclared"} & set(registry.names())
 
     def test_mislabeled_runner_rejected(self, graph):
         registry.register(
@@ -125,6 +143,7 @@ class TestRegistration:
                 runner=lambda g: registry.AlgorithmRun(
                     name="something-else", kind="edge-coloring", coloring={}, colors_used=0
                 ),
+                invariants=(),
             )
         )
         try:

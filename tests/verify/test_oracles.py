@@ -1,5 +1,5 @@
-"""The oracle registry: resolution through the algorithm registry,
-verdicts, palette bounds, and the structural oracles."""
+"""The oracle table, the palette bound each spec carries, verdicts, and
+the structural oracles."""
 
 import dataclasses
 
@@ -9,14 +9,9 @@ import pytest
 from repro import registry
 from repro.errors import InvalidParameterError
 from repro.graphs import random_regular, star_forest_stack
-from repro.verify import (
-    OracleContext,
-    claimed_palette_bound,
-    get_oracle,
-    oracle_names,
-    oracles_for,
-    verify_run,
-)
+from repro.registry import AlgorithmRun, AlgorithmSpec
+from repro.verify import OracleContext, verify_run
+from repro.verify.oracles import ORACLES
 
 BUILTIN_ORACLES = (
     "proper-vertex-coloring",
@@ -28,30 +23,91 @@ BUILTIN_ORACLES = (
     "defective-coloring",
 )
 
+#: Specs whose guarantee is asymptotic only (Linial's O(Delta^2), the
+#: Delta^(1+eps) and constant-factor families): no exact palette claim.
+ASYMPTOTIC_ONLY = ("linial", "weak", "weak-vertex", "split", "forest")
 
-class TestRegistry:
-    def test_builtin_oracles_registered(self):
-        names = oracle_names()
-        for name in BUILTIN_ORACLES:
-            assert name in names
 
-    def test_unknown_oracle_rejected(self):
+@pytest.fixture
+def scratch_spec():
+    """Register test-only specs; each is dropped again afterwards."""
+    added = []
+
+    def register(spec):
+        added.append(spec.name)
+        return registry.register(spec)
+
+    yield register
+    for name in added:
+        registry._REGISTRY.pop(name, None)
+
+
+class TestOracleTable:
+    def test_table_holds_the_builtin_oracles(self):
+        assert tuple(ORACLES) == BUILTIN_ORACLES
+
+    def test_unknown_oracle_rejected_at_verify_time(self, scratch_spec):
+        def runner(graph):
+            return AlgorithmRun(
+                name="_test-unknown", kind="decomposition", coloring={}, colors_used=0
+            )
+
+        scratch_spec(
+            AlgorithmSpec(
+                name="_test-unknown", family="baseline", kind="decomposition",
+                summary="test-only", color_bound="-", rounds_bound="-",
+                runner=runner, invariants=("no-such-oracle",),
+            )
+        )
         with pytest.raises(InvalidParameterError, match="unknown invariant oracle"):
-            get_oracle("no-such-oracle")
+            verify_run(nx.Graph(), runner(nx.Graph()))
 
-    def test_every_algorithm_resolves_oracles(self):
+    def test_every_algorithm_declares_known_oracles(self):
         for spec in registry.specs():
-            oracles = oracles_for(spec.name)
+            assert set(spec.invariants) <= set(ORACLES), spec.name
             if spec.kind in ("edge-coloring", "vertex-coloring"):
-                assert oracles, f"{spec.name} has no applicable oracle"
+                assert spec.invariants, f"{spec.name} has no applicable oracle"
 
-    def test_declared_invariants_win_over_kind_defaults(self):
-        assert [o.name for o in oracles_for("star4")] == [
+    def test_checks_run_in_declared_order(self):
+        g = random_regular(24, 6, seed=1)
+        verdict = verify_run(g, registry.run("star4", g))
+        assert verdict.checks == registry.get("star4").invariants == (
             "proper-edge-coloring",
             "palette-bound",
             "star-partition",
-        ]
-        assert [o.name for o in oracles_for("h-partition")] == ["h-partition"]
+        )
+
+
+class TestSpecPaletteBounds:
+    def test_every_coloring_spec_claims_a_palette_or_is_asymptotic_only(self):
+        bounded = {s.name for s in registry.specs() if s.palette_bound is not None}
+        assert len(bounded) == 15
+        for spec in registry.specs():
+            if spec.kind == "decomposition":
+                assert spec.name not in bounded
+            else:
+                assert (spec.name in bounded) != (spec.name in ASYMPTOTIC_ONLY), spec.name
+            assert ("palette-bound" in spec.invariants) == (spec.name in bounded)
+
+    def test_renamed_spec_keeps_its_palette_check(self, scratch_spec):
+        # The claim travels with the spec, not with the name "star4".
+        star4 = registry.get("star4")
+
+        def runner(graph):
+            return dataclasses.replace(star4.runner(graph), name="star4-renamed")
+
+        scratch_spec(dataclasses.replace(star4, name="star4-renamed", runner=runner))
+        g = random_regular(24, 6, seed=1)
+        run = registry.run("star4-renamed", g)
+        verdict = verify_run(g, run)
+        assert verdict.status == "ok"
+        assert verdict.checks == star4.invariants
+        verdict = verify_run(g, dataclasses.replace(run, colors_used=10**6))
+        assert verdict.status == "fail"
+        assert verdict.violation.startswith("palette-bound: ")
+        assert verdict == verify_run(
+            g, dataclasses.replace(registry.run("star4", g), colors_used=10**6)
+        )
 
 
 class TestVerdicts:
@@ -119,8 +175,8 @@ class TestVerdicts:
 
 
 class TestPaletteBounds:
-    def _ctx(self, g, run, params=None):
-        return OracleContext(
+    def _bound(self, g, run, params=None):
+        ctx = OracleContext(
             graph=g,
             kind=run.kind,
             coloring=run.coloring,
@@ -129,35 +185,42 @@ class TestPaletteBounds:
             params=params or {},
             algorithm=run.name,
         )
+        return registry.get(run.name).palette_bound(ctx)
 
     def test_star4_bound_is_four_delta(self):
         g = random_regular(24, 6, seed=1)
-        run = registry.run("star4", g)
-        assert claimed_palette_bound("star4", self._ctx(g, run)) == 24
+        assert self._bound(g, registry.run("star4", g)) == 24
 
     def test_star_bound_scales_with_x(self):
         g = random_regular(24, 8, seed=3)
         run = registry.run("star", g, x=2)
-        bound = claimed_palette_bound("star", self._ctx(g, run, {"x": 2}))
-        assert bound == 2**3 * 8
+        assert self._bound(g, run, {"x": 2}) == 2**3 * 8
 
     def test_section5_bound_comes_from_result_extra(self):
         g = star_forest_stack(4, 12, 2, seed=0)
         run = registry.run("thm52", g)
-        bound = claimed_palette_bound("thm52", self._ctx(g, run))
+        bound = self._bound(g, run)
         assert bound == run.extra["palette_bound"]
         assert run.colors_used <= bound
 
     def test_asymptotic_only_algorithms_declare_no_bound(self):
         g = random_regular(24, 6, seed=1)
         run = registry.run("linial", g)
-        assert claimed_palette_bound("linial", self._ctx(g, run)) is None
-        # ... and the palette oracle is inapplicable: the verdict is ok
-        # and its checks provenance does NOT claim a palette check ran.
+        assert registry.get("linial").palette_bound is None
+        # ... and no palette oracle is declared: the verdict is ok and
+        # its checks provenance does NOT claim a palette check ran.
         verdict = verify_run(g, run)
         assert verdict.status == "ok"
         assert "palette-bound" not in verdict.checks
         assert "proper-vertex-coloring" in verdict.checks
+
+    def test_bound_of_none_leaves_the_check_out(self):
+        g = star_forest_stack(4, 12, 2, seed=0)
+        run = registry.run("thm52", g)
+        run.extra.pop("palette_bound")
+        verdict = verify_run(g, run)
+        assert verdict.status == "ok"
+        assert verdict.checks == ("proper-edge-coloring",)
 
     def test_empty_graph_bounds(self):
         g = nx.Graph()
@@ -187,28 +250,25 @@ class TestStructuralOracles:
         assert verdict.status == "fail"
         assert "threshold" in verdict.violation
 
-    def test_skip_when_algorithm_declares_nothing(self):
-        from repro.registry import AlgorithmRun, AlgorithmSpec
-
+    def test_skip_when_algorithm_declares_nothing(self, scratch_spec):
         def _runner(graph):
             return AlgorithmRun(
                 name="_test-decomp", kind="decomposition", coloring={}, colors_used=0
             )
 
-        spec = AlgorithmSpec(
-            name="_test-decomp",
-            family="baseline",
-            kind="decomposition",
-            summary="test-only",
-            color_bound="-",
-            rounds_bound="-",
-            runner=_runner,
+        scratch_spec(
+            AlgorithmSpec(
+                name="_test-decomp",
+                family="baseline",
+                kind="decomposition",
+                summary="test-only",
+                color_bound="-",
+                rounds_bound="-",
+                runner=_runner,
+                invariants=(),
+            )
         )
-        registry.register(spec)
-        try:
-            g = nx.Graph()
-            verdict = verify_run(g, _runner(g))
-            assert verdict.status == "skip"
-            assert verdict.checks == ()
-        finally:
-            registry._REGISTRY.pop("_test-decomp", None)
+        g = nx.Graph()
+        verdict = verify_run(g, _runner(g))
+        assert verdict.status == "skip"
+        assert verdict.checks == ()

@@ -427,7 +427,15 @@ python -m repro report "${REPORT_ARGS[@]}" --out "$SMOKE_DIR/report_b" >/dev/nul
 for artifact in report.html report.md frontier.csv verdicts.csv campaign.csv; do
   cmp "$SMOKE_DIR/report_a/$artifact" "$SMOKE_DIR/report_b/$artifact"
 done
-echo "report smoke: HTML self-contained, all five artifacts byte-deterministic"
+# The frontier carries each spec's palette bound: a bound silently lost
+# renders an empty column deterministically, so name the expected rows
+# (random-regular d=8 and the 8x8 planar grid pin Delta at 8 and 4).
+cut -d, -f1,2,5,6 "$SMOKE_DIR/report_a/frontier.csv" > "$SMOKE_DIR/frontier_bounds.csv"
+for expected in star4,random-regular,32,True greedy,random-regular,15,True \
+                star4,planar-grid,16,True; do
+  grep -qx "$expected" "$SMOKE_DIR/frontier_bounds.csv"
+done
+echo "report smoke: HTML self-contained, all five artifacts byte-deterministic, frontier bounds present"
 
 echo "== shard smoke: partition -> sharded run == unsharded run =="
 # Partition the graph smoke's .csrg, run the same cell sharded (process

@@ -45,6 +45,7 @@ def main(argv: Sequence[str]) -> int:
             name="stream-blocker", family="baseline", kind="edge-coloring",
             summary="greedy, gated on a flag file (kill/resume harness)",
             color_bound="2D-1", rounds_bound="-", runner=_blocking_greedy,
+            invariants=("proper-edge-coloring",),
         )
     )
 
